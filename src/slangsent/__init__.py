@@ -90,9 +90,7 @@ from .scoring import (
     Match,
     PhraseMatcher,
     ScoreBreakdown,
-    contains_slang,
     evaluate,
-    match_terms,
     score_text,
 )
 from .text import find_occurrences, normalize_term, tokenize

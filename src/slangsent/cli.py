@@ -6,13 +6,12 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from datetime import date
 from pathlib import Path
 
-from .corpus import FileCorpusProvider, estimate_all, load_corpus
+from .corpus import DEFAULT_MAX_DOCS, load_corpus
 from .distant import (
     EmoticonSet,
     build_eval_corpus,
@@ -21,31 +20,23 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, ProviderError, SlangSentError
-from .ingest import (
-    DirectoryFetcher,
-    build_vocabulary,
-    fetch_new_entries,
-    load_vocabulary,
-    open_records,
-    parse_entries,
-    save_vocabulary,
-    serialize_entries,
+from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, serialize_entries
+from .lexicon import load_lexicon, save_lexicon
+from .pipeline import (
+    assemble,
+    estimate_terms,
+    ingest_entries,
+    load_config,
+    load_seed_sources,
+    merge_seeds,
+    propagate_terms,
+    run_pipeline,
+    write_exports,
+    write_json,
+    write_report,
+    write_text,
 )
-from .lexicon import (
-    SeedSource,
-    combine,
-    export_idiom_table,
-    export_slangsd,
-    load_lexicon,
-    load_seed_values,
-    merge_seed_lexicons,
-    save_lexicon,
-)
-from .pipeline import _parse_scale, load_config, run_pipeline
-from .propagate import build_graph, propagate, stage_report
 from .scoring import EvalSubset, evaluate, score_text
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,6 +57,12 @@ def _date_arg(text: str) -> date:
         return date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary", required=True, type=Path)
     p.add_argument("--seed", required=True, type=Path)
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--max-docs", type=int, default=150)
+    p.add_argument("--max-docs", type=_positive_int, default=DEFAULT_MAX_DOCS)
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--report", type=Path)
@@ -161,60 +158,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args) -> int:
     issues = []
-    entries = []
-    for path in args.input:
-        with open_records(path) as handle:
-            entries.extend(parse_entries(handle, strict=args.strict, issues=issues))
-    vocabulary = build_vocabulary(entries)
-    save_vocabulary(vocabulary, args.output)
+    vocabulary, count = ingest_entries(args.input, args.output, strict=args.strict, issues=issues)
     for issue in issues:
         print(f"skipped line {issue.line}: {issue.message}", file=sys.stderr)
-    print(f"{len(entries)} entries -> {len(vocabulary)} terms -> {args.output}")
+    print(f"{count} entries -> {len(vocabulary)} terms -> {args.output}")
     return EXIT_OK
 
 
-def _load_seed_sources(path: Path) -> list[SeedSource]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"sources file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sources file is not valid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise ConfigError("sources file must be a JSON list")
-    sources = []
-    for item in raw:
-        try:
-            scale = _parse_scale(item.get("scale"))
-            source_path = path.parent / item["path"]
-            sources.append(SeedSource(str(item["id"]), load_seed_values(source_path), scale))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad source entry: {exc!r}") from None
-    return sources
-
-
 def _cmd_seed(args) -> int:
-    lexicon = merge_seed_lexicons(_load_seed_sources(args.sources))
-    save_lexicon(lexicon, args.output)
+    lexicon = merge_seeds(load_seed_sources(args.sources), args.output)
     print(f"{len(lexicon)} seed terms -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    vocabulary = load_vocabulary(args.vocabulary)
-    seed = load_lexicon(args.seed)
-    provider = FileCorpusProvider(args.corpus, sample_seed=args.sample_seed)
-    delta, report = estimate_all(vocabulary, provider, seed, max_docs=args.max_docs)
-    save_lexicon(delta, args.output)
+    _, report = estimate_terms(
+        load_vocabulary(args.vocabulary), load_lexicon(args.seed), args.corpus, args.output,
+        max_docs=args.max_docs, sample_seed=args.sample_seed,
+    )
     if args.report:
-        payload = {
+        write_json(args.report, {
             "estimated": report.estimated,
             "unlabelable": report.unlabelable,
             "failures": [{"term": t, "error": e} for t, e in report.failures],
-        }
-        args.report.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
+        })
     print(
         f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable, "
         f"{len(report.failures)} failures -> {args.output}"
@@ -225,16 +192,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_propagate(args) -> int:
     vocabulary = load_vocabulary(args.graph_from)
     seeds = load_lexicon(args.seeds)
-    result = propagate(build_graph(vocabulary), seeds)
-    save_lexicon(result.labeled, args.output)
+    result = propagate_terms(vocabulary, seeds, args.output)
     if args.report:
-        report = stage_report(combine(seeds.restricted(vocabulary.keys()), result.labeled))
-        args.report.write_text(report.format_text(), encoding="utf-8", newline="\n")
-        args.report.with_suffix(args.report.suffix + ".json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        json_twin = args.report.with_suffix(args.report.suffix + ".json")
+        write_report(assemble(vocabulary, seeds, result.labeled), args.report, json_twin)
     print(
         f"{len(result.labeled)} labeled in {result.iterations} iterations, "
         f"{len(result.unreached)} unreached -> {args.output}"
@@ -243,9 +204,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    vocabulary = load_vocabulary(args.vocabulary)
-    seed = load_lexicon(args.seed).restricted(vocabulary.keys())
-    final = combine(seed, load_lexicon(args.estimates), load_lexicon(args.propagated))
+    stages = [load_lexicon(path) for path in (args.seed, args.estimates, args.propagated)]
+    final = assemble(load_vocabulary(args.vocabulary), *stages)
     save_lexicon(final, args.output)
     print(f"{len(final)} terms -> {args.output}")
     return EXIT_OK
@@ -254,12 +214,10 @@ def _cmd_assemble(args) -> int:
 def _cmd_export(args) -> int:
     if not args.slangsd and not args.idiom_table:
         raise ConfigError("nothing to export: pass --slangsd and/or --idiom-table")
-    lexicon = load_lexicon(args.lexicon)
+    write_exports(load_lexicon(args.lexicon), args.slangsd, args.idiom_table)
     if args.slangsd:
-        args.slangsd.write_text(export_slangsd(lexicon), encoding="utf-8", newline="\n")
         print(f"dictionary -> {args.slangsd}")
     if args.idiom_table:
-        args.idiom_table.write_text(export_idiom_table(lexicon), encoding="utf-8", newline="\n")
         print(f"idiom table -> {args.idiom_table}")
     return EXIT_OK
 
@@ -282,11 +240,7 @@ def _cmd_evaluate(args) -> int:
     print(f"subset: {args.subset}")
     print(report.format_table(), end="")
     if args.json:
-        args.json.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        write_json(args.json, report.to_dict())
     return EXIT_OK
 
 
@@ -305,7 +259,7 @@ def _cmd_extend(args) -> int:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     entries, report = fetch_new_entries(DirectoryFetcher(args.fetch_dir), args.start, args.end)
-    args.output.write_text(serialize_entries(entries), encoding="utf-8", newline="\n")
+    write_text(args.output, serialize_entries(entries))
     for failure in report.failures:
         print(f"fetch failed for {failure.day}: {failure.error}", file=sys.stderr)
     print(
@@ -316,14 +270,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = stage_report(load_lexicon(args.lexicon))
+    report = write_report(load_lexicon(args.lexicon), None, args.json)
     print(report.format_text(), end="")
-    if args.json:
-        args.json.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
     return EXIT_OK
 
 

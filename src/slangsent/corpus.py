@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -45,9 +45,9 @@ class CorpusProvider(Protocol):
     def query(self, term: str, max_docs: int) -> list[Document]: ...
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Read a corpus file: one JSON object per line with "id" and "text"."""
-    documents = []
+def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
+    """Line number, JSON object and document of each non-blank line of a
+    corpus file; every object needs string "id" and "text"."""
     with open_records(path) as handle:
         for number, raw in enumerate(handle, start=1):
             if not raw.strip():
@@ -61,8 +61,12 @@ def load_corpus(path: str | Path) -> list[Document]:
             doc_id, text = record.get("id"), record.get("text")
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise ParseError("record needs string 'id' and 'text'", line=number)
-            documents.append(Document.from_text(doc_id, text))
-    return documents
+            yield number, record, Document.from_text(doc_id, text)
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    """Read a corpus file: one JSON object per line with "id" and "text"."""
+    return [document for _, _, document in read_documents(path)]
 
 
 class FileCorpusProvider:

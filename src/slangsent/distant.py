@@ -14,9 +14,8 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Document
+from .corpus import Document, read_documents
 from .errors import ParseError
-from .ingest import open_records
 from .lexicon import Polarity
 from .text import emoticon_token
 
@@ -61,10 +60,13 @@ class EmoticonSet:
             if current is None:
                 raise ParseError("emoticon before any section header", line=number)
             current.add(line)
-        return cls(
-            positive=frozenset(sections["positive"]),
-            negative=frozenset(sections["negative"]),
-        )
+        try:
+            return cls(
+                positive=frozenset(sections["positive"]),
+                negative=frozenset(sections["negative"]),
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> EmoticonSet:
@@ -93,16 +95,23 @@ def _strip_emoticons(doc: Document, emoticons: frozenset[str]) -> Document:
     return Document.from_text(doc.id, " ".join(kept))
 
 
+def _label(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | str:
+    """The labeled document, or why it is discarded: "conflict" (emoticons
+    of both polarities) or "unmarked" (none at all)."""
+    has_positive = any(t in emoticons.positive for t in doc.tokens)
+    has_negative = any(t in emoticons.negative for t in doc.tokens)
+    if has_positive == has_negative:
+        return "conflict" if has_positive else "unmarked"
+    gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
+    return LabeledDocument(_strip_emoticons(doc, emoticons.all_tokens), gold)
+
+
 def label_by_emoticon(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | None:
     """Label one document, or None when it must be discarded (emoticons of
     both polarities, or none at all). The returned document has every token
     from either set removed, in text and tokens alike."""
-    has_positive = any(t in emoticons.positive for t in doc.tokens)
-    has_negative = any(t in emoticons.negative for t in doc.tokens)
-    if has_positive == has_negative:
-        return None
-    gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
-    return LabeledDocument(_strip_emoticons(doc, emoticons.all_tokens), gold)
+    labeled = _label(doc, emoticons)
+    return labeled if isinstance(labeled, LabeledDocument) else None
 
 
 @dataclass
@@ -122,17 +131,14 @@ def build_eval_corpus(
     report = DistantReport()
     for doc in documents:
         report.total += 1
-        has_positive = any(t in emoticons.positive for t in doc.tokens)
-        has_negative = any(t in emoticons.negative for t in doc.tokens)
-        if has_positive and has_negative:
+        item = _label(doc, emoticons)
+        if isinstance(item, LabeledDocument):
+            labeled.append(item)
+            report.labeled += 1
+        elif item == "conflict":
             report.discarded_conflict += 1
-            continue
-        if not has_positive and not has_negative:
+        else:
             report.discarded_unmarked += 1
-            continue
-        gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
-        labeled.append(LabeledDocument(_strip_emoticons(doc, emoticons.all_tokens), gold))
-        report.labeled += 1
     return labeled, report
 
 
@@ -153,21 +159,9 @@ def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
     polarities = {p.value: p for p in Polarity}
     items: list[LabeledDocument] = []
-    with open_records(path) as handle:
-        for number, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=number) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", line=number)
-            doc_id, text = record.get("id"), record.get("text")
-            label = record.get("label")
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise ParseError("record needs string 'id' and 'text'", line=number)
-            if label not in polarities:
-                raise ParseError(f"bad label {label!r}", line=number)
-            items.append(LabeledDocument(Document.from_text(doc_id, text), polarities[label]))
+    for number, record, document in read_documents(path):
+        label = record.get("label")
+        if label not in polarities:
+            raise ParseError(f"bad label {label!r}", line=number)
+        items.append(LabeledDocument(document, polarities[label]))
     return items

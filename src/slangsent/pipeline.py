@@ -3,15 +3,17 @@
 Stages: ingest entries -> build vocabulary -> merge seed lexicons ->
 corpus-estimate the rest -> propagate over the related-word graph ->
 assemble with stage precedence (seed > corpus estimate > propagation) ->
-export. Every stage's output is persisted in the output directory, so a run
-can resume from any intermediate, and identical configs produce
-byte-identical exports.
+export. Each stage is one function here, shared by `run_pipeline` and the
+stage subcommands of the CLI. Every stage's output is persisted in the
+output directory, so a run can resume from any intermediate, and identical
+configs produce byte-identical exports.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .corpus import DEFAULT_MAX_DOCS, EstimationReport, FileCorpusProvider, esti
 from .errors import ConfigError
 from .ingest import (
     IngestIssue,
+    Vocabulary,
     build_vocabulary,
     load_vocabulary,
     open_records,
@@ -54,18 +57,29 @@ OUTPUT_FILES = {
 }
 
 
+def write_text(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_json(path: Path, payload: object) -> None:
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# --- config: every value from outside is checked here ------------------------
+
+
 @dataclass(frozen=True)
 class SeedSourceConfig:
     source_id: str
     path: Path
     scale: LinearScale = LinearScale()
 
-    def load(self) -> SeedSource:
-        return SeedSource(self.source_id, load_seed_values(self.path), self.scale)
-
 
 @dataclass
 class PipelineConfig:
+    """A validated run configuration; construction checks ranges and that
+    every input file exists."""
+
     entry_files: list[Path]
     seed_sources: list[SeedSourceConfig]
     corpus_file: Path
@@ -74,18 +88,39 @@ class PipelineConfig:
     sample_seed: int = 0
     strict: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_docs < 1:
             raise ConfigError(f"max_docs must be >= 1, got {self.max_docs}")
         if not self.entry_files:
             raise ConfigError("no entry files configured")
-        missing = [
-            str(path)
-            for path in [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
-            if not Path(path).is_file()
-        ]
+        inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
+        missing = [str(path) for path in inputs if not Path(path).is_file()]
         if missing:
             raise ConfigError(f"missing input files: {', '.join(missing)}")
+
+
+def _read_json(path: Path, what: str) -> object:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _resolve(base: Path, value: object, name: str) -> Path:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"'{name}' must be a path string, got {value!r}")
+    return base / value
+
+
+def _typed(value: object, name: str, kind: type):
+    """`value` as a `kind`, where a float may be given as an int but a bool is
+    neither."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"'{name}' must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _parse_scale(raw: object) -> LinearScale:
@@ -93,61 +128,133 @@ def _parse_scale(raw: object) -> LinearScale:
         return LinearScale()
     if not isinstance(raw, dict):
         raise ConfigError(f"scale must be an object, got {raw!r}")
-    if "source_range" in raw:
-        lo, hi = raw["source_range"]
-        target = raw.get("target_range", [-2.0, 2.0])
-        return LinearScale.from_ranges((float(lo), float(hi)), (float(target[0]), float(target[1])))
-    return LinearScale(
-        factor=float(raw.get("factor", 1.0)), offset=float(raw.get("offset", 0.0))
-    )
+    if "source_range" not in raw:
+        factor, offset = raw.get("factor", 1.0), raw.get("offset", 0.0)
+        return LinearScale(_typed(factor, "factor", float), _typed(offset, "offset", float))
+    ranges = []
+    for name, pair in (("source_range", raw["source_range"]),
+                       ("target_range", raw.get("target_range", [-2.0, 2.0]))):
+        if len(_typed(pair, name, list)) != 2:
+            raise ConfigError(f"'{name}' must be a [low, high] pair, got {pair!r}")
+        ranges.append(tuple(_typed(value, name, float) for value in pair))
+    try:
+        return LinearScale.from_ranges(*ranges)
+    except ValueError as exc:
+        raise ConfigError(f"bad 'source_range' {raw['source_range']!r}: {exc}") from None
+
+
+def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:
+    """Parse a `[{id, path, scale}]` seed-source list, the format of both the
+    config's `seed_lexicons` and the `seed --sources` file. Paths are
+    resolved against `base`."""
+    sources = []
+    for item in _typed(raw, "seed_lexicons", list):
+        if not isinstance(item, dict) or "id" not in item or "path" not in item:
+            raise ConfigError(f"seed source needs 'id' and 'path': {item!r}")
+        path = _resolve(base, item["path"], "seed_lexicons.path")
+        sources.append(SeedSourceConfig(str(item["id"]), path, _parse_scale(item.get("scale"))))
+    return sources
+
+
+def load_seed_sources(path: Path) -> list[SeedSourceConfig]:
+    return parse_seed_sources(_read_json(path, "sources"), path.parent)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline config file (JSON). Relative paths are resolved
     against the config file's directory."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-
-    base = path.parent
-
-    def _resolve(value: object, name: str) -> Path:
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"'{name}' must be a path string")
-        return base / value
-
-    try:
-        entry_files = [_resolve(p, "entries") for p in raw["entries"]]
-        corpus_file = _resolve(raw["corpus"], "corpus")
-        output_dir = _resolve(raw["output_dir"], "output_dir")
-        seed_sources = [
-            SeedSourceConfig(
-                source_id=str(item["id"]),
-                path=_resolve(item["path"], "seed_lexicons.path"),
-                scale=_parse_scale(item.get("scale")),
-            )
-            for item in raw.get("seed_lexicons", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad config: {exc!r}") from None
-
-    config = PipelineConfig(
-        entry_files=entry_files,
-        seed_sources=seed_sources,
-        corpus_file=corpus_file,
-        output_dir=output_dir,
-        max_docs=int(raw.get("max_docs", DEFAULT_MAX_DOCS)),
-        sample_seed=int(raw.get("sample_seed", 0)),
-        strict=bool(raw.get("strict", True)),
+    base, entries = path.parent, raw.get("entries")
+    return PipelineConfig(
+        entry_files=[_resolve(base, p, "entries") for p in _typed(entries, "entries", list)],
+        seed_sources=parse_seed_sources(raw.get("seed_lexicons", []), base),
+        corpus_file=_resolve(base, raw.get("corpus"), "corpus"),
+        output_dir=_resolve(base, raw.get("output_dir"), "output_dir"),
+        max_docs=_typed(raw.get("max_docs", DEFAULT_MAX_DOCS), "max_docs", int),
+        sample_seed=_typed(raw.get("sample_seed", 0), "sample_seed", int),
+        strict=_typed(raw.get("strict", True), "strict", bool),
     )
-    config.validate()
-    return config
+
+
+# --- stages: each computes its output and persists it ------------------------
+
+
+def ingest_entries(
+    entry_files: Iterable[Path], output: Path, *, strict: bool, issues: list[IngestIssue]
+) -> tuple[Vocabulary, int]:
+    """Parse entry files into a vocabulary; returns it with the entry count.
+    In lenient mode skipped records are appended to `issues`."""
+    entries = []
+    for entry_file in entry_files:
+        with open_records(entry_file) as handle:
+            entries.extend(parse_entries(handle, strict=strict, issues=issues))
+    vocabulary = build_vocabulary(entries)
+    save_vocabulary(vocabulary, output)
+    log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
+    return vocabulary, len(entries)
+
+
+def merge_seeds(sources: Iterable[SeedSourceConfig], output: Path) -> Lexicon:
+    """The full merged seed lexicon: labels for vocabulary terms and
+    sentiment evidence for estimation."""
+    seed = merge_seed_lexicons(
+        SeedSource(s.source_id, load_seed_values(s.path), s.scale) for s in sources
+    )
+    save_lexicon(seed, output)
+    log.info("seed lexicon: %d terms", len(seed))
+    return seed
+
+
+def estimate_terms(
+    vocabulary: Vocabulary, seed: Lexicon, corpus_file: Path, output: Path, *,
+    max_docs: int, sample_seed: int,
+) -> tuple[Lexicon, EstimationReport]:
+    """Corpus estimates for the vocabulary terms the seeds do not cover."""
+    provider = FileCorpusProvider(corpus_file, sample_seed=sample_seed)
+    estimates, report = estimate_all(vocabulary, provider, seed, max_docs=max_docs)
+    save_lexicon(estimates, output)
+    log.info("corpus estimates: %d labeled, %d unlabelable, %d failures",
+             report.estimated, len(report.unlabelable), len(report.failures))
+    return estimates, report
+
+
+def propagate_terms(vocabulary: Vocabulary, seeds: Lexicon, output: Path) -> PropagationResult:
+    """Propagate `seeds` over the vocabulary's related-word graph."""
+    result = propagate(build_graph(vocabulary), seeds)
+    save_lexicon(result.labeled, output)
+    log.info("propagation: %d labeled in %d iterations, %d unreached",
+             len(result.labeled), result.iterations, len(result.unreached))
+    return result
+
+
+def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
+    """Stage precedence: the seed terms in the vocabulary, then each later
+    stage's lexicon in order, first label wins. Terms no stage labeled stay
+    out."""
+    return combine(seed.restricted(vocabulary.keys()), *later)
+
+
+def write_exports(lexicon: Lexicon, slangsd: Path | None, idiom_table: Path | None) -> None:
+    if slangsd:
+        write_text(slangsd, export_slangsd(lexicon))
+    if idiom_table:
+        write_text(idiom_table, export_idiom_table(lexicon))
+
+
+def write_report(lexicon: Lexicon, text_path: Path | None, json_path: Path | None) -> StageReport:
+    """The stage/class report of a lexicon, written to whichever paths are given."""
+    report = stage_report(lexicon)
+    if text_path:
+        write_text(text_path, report.format_text())
+    if json_path:
+        write_json(json_path, report.to_dict())
+    return report
+
+
+# --- the whole run -----------------------------------------------------------
 
 
 @dataclass
@@ -168,87 +275,42 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     instead of recomputed; rerunning from any persisted intermediate yields
     the same final exports.
     """
-    config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
-    result_issues: list[IngestIssue] = []
+    issues: list[IngestIssue] = []
+    estimation = propagation = None
 
-    # Stage: ingest + vocabulary.
-    if resume and paths["vocabulary"].exists():
-        log.info("resuming: vocabulary from %s", paths["vocabulary"])
-        vocabulary = load_vocabulary(paths["vocabulary"])
-    else:
-        entries = []
-        for entry_file in config.entry_files:
-            with open_records(entry_file) as handle:
-                entries.extend(
-                    parse_entries(handle, strict=config.strict, issues=result_issues)
-                )
-        vocabulary = build_vocabulary(entries)
-        save_vocabulary(vocabulary, paths["vocabulary"])
-        log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
+    def reuse(name, load):
+        if resume and paths[name].exists():
+            log.info("resuming: %s from %s", name, paths[name])
+            return load(paths[name])
+        return None
 
-    # Stage: merge seed lexicons (full external vocabulary; used both as
-    # labels for vocabulary terms and as sentiment evidence for estimation).
-    if resume and paths["seed"].exists():
-        log.info("resuming: seed lexicon from %s", paths["seed"])
-        seed = load_lexicon(paths["seed"])
-    else:
-        seed = merge_seed_lexicons(source.load() for source in config.seed_sources)
-        save_lexicon(seed, paths["seed"])
-        log.info("seed lexicon: %d terms", len(seed))
-
-    seed_stage = seed.restricted(vocabulary.keys())
-
-    # Stage: corpus estimation for terms the seeds do not cover.
-    estimation_report = None
-    if resume and paths["estimates"].exists():
-        log.info("resuming: corpus estimates from %s", paths["estimates"])
-        estimates = load_lexicon(paths["estimates"])
-    else:
-        provider = FileCorpusProvider(config.corpus_file, sample_seed=config.sample_seed)
-        estimates, estimation_report = estimate_all(
-            vocabulary, provider, seed, max_docs=config.max_docs
+    vocabulary = reuse("vocabulary", load_vocabulary)
+    if vocabulary is None:
+        vocabulary, _ = ingest_entries(
+            config.entry_files, paths["vocabulary"], strict=config.strict, issues=issues
         )
-        save_lexicon(estimates, paths["estimates"])
-        log.info(
-            "corpus estimates: %d labeled, %d unlabelable, %d failures",
-            estimation_report.estimated,
-            len(estimation_report.unlabelable),
-            len(estimation_report.failures),
+    seed = reuse("seed", load_lexicon)
+    if seed is None:
+        seed = merge_seeds(config.seed_sources, paths["seed"])
+    estimates = reuse("estimates", load_lexicon)
+    if estimates is None:
+        estimates, estimation = estimate_terms(
+            vocabulary, seed, config.corpus_file, paths["estimates"],
+            max_docs=config.max_docs, sample_seed=config.sample_seed,
         )
-
-    # Stage: propagation over the related-word graph.
-    propagation = None
-    if resume and paths["propagated"].exists():
-        log.info("resuming: propagation from %s", paths["propagated"])
-        propagated = load_lexicon(paths["propagated"])
-    else:
-        graph = build_graph(vocabulary)
-        propagation = propagate(graph, combine(seed_stage, estimates))
+    propagated = reuse("propagated", load_lexicon)
+    if propagated is None:
+        seeds = assemble(vocabulary, seed, estimates)
+        propagation = propagate_terms(vocabulary, seeds, paths["propagated"])
         propagated = propagation.labeled
-        save_lexicon(propagated, paths["propagated"])
-        log.info(
-            "propagation: %d labeled in %d iterations, %d unreached",
-            len(propagated),
-            propagation.iterations,
-            len(propagation.unreached),
-        )
 
-    # Assemble with stage precedence; unreached vocabulary terms stay out.
-    final = combine(seed_stage, estimates, propagated)
+    final = assemble(vocabulary, seed, estimates, propagated)
     save_lexicon(final, paths["final"])
-
-    report = stage_report(final)
-    paths["slangsd"].write_text(export_slangsd(final), encoding="utf-8", newline="\n")
-    paths["idiom_table"].write_text(export_idiom_table(final), encoding="utf-8", newline="\n")
-    paths["report_text"].write_text(report.format_text(), encoding="utf-8", newline="\n")
-    paths["report_json"].write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_exports(final, paths["slangsd"], paths["idiom_table"])
+    report = write_report(final, paths["report_text"], paths["report_json"])
     log.info("final lexicon: %d terms -> %s", len(final), paths["slangsd"])
 
     return PipelineResult(
@@ -256,7 +318,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         report=report,
         paths=paths,
         vocabulary_size=len(vocabulary),
-        ingest_issues=result_issues,
-        estimation=estimation_report,
+        ingest_issues=issues,
+        estimation=estimation,
         propagation=propagation,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .corpus import Document
 from .distant import LabeledDocument
 from .errors import EmptyEvaluationError
 from .lexicon import Lexicon, Polarity
@@ -67,10 +66,6 @@ class PhraseMatcher:
         return matches
 
 
-def match_terms(tokens: Sequence[str], lexicon: Lexicon) -> list[Match]:
-    return PhraseMatcher(lexicon).match(tokens)
-
-
 @dataclass(frozen=True)
 class ScoreBreakdown:
     matches: tuple[Match, ...]
@@ -93,10 +88,6 @@ def _score(tokens: Sequence[str], matcher: PhraseMatcher) -> ScoreBreakdown:
 
 def score_text(text: str, lexicon: Lexicon) -> ScoreBreakdown:
     return _score(tokenize(text), PhraseMatcher(lexicon))
-
-
-def contains_slang(doc: Document, lexicon: Lexicon) -> bool:
-    return bool(match_terms(doc.tokens, lexicon))
 
 
 class EvalSubset(Enum):

@@ -42,6 +42,77 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
 
+def _run_with(golden, **changes):
+    raw = {**json.loads(golden.read_text()), **changes}
+    golden.write_text(json.dumps(raw), encoding="utf-8")
+    return ["run", "--config", str(golden)]
+
+
+def _run_with_scale(golden, scale):
+    raw = json.loads(golden.read_text())
+    raw["seed_lexicons"][0]["scale"] = scale
+    return _run_with(golden, seed_lexicons=raw["seed_lexicons"])
+
+
+def _seed_with_scale(golden, tmp_path, scale):
+    sources = json.loads(golden.read_text())["seed_lexicons"]
+    sources[0]["scale"] = scale
+    (golden.parent / "sources.json").write_text(json.dumps(sources), encoding="utf-8")
+    return ["seed", "--sources", str(golden.parent / "sources.json"),
+            "--output", str(tmp_path / "seed.jsonl")]
+
+
+def _label_with_emoticons(tmp_path, text):
+    (tmp_path / "emoticons.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "corpus.jsonl").write_text('{"id": "1", "text": "hi :)"}\n', encoding="utf-8")
+    return ["label", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--output", str(tmp_path / "labeled.jsonl"),
+            "--emoticons", str(tmp_path / "emoticons.txt")]
+
+
+# (id, argv builder, exit code, word the error line must name): each bad
+# input from outside ends in one error line with its documented exit code,
+# never in a traceback.
+BAD_INPUTS = [
+    ("max_docs-string", lambda g, t: _run_with(g, max_docs="abc"), 1, "max_docs"),
+    ("max_docs-bool", lambda g, t: _run_with(g, max_docs=True), 1, "max_docs"),
+    ("max_docs-float", lambda g, t: _run_with(g, max_docs=1.5), 1, "max_docs"),
+    ("sample_seed-string", lambda g, t: _run_with(g, sample_seed="abc"), 1, "sample_seed"),
+    ("sample_seed-bool", lambda g, t: _run_with(g, sample_seed=False), 1, "sample_seed"),
+    ("sample_seed-float", lambda g, t: _run_with(g, sample_seed=7.0), 1, "sample_seed"),
+    ("strict-string", lambda g, t: _run_with(g, strict="false"), 1, "strict"),
+    ("entries-string", lambda g, t: _run_with(g, entries="entries.jsonl"), 1, "entries"),
+    ("source_range-short",
+     lambda g, t: _run_with_scale(g, {"source_range": [1]}), 1, "source_range"),
+    ("source_range-degenerate",
+     lambda g, t: _run_with_scale(g, {"source_range": [1, 1]}), 1, "source_range"),
+    ("scale-factor-string", lambda g, t: _run_with_scale(g, {"factor": "x"}), 1, "factor"),
+    ("sources-source_range-short",
+     lambda g, t: _seed_with_scale(g, t, {"source_range": [1]}), 1, "source_range"),
+    ("sources-source_range-degenerate",
+     lambda g, t: _seed_with_scale(g, t, {"source_range": [1, 1]}), 1, "source_range"),
+    ("estimate-max-docs-zero",
+     lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
+                   "--max-docs", "0", "--output", str(t / "out.jsonl")], 1, "--max-docs"),
+    ("emoticons-empty-negative",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n"), 2, "emoticon"),
+    ("emoticons-in-both-sections",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n:)\n:(\n"), 2,
+     "emoticon"),
+]
+
+
+@pytest.mark.parametrize(
+    "build_argv, code, names", [case[1:] for case in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS]
+)
+def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_argv, code, names):
+    assert main(build_argv(golden, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and names in errors[0], err
+
+
 class TestRunCommand:
     def test_full_run(self, golden, capsys):
         assert main(["run", "--config", str(golden)]) == 0

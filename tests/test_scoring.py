@@ -11,9 +11,7 @@ from slangsent.lexicon import Lexicon, LexiconEntry, Polarity, Stage, clamp_stre
 from slangsent.scoring import (
     EvalSubset,
     PhraseMatcher,
-    contains_slang,
     evaluate,
-    match_terms,
     score_text,
 )
 
@@ -34,26 +32,28 @@ SHIT_LEX = lexicon({"shit hot": 2.0, "shit": -2.0})
 class TestMatchTerms:
     def test_longest_match_wins(self):
         tokens = ["battery", "life's", "shit", "hot"]
-        matches = match_terms(tokens, SHIT_LEX)
+        matches = PhraseMatcher(SHIT_LEX).match(tokens)
         assert [(m.term, m.span, m.strength) for m in matches] == [("shit hot", (2, 3), 2.0)]
 
     def test_prefix_word_still_matches_alone(self):
-        assert [(m.term, m.span) for m in match_terms(["shit"], SHIT_LEX)] == [("shit", (0, 0))]
+        matches = PhraseMatcher(SHIT_LEX).match(["shit"])
+        assert [(m.term, m.span) for m in matches] == [("shit", (0, 0))]
 
     def test_no_match(self):
-        assert match_terms(["nothing", "here"], SHIT_LEX) == []
+        assert PhraseMatcher(SHIT_LEX).match(["nothing", "here"]) == []
 
     def test_cursor_jumps_past_match(self):
         lex = lexicon({"a b": 1.0, "b": -2.0})
-        matches = match_terms(["a", "b", "b"], lex)
+        matches = PhraseMatcher(lex).match(["a", "b", "b"])
         assert [(m.term, m.span) for m in matches] == [("a b", (0, 1)), ("b", (2, 2))]
 
     def test_spans_disjoint_and_sorted(self):
         rng = random.Random(17)
         lex = lexicon({"a": 1.0, "b c": -1.0, "c d e": 2.0, "e": 0.5})
+        matcher = PhraseMatcher(lex)
         for _ in range(100):
             tokens = [rng.choice("abcdef") for _ in range(rng.randint(0, 15))]
-            matches = match_terms(tokens, lex)
+            matches = matcher.match(tokens)
             previous_end = -1
             for m in matches:
                 assert m.span[0] > previous_end
@@ -62,7 +62,7 @@ class TestMatchTerms:
 
     def test_longer_phrase_beats_shorter_at_same_start(self):
         lex = lexicon({"out": -1.0, "out of the park": 2.0})
-        matches = match_terms(["knocked", "it", "out", "of", "the", "park"], lex)
+        matches = PhraseMatcher(lex).match(["knocked", "it", "out", "of", "the", "park"])
         assert [(m.term, m.span) for m in matches] == [("out of the park", (2, 5))]
 
 
@@ -91,10 +91,11 @@ class TestScoreText:
 
 class TestContainsSlang:
     def test_true_on_phrase(self):
-        assert contains_slang(Document.from_text("1", "that was shit hot"), SHIT_LEX)
+        doc = Document.from_text("1", "that was shit hot")
+        assert PhraseMatcher(SHIT_LEX).match(doc.tokens)
 
     def test_false_without_match(self):
-        assert not contains_slang(Document.from_text("1", "nothing here"), SHIT_LEX)
+        assert not PhraseMatcher(SHIT_LEX).match(Document.from_text("1", "nothing here").tokens)
 
 
 class TestEvaluate:
@@ -205,10 +206,3 @@ class TestEvaluate:
         assert set(payload["confusion"]) == {"positive", "negative", "neutral"}
         table = report.format_table()
         assert "precision" in table and "negative" in table
-
-
-class TestPhraseMatcherReuse:
-    def test_matcher_equivalent_to_convenience_function(self):
-        matcher = PhraseMatcher(SHIT_LEX)
-        tokens = ["so", "shit", "hot", "and", "shit"]
-        assert matcher.match(tokens) == match_terms(tokens, SHIT_LEX)
