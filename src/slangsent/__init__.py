@@ -53,7 +53,6 @@ from .ingest import (
     load_vocabulary,
     parse_entries,
     save_vocabulary,
-    serialize_entries,
 )
 from .lexicon import (
     STRENGTH_MAX,

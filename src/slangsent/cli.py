@@ -20,7 +20,7 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, ProviderError, SlangSentError
-from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, serialize_entries
+from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, serialize_entry
 from .lexicon import load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -32,10 +32,9 @@ from .pipeline import (
     propagate_terms,
     run_pipeline,
     write_exports,
-    write_json,
     write_report,
-    write_text,
 )
+from .records import write_json, write_records
 from .scoring import EvalSubset, evaluate, score_text
 
 EXIT_OK = 0
@@ -259,7 +258,7 @@ def _cmd_extend(args) -> int:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     entries, report = fetch_new_entries(DirectoryFetcher(args.fetch_dir), args.start, args.end)
-    write_text(args.output, serialize_entries(entries))
+    write_records(args.output, map(serialize_entry, entries))
     for failure in report.failures:
         print(f"fetch failed for {failure.day}: {failure.error}", file=sys.stderr)
     print(
@@ -299,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (SlangSentError, OSError) as exc:
+    except (SlangSentError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -8,7 +8,6 @@ the term is the mean over up to `max_docs` documents that contain it.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from collections.abc import Iterable, Iterator
@@ -17,8 +16,8 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import EstimationError, MissingTermError, ParseError
-from .ingest import open_records
 from .lexicon import Lexicon, LexiconEntry, Stage, clamp_strength, mean_strength
+from .records import read_records
 from .text import find_occurrences, tokenize
 
 log = logging.getLogger(__name__)
@@ -48,20 +47,11 @@ class CorpusProvider(Protocol):
 def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
     """Line number, JSON object and document of each non-blank line of a
     corpus file; every object needs string "id" and "text"."""
-    with open_records(path) as handle:
-        for number, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=number) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", line=number)
-            doc_id, text = record.get("id"), record.get("text")
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise ParseError("record needs string 'id' and 'text'", line=number)
-            yield number, record, Document.from_text(doc_id, text)
+    for number, record in read_records(path):
+        doc_id, text = record.get("id"), record.get("text")
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise ParseError("record needs string 'id' and 'text'", line=number)
+        yield number, record, Document.from_text(doc_id, text)
 
 
 def load_corpus(path: str | Path) -> list[Document]:

@@ -7,7 +7,6 @@ stripped from the labeled output so a scorer can never see the label source.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,6 +16,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
+from .records import write_records
 from .text import emoticon_token
 
 
@@ -146,14 +146,10 @@ def build_eval_corpus(
 
 
 def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for item in documents:
-            record = {
-                "id": item.document.id,
-                "label": item.gold.value,
-                "text": item.document.text,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_records(path, (
+        {"id": item.document.id, "label": item.gold.value, "text": item.document.text}
+        for item in documents
+    ))
 
 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:

@@ -8,18 +8,14 @@ related-word lists are the only entry content the sentiment stages trust.
 
 from __future__ import annotations
 
-import gzip
-import io
-import json
 import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import TextIO
-from urllib.parse import parse_qs, urlparse
 
 from .errors import IngestError
+from .records import open_records, parse_record, record_lines, write_records
 from .text import normalize_term
 
 log = logging.getLogger(__name__)
@@ -73,9 +69,7 @@ def parse_entries(
     optional `issues` list. Blank lines are ignored in both modes.
     """
     entries: list[SlangEntry] = []
-    for number, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
+    for number, raw in record_lines(lines):
         try:
             entries.append(_parse_record(raw, number))
         except IngestError as exc:
@@ -88,13 +82,7 @@ def parse_entries(
 
 
 def _parse_record(raw: str, number: int) -> SlangEntry:
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"bad JSON: {exc}", line=number) from None
-    if not isinstance(record, dict):
-        raise IngestError("record is not an object", line=number)
-
+    record = parse_record(raw, number, IngestError)
     term = record.get("term")
     if not isinstance(term, str) or not term.strip():
         raise IngestError("missing or empty 'term'", line=number)
@@ -156,7 +144,7 @@ def _vote(record: dict, key: str, number: int) -> int:
     return value
 
 
-def serialize_entry(entry: SlangEntry) -> str:
+def serialize_entry(entry: SlangEntry) -> dict[str, object]:
     record: dict[str, object] = {
         "term": entry.term,
         "meanings": list(entry.meanings),
@@ -167,11 +155,7 @@ def serialize_entry(entry: SlangEntry) -> str:
     }
     if entry.created_date is not None:
         record["created_date"] = entry.created_date.isoformat()
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
-
-
-def serialize_entries(entries: Iterable[SlangEntry]) -> str:
-    return "".join(serialize_entry(e) + "\n" for e in entries)
+    return record
 
 
 def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
@@ -212,23 +196,12 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for term in sorted(vocabulary):
-            handle.write(serialize_entry(vocabulary[term]) + "\n")
+    write_records(path, (serialize_entry(vocabulary[term]) for term in sorted(vocabulary)))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     with open_records(path) as handle:
         return build_vocabulary(parse_entries(handle, strict=True))
-
-
-def open_records(path: str | Path) -> TextIO:
-    """Open a record file for reading, transparently decompressing gzip."""
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, encoding="utf-8")
 
 
 # --- extension workflow ------------------------------------------------------
@@ -245,7 +218,7 @@ def date_range(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range(days + 1)] if days >= 0 else []
 
 
-EntryFetcher = Callable[[str], "str | bytes"]
+EntryFetcher = Callable[[date], "str | bytes"]
 
 
 @dataclass(frozen=True)
@@ -266,7 +239,7 @@ def fetch_new_entries(
 ) -> tuple[list[SlangEntry], FetchReport]:
     """Fetch and parse entry records for every day in [start, end].
 
-    The fetcher maps a URL to raw records (text or bytes). A failing day is
+    The fetcher maps a day to its raw records (text or bytes). A failing day is
     recorded in the report and the remaining days still run; output order is
     by date, then record order within a day. Duplicate terms are left for
     build_vocabulary to merge.
@@ -275,9 +248,8 @@ def fetch_new_entries(
     report = FetchReport()
     for day in date_range(start, end):
         report.requested += 1
-        url = extension_url(day)
         try:
-            payload = fetcher(url)
+            payload = fetcher(day)
             if isinstance(payload, bytes):
                 payload = payload.decode("utf-8")
             entries.extend(parse_entries(payload.splitlines(), strict=True))
@@ -290,20 +262,16 @@ def fetch_new_entries(
 
 
 class DirectoryFetcher:
-    """EntryFetcher over local files: the record file for a date-keyed URL is
+    """EntryFetcher over local files: the record file for a day is
     <directory>/<YYYY-MM-DD>.jsonl (optionally .jsonl.gz)."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
-    def __call__(self, url: str) -> str:
-        query = parse_qs(urlparse(url).query)
-        dates = query.get("date") or []
-        if len(dates) != 1:
-            raise ValueError(f"no date parameter in URL: {url!r}")
-        for name in (f"{dates[0]}.jsonl", f"{dates[0]}.jsonl.gz"):
+    def __call__(self, day: date) -> str:
+        for name in (f"{day.isoformat()}.jsonl", f"{day.isoformat()}.jsonl.gz"):
             candidate = self.directory / name
             if candidate.exists():
                 with open_records(candidate) as handle:
                     return handle.read()
-        raise FileNotFoundError(f"no record file for {dates[0]} under {self.directory}")
+        raise FileNotFoundError(f"no record file for {day} under {self.directory}")

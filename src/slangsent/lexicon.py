@@ -8,14 +8,14 @@ happens only at export and reporting time.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ParseError, ScaleError
+from .errors import NormalizationError, ParseError, ScaleError
+from .records import read_records, write_records
 from .text import normalize_term
 
 STRENGTH_MIN = -2.0
@@ -280,12 +280,10 @@ def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
             raise ParseError(f"bad class {class_text!r}", line=number) from None
         if cls < -2 or cls > 2:
             raise ParseError(f"class {cls} outside -2..2", line=number)
-        if term != _safe_normalize(term):
-            raise ParseError(f"term is not normalized: {term!r}", line=number)
         if term in seen:
             raise ParseError(f"duplicate term {term!r}", line=number)
         seen.add(term)
-        entries.append(LexiconEntry(term, float(cls), Stage.IMPORTED))
+        entries.append(_parsed_entry(number, term, float(cls), Stage.IMPORTED))
     return Lexicon(entries)
 
 
@@ -307,52 +305,43 @@ def export_idiom_table(lexicon: Lexicon) -> str:
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     """Write a lexicon as sorted JSON lines, keeping exact strengths, stages
     and sources (unlike the quantized exported dictionary)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for entry in lexicon.entries():
-            record = {
-                "term": entry.term,
-                "strength": entry.strength,
-                "stage": entry.stage.value,
-                "sources": list(entry.sources),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_records(path, (
+        {
+            "term": entry.term,
+            "strength": entry.strength,
+            "stage": entry.stage.value,
+            "sources": list(entry.sources),
+        }
+        for entry in lexicon.entries()
+    ))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
     entries = []
     stages = {stage.value: stage for stage in Stage}
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=number) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", line=number)
-            try:
-                term = record["term"]
-                strength = record["strength"]
-                stage = stages[record["stage"]]
-                sources = tuple(record.get("sources", ()))
-            except KeyError as exc:
-                raise ParseError(f"missing field {exc}", line=number) from None
-            if not isinstance(strength, (int, float)) or isinstance(strength, bool):
-                raise ParseError(f"bad strength {strength!r}", line=number)
-            try:
-                entries.append(LexiconEntry(str(term), float(strength), stage, sources))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=number) from None
+    for number, record in read_records(path):
+        try:
+            term = record["term"]
+            strength = record["strength"]
+            stage = stages[record["stage"]]
+            sources = tuple(record.get("sources", ()))
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}", line=number) from None
+        if not isinstance(strength, (int, float)) or isinstance(strength, bool):
+            raise ParseError(f"bad strength {strength!r}", line=number)
+        entries.append(_parsed_entry(number, str(term), float(strength), stage, sources))
     try:
         return Lexicon(entries)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def _safe_normalize(term: str) -> str | None:
+def _parsed_entry(number: int, *fields) -> LexiconEntry:
+    """LexiconEntry(*fields); a field it rejects is a ParseError naming line `number`."""
     try:
-        return normalize_term(term)
-    except Exception:
-        return None
+        return LexiconEntry(*fields)
+    except (ValueError, NormalizationError) as exc:
+        raise ParseError(str(exc), line=number) from None
 
 
 def _iter_lines(stream: str | Iterable[str]) -> Iterator[str]:

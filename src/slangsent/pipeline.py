@@ -24,7 +24,6 @@ from .ingest import (
     Vocabulary,
     build_vocabulary,
     load_vocabulary,
-    open_records,
     parse_entries,
     save_vocabulary,
 )
@@ -41,6 +40,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
+from .records import open_records, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -55,14 +55,6 @@ OUTPUT_FILES = {
     "report_text": "stage_report.txt",
     "report_json": "stage_report.json",
 }
-
-
-def write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
-def write_json(path: Path, payload: object) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- config: every value from outside is checked here ------------------------
@@ -93,10 +85,13 @@ class PipelineConfig:
             raise ConfigError(f"max_docs must be >= 1, got {self.max_docs}")
         if not self.entry_files:
             raise ConfigError("no entry files configured")
-        inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
-        missing = [str(path) for path in inputs if not Path(path).is_file()]
-        if missing:
-            raise ConfigError(f"missing input files: {', '.join(missing)}")
+        _require_files([*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file])
+
+
+def _require_files(paths: Iterable[Path]) -> None:
+    missing = [str(path) for path in paths if not Path(path).is_file()]
+    if missing:
+        raise ConfigError(f"missing input files: {', '.join(missing)}")
 
 
 def _read_json(path: Path, what: str) -> object:
@@ -104,7 +99,7 @@ def _read_json(path: Path, what: str) -> object:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -157,7 +152,9 @@ def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:
 
 
 def load_seed_sources(path: Path) -> list[SeedSourceConfig]:
-    return parse_seed_sources(_read_json(path, "sources"), path.parent)
+    sources = parse_seed_sources(_read_json(path, "sources"), path.parent)
+    _require_files(source.path for source in sources)
+    return sources
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -262,7 +259,6 @@ class PipelineResult:
     final: Lexicon
     report: StageReport
     paths: dict[str, Path]
-    vocabulary_size: int
     ingest_issues: list[IngestIssue] = field(default_factory=list)
     estimation: EstimationReport | None = None
     propagation: PropagationResult | None = None
@@ -317,7 +313,6 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         final=final,
         report=report,
         paths=paths,
-        vocabulary_size=len(vocabulary),
         ingest_issues=issues,
         estimation=estimation,
         propagation=propagation,

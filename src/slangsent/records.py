@@ -1,0 +1,73 @@
+"""Record files: one JSON object per line, UTF-8, LF, keys sorted. Readers
+accept gzip, skip blank lines and name the line of a malformed record. Every
+output file is written beside its target and renamed over it, atomically."""
+
+from __future__ import annotations
+
+import gzip
+import io
+import json
+import os
+import secrets
+from collections.abc import Iterable, Iterator
+from pathlib import Path
+from typing import TextIO
+
+from .errors import ParseError, RecordError
+
+
+def open_records(path: str | Path) -> TextIO:
+    """Open a record file for reading, transparently decompressing gzip."""
+    with open(path, "rb") as probe:
+        magic = probe.read(2)
+    if magic == b"\x1f\x8b":
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
+    return open(path, encoding="utf-8")
+
+
+def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """1-based number and text of each non-blank line."""
+    return ((number, raw) for number, raw in enumerate(lines, start=1) if raw.strip())
+
+
+def parse_record(raw: str, number: int, error: type[RecordError] = ParseError) -> dict:
+    """The JSON object on one line, or `error` naming the line."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise error(f"bad JSON: {exc}", line=number) from None
+    if not isinstance(record, dict):
+        raise error("record is not an object", line=number)
+    return record
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Line number and JSON object of each non-blank line of a record file."""
+    with open_records(path) as handle:
+        for number, raw in record_lines(handle):
+            yield number, parse_record(raw, number)
+
+
+def _write(path: str | Path, chunks: Iterable[str]) -> None:
+    path = Path(path)
+    # Not mkstemp: its files are private (0600); open(..., "x") applies the umask.
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    _write(path, (json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    _write(path, [text])
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -165,11 +165,10 @@ def evaluate(
     matcher = PhraseMatcher(lexicon)
     pairs: list[tuple[Polarity, Polarity]] = []
     for item in corpus:
-        matches = matcher.match(item.document.tokens)
-        if subset is EvalSubset.SLANG_ONLY and not matches:
+        scored = _score(item.document.tokens, matcher)
+        if subset is EvalSubset.SLANG_ONLY and not scored.matches:
             continue
-        total = math.fsum(m.strength for m in matches)
-        pairs.append((item.gold, Polarity.from_value(total)))
+        pairs.append((item.gold, scored.polarity))
     if not pairs:
         raise EmptyEvaluationError(f"no documents to evaluate (subset={subset.value})")
 

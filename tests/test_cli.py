@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import json
 
 import pytest
@@ -54,9 +55,9 @@ def _run_with_scale(golden, scale):
     return _run_with(golden, seed_lexicons=raw["seed_lexicons"])
 
 
-def _seed_with_scale(golden, tmp_path, scale):
+def _seed_with(golden, tmp_path, **changes):
     sources = json.loads(golden.read_text())["seed_lexicons"]
-    sources[0]["scale"] = scale
+    sources[0].update(changes)
     (golden.parent / "sources.json").write_text(json.dumps(sources), encoding="utf-8")
     return ["seed", "--sources", str(golden.parent / "sources.json"),
             "--output", str(tmp_path / "seed.jsonl")]
@@ -68,6 +69,14 @@ def _label_with_emoticons(tmp_path, text):
     return ["label", "--corpus", str(tmp_path / "corpus.jsonl"),
             "--output", str(tmp_path / "labeled.jsonl"),
             "--emoticons", str(tmp_path / "emoticons.txt")]
+
+
+def _latin1_input(tmp_path, command, option, record, *rest):
+    """`command` reading a JSON file whose "é" is one Latin-1 byte, which is
+    not UTF-8."""
+    path = tmp_path / "input.jsonl"
+    path.write_bytes((json.dumps(record, ensure_ascii=False) + "\n").encode("latin-1"))
+    return [command, option, str(path), *rest]
 
 
 # (id, argv builder, exit code, word the error line must name): each bad
@@ -88,9 +97,10 @@ BAD_INPUTS = [
      lambda g, t: _run_with_scale(g, {"source_range": [1, 1]}), 1, "source_range"),
     ("scale-factor-string", lambda g, t: _run_with_scale(g, {"factor": "x"}), 1, "factor"),
     ("sources-source_range-short",
-     lambda g, t: _seed_with_scale(g, t, {"source_range": [1]}), 1, "source_range"),
+     lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
-     lambda g, t: _seed_with_scale(g, t, {"source_range": [1, 1]}), 1, "source_range"),
+     lambda g, t: _seed_with(g, t, scale={"source_range": [1, 1]}), 1, "source_range"),
+    ("sources-missing-seed-file", lambda g, t: _seed_with(g, t, path="nope.tsv"), 1, "nope.tsv"),
     ("estimate-max-docs-zero",
      lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
                    "--max-docs", "0", "--output", str(t / "out.jsonl")], 1, "--max-docs"),
@@ -99,6 +109,18 @@ BAD_INPUTS = [
     ("emoticons-in-both-sections",
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n:)\n:(\n"), 2,
      "emoticon"),
+    ("label-corpus-not-utf8",
+     lambda g, t: _latin1_input(t, "label", "--corpus", {"id": "1", "text": "é :)"},
+                                "--output", str(t / "out.jsonl")), 2, "utf-8"),
+    ("ingest-entries-not-utf8",
+     lambda g, t: _latin1_input(t, "ingest", "--input",
+                                {"term": "é", "meanings": ["m"], "examples": ["x"]},
+                                "--output", str(t / "out.jsonl")), 2, "utf-8"),
+    ("report-lexicon-not-utf8",
+     lambda g, t: _latin1_input(t, "report", "--lexicon",
+                                {"term": "é", "strength": 1.0, "stage": "imported"}), 2, "utf-8"),
+    ("config-not-utf8",
+     lambda g, t: _latin1_input(t, "run", "--config", {"entries": ["é.jsonl"]}), 1, "config"),
 ]
 
 
@@ -111,6 +133,27 @@ def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_arg
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and names in errors[0], err
+
+
+def _report_on_lexicon(tmp_path, transform):
+    path = lexicon_file(tmp_path, {"lol": 1.0, "meh": -1.0})
+    path.write_bytes(transform(path.read_bytes()))
+    return ["report", "--lexicon", str(path)]
+
+
+# (id, argv builder): record-file variants every reader accepts.
+ACCEPTED_INPUTS = [
+    ("lexicon-gzip", lambda t: _report_on_lexicon(t, gzip.compress)),
+    ("lexicon-trailing-blank-line", lambda t: _report_on_lexicon(t, lambda data: data + b"\n")),
+]
+
+
+@pytest.mark.parametrize(
+    "build_argv", [case[1] for case in ACCEPTED_INPUTS], ids=[c[0] for c in ACCEPTED_INPUTS]
+)
+def test_record_file_variant_is_read(tmp_path, capsys, build_argv):
+    assert main(build_argv(tmp_path)) == 0
+    assert "total entries: 2" in capsys.readouterr().out
 
 
 class TestRunCommand:

@@ -15,11 +15,11 @@ from slangsent.ingest import (
     extension_url,
     fetch_new_entries,
     load_vocabulary,
-    open_records,
     parse_entries,
     save_vocabulary,
-    serialize_entries,
+    serialize_entry,
 )
+from slangsent.records import open_records, write_records
 
 
 def record(term="lol", **overrides):
@@ -85,14 +85,16 @@ class TestParseEntries:
     def test_blank_lines_ignored(self):
         assert len(parse_entries([record(), "", "  "])) == 1
 
-    def test_serialize_round_trip(self):
+    def test_serialize_round_trip(self, tmp_path):
         entries = parse_entries(
             [
                 record("lol", related_terms=["rofl", "lmao"], created_date="2015-01-02"),
                 record("shit hot", upvotes=0, downvotes=0),
             ]
         )
-        assert parse_entries(serialize_entries(entries).splitlines()) == entries
+        write_records(tmp_path / "entries.jsonl", map(serialize_entry, entries))
+        with open_records(tmp_path / "entries.jsonl") as handle:
+            assert parse_entries(handle) == entries
 
 
 class TestBuildVocabulary:
@@ -172,8 +174,7 @@ class TestExtensionUrl:
 
 class TestFetchNewEntries:
     def test_concatenates_dates(self):
-        def fetcher(url):
-            day = url.rsplit("=", 1)[1]
+        def fetcher(day):
             return record(f"w{day}") + "\n" + record(f"v{day}") + "\n"
 
         entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
@@ -181,8 +182,8 @@ class TestFetchNewEntries:
         assert report.succeeded == 3 and not report.failures
 
     def test_failure_recorded_and_run_continues(self):
-        def fetcher(url):
-            if url.endswith("2020-01-02"):
+        def fetcher(day):
+            if day == date(2020, 1, 2):
                 raise OSError("boom")
             return record() + "\n" + record("x") + "\n"
 
@@ -192,12 +193,12 @@ class TestFetchNewEntries:
         assert [f.day for f in report.failures] == [date(2020, 1, 2)]
 
     def test_empty_range(self):
-        entries, report = fetch_new_entries(lambda url: "", date(2020, 1, 2), date(2020, 1, 1))
+        entries, report = fetch_new_entries(lambda day: "", date(2020, 1, 2), date(2020, 1, 1))
         assert entries == [] and report.requested == 0
 
     def test_bytes_payload_accepted(self):
         entries, _ = fetch_new_entries(
-            lambda url: (record() + "\n").encode("utf-8"), date(2020, 1, 1), date(2020, 1, 1)
+            lambda day: (record() + "\n").encode("utf-8"), date(2020, 1, 1), date(2020, 1, 1)
         )
         assert len(entries) == 1
 
@@ -210,10 +211,10 @@ class TestDirectoryFetcher:
     def test_fetches_by_date(self, tmp_path):
         (tmp_path / "2020-01-01.jsonl").write_text(record() + "\n", encoding="utf-8")
         fetcher = DirectoryFetcher(tmp_path)
-        payload = fetcher(extension_url(date(2020, 1, 1)))
+        payload = fetcher(date(2020, 1, 1))
         assert json.loads(payload)["term"] == "lol"
 
     def test_missing_date_raises(self, tmp_path):
         fetcher = DirectoryFetcher(tmp_path)
         with pytest.raises(FileNotFoundError):
-            fetcher(extension_url(date(2020, 1, 1)))
+            fetcher(date(2020, 1, 1))

@@ -239,6 +239,22 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_lexicon(path)
 
+    def test_interrupted_save_keeps_previous_file(self, tmp_path):
+        class Interrupted(Lexicon):
+            def entries(self):
+                for index, item in enumerate(super().entries()):
+                    if index == 500:
+                        raise RuntimeError("interrupted")
+                    yield item
+
+        path = tmp_path / "lex.jsonl"
+        save_lexicon(Lexicon([entry("old", 1.0)]), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_lexicon(Interrupted(entry(f"t{i:04d}", 0.5) for i in range(1000)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lex.jsonl"]
+
     def test_seed_values_file(self, tmp_path):
         path = tmp_path / "seed.tsv"
         path.write_text("# comment\ngreat\t2.0\n\nbad\t-1\n", encoding="utf-8")

@@ -1,0 +1,77 @@
+"""The record format and the file writer live in slangsent.records alone.
+
+Any other module that serializes JSON, opens gzip or writes a file itself
+bypasses the shared format, the blank-line and gzip rules of the reader, and
+the atomic write; this test names each such call."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import slangsent
+
+PACKAGE = Path(slangsent.__file__).resolve().parent
+FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
+WRITE_METHODS = {"write_text", "write_bytes"}
+# Config and seed-source files are single JSON documents, not records.
+ALLOWED = {("pipeline.py", "json.loads")}
+
+
+def _mode(call: ast.Call) -> ast.expr | None:
+    position = 0 if isinstance(call.func, ast.Attribute) else 1  # Path.open(mode)
+    if len(call.args) > position:
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == "mode"), None)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    mode = _mode(call)
+    if mode is None:
+        return False
+    if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
+        return True  # a mode computed at run time may write
+    return bool(set(mode.value) & set("wax+"))
+
+
+def record_format_calls(source: str) -> list[tuple[int, str]]:
+    """(line, call) of every call in `source` that only records.py may make."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        method = node.func.attr if isinstance(node.func, ast.Attribute) else None
+        if (
+            name in FORMAT_CALLS
+            or method in WRITE_METHODS
+            or "open" in (name, method) and _opens_for_writing(node)
+        ):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_only_records_module_knows_the_file_format():
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "records.py"
+        for line, name in record_format_calls(path.read_text(encoding="utf-8"))
+        if (path.name, name) not in ALLOWED
+    ]
+    assert offenders == []
+
+
+def test_guard_sees_each_kind_of_call():
+    source = "\n".join([
+        "json.dumps(x)",
+        "gzip.open(p, 'rt')",
+        "path.write_text(s)",
+        "open(p, 'w')",
+        "open(p, mode='a', encoding='utf-8')",
+        "Path(p).open(mode)",
+        "open(p)",
+        "open(p, 'rb')",
+        "json.loads(s)",
+    ])
+    assert [line for line, _ in record_format_calls(source)] == [1, 2, 3, 4, 5, 6, 9]
