@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (SlangSentError, OSError, UnicodeDecodeError) as exc:
+    except (SlangSentError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
-from .records import write_records
+from .records import read_lines, write_records
 from .text import emoticon_token
 
 
@@ -70,8 +70,7 @@ class EmoticonSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> EmoticonSet:
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_lines(handle)
+        return cls.from_lines(read_lines(path))
 
 
 @lru_cache(maxsize=1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .errors import IngestError
-from .records import open_records, parse_record, record_lines, write_records
+from .errors import IngestError, NormalizationError
+from .records import parse_record, read_lines, record_lines, write_records
 from .text import normalize_term
 
 log = logging.getLogger(__name__)
@@ -27,7 +27,8 @@ EXTENSION_URL_BASE = "http://www.urbandictionary.com/yesterday.php"
 
 @dataclass(frozen=True)
 class SlangEntry:
-    """One crowdsourced dictionary record."""
+    """One crowdsourced dictionary record. The caller holds its invariants: a
+    term that normalizes, some meanings and examples, and votes >= 0."""
 
     term: str
     meanings: tuple[str, ...]
@@ -36,14 +37,6 @@ class SlangEntry:
     upvotes: int = 0
     downvotes: int = 0
     created_date: date | None = None
-
-    def __post_init__(self) -> None:
-        if not self.meanings:
-            raise ValueError(f"entry {self.term!r} has no meanings")
-        if not self.examples:
-            raise ValueError(f"entry {self.term!r} has no examples")
-        if self.upvotes < 0 or self.downvotes < 0:
-            raise ValueError(f"entry {self.term!r} has negative votes")
 
     @property
     def net_votes(self) -> int:
@@ -84,11 +77,11 @@ def parse_entries(
 def _parse_record(raw: str, number: int) -> SlangEntry:
     record = parse_record(raw, number, IngestError)
     term = record.get("term")
-    if not isinstance(term, str) or not term.strip():
-        raise IngestError("missing or empty 'term'", line=number)
+    if not isinstance(term, str):
+        raise IngestError("missing or non-string 'term'", line=number)
     try:
         normalize_term(term)
-    except Exception:
+    except NormalizationError:
         raise IngestError(f"term {term!r} normalizes to nothing", line=number) from None
 
     meanings = _string_list(record, "meanings", number)
@@ -179,7 +172,7 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
             for raw in entry.related_terms:
                 try:
                     related.add(normalize_term(raw))
-                except Exception:
+                except NormalizationError:
                     continue
         related.discard(term)
         dates = [e.created_date for e in group if e.created_date is not None]
@@ -200,8 +193,7 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    with open_records(path) as handle:
-        return build_vocabulary(parse_entries(handle, strict=True))
+    return build_vocabulary(parse_entries(read_lines(path), strict=True))
 
 
 # --- extension workflow ------------------------------------------------------
@@ -272,6 +264,5 @@ class DirectoryFetcher:
         for name in (f"{day.isoformat()}.jsonl", f"{day.isoformat()}.jsonl.gz"):
             candidate = self.directory / name
             if candidate.exists():
-                with open_records(candidate) as handle:
-                    return handle.read()
+                return "".join(read_lines(candidate))
         raise FileNotFoundError(f"no record file for {day} under {self.directory}")

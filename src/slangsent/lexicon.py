@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import NormalizationError, ParseError, ScaleError
-from .records import read_records, write_records
+from .records import read_lines, read_records, write_records
 from .text import normalize_term
 
 STRENGTH_MIN = -2.0
@@ -81,38 +81,23 @@ def classify(strength: float) -> int:
 
 @dataclass(frozen=True)
 class LexiconEntry:
-    """One labeled term. `sources` names contributing seed lexicons and is
-    non-empty exactly when the entry came from the seed-merge stage."""
+    """One labeled term. The caller holds its invariants: `term` is normalized,
+    `strength` lies in [-2, +2], and `sources` (the contributing seed lexicons)
+    is non-empty exactly when `stage` is seed_lexicon."""
 
     term: str
     strength: float
     stage: Stage
     sources: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.term != normalize_term(self.term):
-            raise ValueError(f"term is not normalized: {self.term!r}")
-        if not STRENGTH_MIN <= self.strength <= STRENGTH_MAX:
-            raise ValueError(f"strength out of range: {self.strength!r}")
-        if (self.stage is Stage.SEED_LEXICON) != bool(self.sources):
-            raise ValueError(
-                f"sources must be non-empty iff stage is seed_lexicon "
-                f"(term {self.term!r}, stage {self.stage.value})"
-            )
-
 
 class Lexicon:
-    """Immutable mapping from normalized term to LexiconEntry."""
+    """Immutable mapping from normalized term to LexiconEntry; one entry per term."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[LexiconEntry] = ()):
-        table: dict[str, LexiconEntry] = {}
-        for entry in entries:
-            if entry.term in table:
-                raise ValueError(f"duplicate term: {entry.term!r}")
-            table[entry.term] = entry
-        self._entries = table
+        self._entries = {entry.term: entry for entry in entries}
 
     def __contains__(self, term: object) -> bool:
         return term in self._entries
@@ -234,19 +219,18 @@ def load_seed_values(path: str | Path) -> dict[str, float]:
     """Read a seed-lexicon source file: one `term<TAB>native_strength` per
     line, '#' comments and blank lines ignored."""
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
-            term, text = fields
-            try:
-                values[term] = float(text)
-            except ValueError:
-                raise ParseError(f"bad strength value {text!r}", line=number) from None
+    for number, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
+        term, text = fields
+        try:
+            values[term] = float(text)
+        except ValueError:
+            raise ParseError(f"bad strength value {text!r}", line=number) from None
     return values
 
 
@@ -266,9 +250,12 @@ def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
     Parsed strengths are the class values; provenance is not recoverable, so
     entries carry the distinguished stage `imported`.
     """
-    entries = []
-    seen: set[str] = set()
-    for number, raw in enumerate(_iter_lines(stream), start=1):
+    return Lexicon(_checked_entries(_slangsd_rows(stream)))
+
+
+def _slangsd_rows(stream: str | Iterable[str]) -> Iterator[tuple]:
+    lines = stream.splitlines() if isinstance(stream, str) else stream
+    for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         fields = line.split("\t")
         if len(fields) != 2:
@@ -280,11 +267,7 @@ def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
             raise ParseError(f"bad class {class_text!r}", line=number) from None
         if cls < -2 or cls > 2:
             raise ParseError(f"class {cls} outside -2..2", line=number)
-        if term in seen:
-            raise ParseError(f"duplicate term {term!r}", line=number)
-        seen.add(term)
-        entries.append(_parsed_entry(number, term, float(cls), Stage.IMPORTED))
-    return Lexicon(entries)
+        yield number, term, float(cls), Stage.IMPORTED, ()
 
 
 def export_idiom_table(lexicon: Lexicon) -> str:
@@ -317,7 +300,10 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    entries = []
+    return Lexicon(_checked_entries(_lexicon_rows(path)))
+
+
+def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
     stages = {stage.value: stage for stage in Stage}
     for number, record in read_records(path):
         try:
@@ -329,22 +315,26 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise ParseError(f"missing field {exc}", line=number) from None
         if not isinstance(strength, (int, float)) or isinstance(strength, bool):
             raise ParseError(f"bad strength {strength!r}", line=number)
-        entries.append(_parsed_entry(number, str(term), float(strength), stage, sources))
-    try:
-        return Lexicon(entries)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        yield number, str(term), float(strength), stage, sources
 
 
-def _parsed_entry(number: int, *fields) -> LexiconEntry:
-    """LexiconEntry(*fields); a field it rejects is a ParseError naming line `number`."""
-    try:
-        return LexiconEntry(*fields)
-    except (ValueError, NormalizationError) as exc:
-        raise ParseError(str(exc), line=number) from None
-
-
-def _iter_lines(stream: str | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        return iter(stream.splitlines())
-    return iter(stream)
+def _checked_entries(rows: Iterable[tuple]) -> Iterator[LexiconEntry]:
+    """The entry of each `(line, term, strength, stage, sources)` row read
+    from a file, once it holds every LexiconEntry and Lexicon invariant; a
+    row that breaks one is a ParseError naming its line."""
+    seen: set[str] = set()
+    for number, term, strength, stage, sources in rows:
+        try:
+            normalized = normalize_term(term)
+        except NormalizationError as exc:
+            raise ParseError(str(exc), line=number) from None
+        if term != normalized:
+            raise ParseError(f"term is not normalized: {term!r}", line=number)
+        if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
+            raise ParseError(f"strength out of range: {strength!r}", line=number)
+        if (stage is Stage.SEED_LEXICON) != bool(sources):
+            raise ParseError(f"sources {list(sources)} do not fit stage {stage.value}", line=number)
+        if term in seen:
+            raise ParseError(f"duplicate term {term!r}", line=number)
+        seen.add(term)
+        yield LexiconEntry(term, strength, stage, sources)

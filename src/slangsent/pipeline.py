@@ -40,7 +40,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
-from .records import open_records, write_json, write_text
+from .records import read_lines, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -186,8 +186,7 @@ def ingest_entries(
     In lenient mode skipped records are appended to `issues`."""
     entries = []
     for entry_file in entry_files:
-        with open_records(entry_file) as handle:
-            entries.extend(parse_entries(handle, strict=strict, issues=issues))
+        entries.extend(parse_entries(read_lines(entry_file), strict=strict, issues=issues))
     vocabulary = build_vocabulary(entries)
     save_vocabulary(vocabulary, output)
     log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))

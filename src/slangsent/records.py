@@ -11,18 +11,21 @@ import os
 import secrets
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import TextIO
 
-from .errors import ParseError, RecordError
+from .errors import DataError, ParseError, RecordError
 
 
-def open_records(path: str | Path) -> TextIO:
-    """Open a record file for reading, transparently decompressing gzip."""
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of an input text file, decompressing gzip; bytes that are not
+    UTF-8 are a DataError naming the file."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, encoding="utf-8")
+    binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+    with io.TextIOWrapper(binary, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -43,9 +46,8 @@ def parse_record(raw: str, number: int, error: type[RecordError] = ParseError) -
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Line number and JSON object of each non-blank line of a record file."""
-    with open_records(path) as handle:
-        for number, raw in record_lines(handle):
-            yield number, parse_record(raw, number)
+    for number, raw in record_lines(read_lines(path)):
+        yield number, parse_record(raw, number)
 
 
 def _write(path: str | Path, chunks: Iterable[str]) -> None:

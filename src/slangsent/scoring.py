@@ -80,10 +80,14 @@ class ScoreBreakdown:
         return "\n".join(lines) + "\n"
 
 
+def _total_and_polarity(matches: Sequence[Match]) -> tuple[float, Polarity]:
+    total = math.fsum(m.strength for m in matches)
+    return total, Polarity.from_value(total)
+
+
 def _score(tokens: Sequence[str], matcher: PhraseMatcher) -> ScoreBreakdown:
     matches = matcher.match(tokens)
-    total = math.fsum(m.strength for m in matches)
-    return ScoreBreakdown(tuple(matches), total, Polarity.from_value(total))
+    return ScoreBreakdown(tuple(matches), *_total_and_polarity(matches))
 
 
 def score_text(text: str, lexicon: Lexicon) -> ScoreBreakdown:
@@ -165,10 +169,10 @@ def evaluate(
     matcher = PhraseMatcher(lexicon)
     pairs: list[tuple[Polarity, Polarity]] = []
     for item in corpus:
-        scored = _score(item.document.tokens, matcher)
-        if subset is EvalSubset.SLANG_ONLY and not scored.matches:
+        matches = matcher.match(item.document.tokens)
+        if subset is EvalSubset.SLANG_ONLY and not matches:
             continue
-        pairs.append((item.gold, scored.polarity))
+        pairs.append((item.gold, _total_and_polarity(matches)[1]))
     if not pairs:
         raise EmptyEvaluationError(f"no documents to evaluate (subset={subset.value})")
 

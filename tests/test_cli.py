@@ -79,6 +79,19 @@ def _latin1_input(tmp_path, command, option, record, *rest):
     return [command, option, str(path), *rest]
 
 
+def _ingest_latin1_second_input(tmp_path):
+    record = json.dumps({"term": "é", "meanings": ["m"], "examples": ["x"]}, ensure_ascii=False)
+    (tmp_path / "good.jsonl").write_text(record + "\n", encoding="utf-8")
+    (tmp_path / "latin1.jsonl").write_bytes((record + "\n").encode("latin-1"))
+    return ["ingest", "--input", str(tmp_path / "good.jsonl"), str(tmp_path / "latin1.jsonl"),
+            "--output", str(tmp_path / "out.jsonl")]
+
+
+def _seed_with_latin1_tsv(golden, tmp_path):
+    (golden.parent / "latin1.tsv").write_bytes("é\t1.0\n".encode("latin-1"))
+    return _seed_with(golden, tmp_path, path="latin1.tsv")
+
+
 # (id, argv builder, exit code, word the error line must name): each bad
 # input from outside ends in one error line with its documented exit code,
 # never in a traceback.
@@ -121,6 +134,9 @@ BAD_INPUTS = [
                                 {"term": "é", "strength": 1.0, "stage": "imported"}), 2, "utf-8"),
     ("config-not-utf8",
      lambda g, t: _latin1_input(t, "run", "--config", {"entries": ["é.jsonl"]}), 1, "config"),
+    ("ingest-second-input-not-utf8", lambda g, t: _ingest_latin1_second_input(t), 2,
+     "latin1.jsonl"),
+    ("seed-tsv-not-utf8", _seed_with_latin1_tsv, 2, "latin1.tsv"),
 ]
 
 

@@ -19,7 +19,7 @@ from slangsent.ingest import (
     save_vocabulary,
     serialize_entry,
 )
-from slangsent.records import open_records, write_records
+from slangsent.records import read_lines, write_records
 
 
 def record(term="lol", **overrides):
@@ -93,8 +93,7 @@ class TestParseEntries:
             ]
         )
         write_records(tmp_path / "entries.jsonl", map(serialize_entry, entries))
-        with open_records(tmp_path / "entries.jsonl") as handle:
-            assert parse_entries(handle) == entries
+        assert parse_entries(read_lines(tmp_path / "entries.jsonl")) == entries
 
 
 class TestBuildVocabulary:
@@ -148,14 +147,12 @@ class TestGzipTransparency:
         path = tmp_path / "entries.jsonl.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write(record() + "\n")
-        with open_records(path) as handle:
-            assert len(parse_entries(handle)) == 1
+        assert len(parse_entries(read_lines(path))) == 1
 
     def test_reads_plain_records(self, tmp_path):
         path = tmp_path / "entries.jsonl"
         path.write_text(record() + "\n", encoding="utf-8")
-        with open_records(path) as handle:
-            assert len(parse_entries(handle)) == 1
+        assert len(parse_entries(read_lines(path))) == 1
 
 
 class TestExtensionUrl:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -62,24 +63,48 @@ class TestStrengthHelpers:
         assert Polarity.from_value(0.0) is Polarity.NEUTRAL
 
 
-class TestLexiconEntry:
-    def test_rejects_unnormalized_term(self):
-        with pytest.raises(ValueError):
-            entry("LoL", 1.0)
+def _lexicon_file(tmp_path, rows):
+    """load_lexicon over a file of one record per (term, strength, stage, sources) row."""
+    path = tmp_path / "lex.jsonl"
+    path.write_text("".join(
+        json.dumps({"term": t, "strength": s, "stage": stage, "sources": sources}) + "\n"
+        for t, s, stage, sources in rows
+    ), encoding="utf-8")
+    return load_lexicon(path)
 
-    def test_rejects_out_of_range_strength(self):
-        with pytest.raises(ValueError):
-            entry("lol", 2.5)
 
-    def test_seed_stage_requires_sources(self):
-        with pytest.raises(ValueError):
-            entry("lol", 1.0, Stage.SEED_LEXICON)
-        with pytest.raises(ValueError):
-            entry("lol", 1.0, Stage.PROPAGATION, sources=("x",))
+def _slangsd_text(tmp_path, rows):
+    """parse_slangsd over one `term<TAB>class` line per (term, class) row."""
+    return parse_slangsd("".join(f"{t}\t{cls}\n" for t, cls in rows))
 
-    def test_lexicon_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Lexicon([entry("lol", 1.0), entry("lol", 0.0)])
+
+OK = ("ok", 1.0, "imported", [])
+
+# (id, reader, rows, line the ParseError must name): LexiconEntry and Lexicon
+# check nothing themselves, so the readers reject every row that would break
+# one of their invariants.
+MALFORMED_LEXICON_ROWS = [
+    ("unnormalized-term", _lexicon_file, [OK, ("LoL", 1.0, "imported", [])], 2),
+    ("empty-term", _lexicon_file, [OK, ("", 1.0, "imported", [])], 2),
+    ("strength-out-of-range", _lexicon_file, [OK, ("lol", 2.5, "imported", [])], 2),
+    ("seed-stage-without-sources", _lexicon_file, [OK, ("lol", 1.0, "seed_lexicon", [])], 2),
+    ("sources-on-other-stage", _lexicon_file, [OK, ("lol", 1.0, "propagation", ["x"])], 2),
+    ("duplicate-term", _lexicon_file,
+     [("lol", 1.0, "imported", []), OK, ("lol", 0.0, "imported", [])], 3),
+    ("slangsd-unnormalized-term", _slangsd_text, [("ok", 1), ("LoL", 1)], 2),
+    ("slangsd-duplicate-term", _slangsd_text, [("lol", 1), ("ok", 1), ("lol", -1)], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "read, rows, line",
+    [case[1:] for case in MALFORMED_LEXICON_ROWS],
+    ids=[case[0] for case in MALFORMED_LEXICON_ROWS],
+)
+def test_malformed_lexicon_row_names_its_line(tmp_path, read, rows, line):
+    with pytest.raises(ParseError) as exc:
+        read(tmp_path, rows)
+    assert exc.value.line == line
 
 
 class TestMergeSeedLexicons:

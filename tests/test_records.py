@@ -2,7 +2,8 @@
 
 Any other module that serializes JSON, opens gzip or writes a file itself
 bypasses the shared format, the blank-line and gzip rules of the reader, and
-the atomic write; this test names each such call."""
+the atomic write; this test names each such call. A second guard keeps term
+normalization where outside data enters the package."""
 
 from __future__ import annotations
 
@@ -16,6 +17,14 @@ FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
 WRITE_METHODS = {"write_text", "write_bytes"}
 # Config and seed-source files are single JSON documents, not records.
 ALLOWED = {("pipeline.py", "json.loads")}
+# The functions that turn outside data into terms; every other function
+# trusts the terms it is given.
+NORMALIZERS = {
+    ("ingest.py", "_parse_record"),
+    ("ingest.py", "build_vocabulary"),
+    ("lexicon.py", "merge_seed_lexicons"),
+    ("lexicon.py", "_checked_entries"),
+}
 
 
 def _mode(call: ast.Call) -> ast.expr | None:
@@ -75,3 +84,45 @@ def test_guard_sees_each_kind_of_call():
         "json.loads(s)",
     ])
     assert [line for line, _ in record_format_calls(source)] == [1, 2, 3, 4, 5, 6, 9]
+
+
+def normalize_term_uses(source: str) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function or class, "" at module
+    level) of every use of normalize_term in `source`, called or passed."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Name) and child.id == "normalize_term"
+                or isinstance(child, ast.Attribute) and child.attr == "normalize_term"
+            ):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_terms_are_normalized_only_where_data_enters():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in normalize_term_uses(path.read_text(encoding="utf-8"))
+        if (path.name, scope) not in NORMALIZERS
+    ]
+    assert offenders == []
+
+
+def test_normalize_guard_names_the_enclosing_function():
+    source = "\n".join([
+        "from .text import normalize_term",
+        "class Entry:",
+        "    def check(self):",
+        "        return normalize_term(self.term)",
+        "terms = map(text.normalize_term, raw)",
+    ])
+    assert normalize_term_uses(source) == [(4, "Entry.check"), (5, "")]
