@@ -91,6 +91,7 @@ from .scoring import (
     ScoreBreakdown,
     evaluate,
     score_text,
+    score_tokens,
 )
 from .text import find_occurrences, normalize_term, tokenize
 

@@ -35,7 +35,7 @@ from .pipeline import (
     write_report,
 )
 from .records import write_json, write_records
-from .scoring import EvalSubset, evaluate, score_text
+from .scoring import EvalSubset, evaluate, score_text, score_tokens
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -227,7 +227,7 @@ def _cmd_score(args) -> int:
         print(score_text(args.text, lexicon).format_text(), end="")
         return EXIT_OK
     for doc in load_corpus(args.corpus):
-        breakdown = score_text(doc.text, lexicon)
+        breakdown = score_tokens(doc.tokens, lexicon)
         print(f"{doc.id}\t{breakdown.total:+g}\t{breakdown.polarity.value}")
     return EXIT_OK
 

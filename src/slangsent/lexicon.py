@@ -94,7 +94,7 @@ class LexiconEntry:
 class Lexicon:
     """Immutable mapping from normalized term to LexiconEntry; one entry per term."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "__weakref__")
 
     def __init__(self, entries: Iterable[LexiconEntry] = ()):
         self._entries = {entry.term: entry for entry in entries}
@@ -307,15 +307,19 @@ def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
     stages = {stage.value: stage for stage in Stage}
     for number, record in read_records(path):
         try:
-            term = record["term"]
-            strength = record["strength"]
-            stage = stages[record["stage"]]
-            sources = tuple(record.get("sources", ()))
+            term, strength, stage = record["term"], record["strength"], record["stage"]
         except KeyError as exc:
             raise ParseError(f"missing field {exc}", line=number) from None
+        sources = record.get("sources", [])
+        if not isinstance(term, str):
+            raise ParseError(f"bad term {term!r}", line=number)
         if not isinstance(strength, (int, float)) or isinstance(strength, bool):
             raise ParseError(f"bad strength {strength!r}", line=number)
-        yield number, str(term), float(strength), stage, sources
+        if not isinstance(stage, str) or stage not in stages:
+            raise ParseError(f"unknown stage {stage!r}", line=number)
+        if not isinstance(sources, list) or not all(isinstance(source, str) for source in sources):
+            raise ParseError(f"bad sources {sources!r}", line=number)
+        yield number, term, float(strength), stages[stage], tuple(sources)
 
 
 def _checked_entries(rows: Iterable[tuple]) -> Iterator[LexiconEntry]:

@@ -9,6 +9,7 @@ and negative classes.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -18,9 +19,6 @@ from .distant import LabeledDocument
 from .errors import EmptyEvaluationError
 from .lexicon import Lexicon, Polarity
 from .text import tokenize
-
-# Trie terminal marker; token strings are never None.
-_END = None
 
 
 class Match(NamedTuple):
@@ -34,36 +32,55 @@ class PhraseMatcher:
 
     At each position the longest term starting there wins and the cursor
     jumps past it, so matches never overlap and a phrase always beats its
-    own prefix word.
+    own prefix word. A run of tokens is looked up as its space-joined
+    string, so tokens must contain no spaces; every token from `tokenize`
+    meets this.
     """
 
     def __init__(self, lexicon: Lexicon):
-        self._root: dict = {}
-        for entry in lexicon.entries():
-            node = self._root
-            for token in entry.term.split(" "):
-                node = node.setdefault(token, {})
-            node[_END] = (entry.term, entry.strength)
+        self._strengths = {term: lexicon.strength(term) for term in lexicon}
+        # First word of each multi-word term -> the most words any term
+        # starting with that word has.
+        self._widths: dict[str, int] = {}
+        for term in self._strengths:
+            words = term.split(" ")
+            if len(words) > 1 and len(words) > self._widths.get(words[0], 0):
+                self._widths[words[0]] = len(words)
 
     def match(self, tokens: Sequence[str]) -> list[Match]:
+        strengths, widths = self._strengths, self._widths
         matches: list[Match] = []
         position = 0
         while position < len(tokens):
-            node = self._root
-            found: tuple[tuple[str, float], int] | None = None
-            cursor = position
-            while cursor < len(tokens) and tokens[cursor] in node:
-                node = node[tokens[cursor]]
-                cursor += 1
-                if _END in node:
-                    found = (node[_END], cursor - 1)
-            if found is None:
-                position += 1
-                continue
-            (term, strength), end = found
-            matches.append(Match(term, (position, end), strength))
+            term = tokens[position]
+            end = position
+            if term in widths:
+                for end in range(min(position + widths[term], len(tokens)) - 1, position, -1):
+                    phrase = " ".join(tokens[position:end + 1])
+                    if phrase in strengths:
+                        term = phrase
+                        break
+                else:
+                    end = position
+            if term in strengths:
+                matches.append(Match(term, (position, end), strengths[term]))
             position = end + 1
         return matches
+
+
+# The last lexicon compiled, held weakly so that it can be freed, and its matcher.
+_compiled: tuple[weakref.ref, PhraseMatcher] | None = None
+
+
+def _compiled_matcher(lexicon: Lexicon) -> PhraseMatcher:
+    """The lexicon's matcher, built once while that Lexicon object lives; a
+    Lexicon never changes after construction. The entry is read once, so a
+    thread replacing it cannot hand this caller another lexicon's matcher."""
+    global _compiled
+    compiled = _compiled
+    if compiled is None or compiled[0]() is not lexicon:
+        compiled = _compiled = (weakref.ref(lexicon), PhraseMatcher(lexicon))
+    return compiled[1]
 
 
 @dataclass(frozen=True)
@@ -85,13 +102,14 @@ def _total_and_polarity(matches: Sequence[Match]) -> tuple[float, Polarity]:
     return total, Polarity.from_value(total)
 
 
-def _score(tokens: Sequence[str], matcher: PhraseMatcher) -> ScoreBreakdown:
-    matches = matcher.match(tokens)
+def score_tokens(tokens: Sequence[str], lexicon: Lexicon) -> ScoreBreakdown:
+    """Score a token sequence as `tokenize` makes it."""
+    matches = _compiled_matcher(lexicon).match(tokens)
     return ScoreBreakdown(tuple(matches), *_total_and_polarity(matches))
 
 
 def score_text(text: str, lexicon: Lexicon) -> ScoreBreakdown:
-    return _score(tokenize(text), PhraseMatcher(lexicon))
+    return score_tokens(tokenize(text), lexicon)
 
 
 class EvalSubset(Enum):
@@ -166,7 +184,7 @@ def evaluate(
     With subset SLANG_ONLY, only documents containing at least one lexicon
     term are evaluated; an empty subset raises EmptyEvaluationError.
     """
-    matcher = PhraseMatcher(lexicon)
+    matcher = _compiled_matcher(lexicon)
     pairs: list[tuple[Polarity, Polarity]] = []
     for item in corpus:
         matches = matcher.match(item.document.tokens)

@@ -105,6 +105,30 @@ def brute_propagate(nodes, edges, seed_values):
     return propagated, iterations, unreached
 
 
+# --- greedy longest-match scoring -------------------------------------------
+
+
+def brute_longest_match(tokens, values):
+    """(term, (start, end), strength) of each scorer match: at each position
+    try every term, keep the longest that matches there and jump past it."""
+    matches = []
+    i = 0
+    while i < len(tokens):
+        best = None
+        for term in values:
+            words = term.split(" ")
+            if list(tokens[i : i + len(words)]) == words:
+                if best is None or len(words) > len(best.split(" ")):
+                    best = term
+        if best is None:
+            i += 1
+            continue
+        end = i + len(best.split(" ")) - 1
+        matches.append((best, (i, end), values[best]))
+        i = end + 1
+    return matches
+
+
 # --- evaluation metrics -------------------------------------------------------
 
 

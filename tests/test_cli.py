@@ -7,6 +7,7 @@ import pytest
 
 from slangsent.cli import main
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage, load_lexicon, save_lexicon
+from slangsent.scoring import score_text
 
 from .fixtures import write_golden_fixture
 
@@ -132,6 +133,9 @@ BAD_INPUTS = [
     ("report-lexicon-not-utf8",
      lambda g, t: _latin1_input(t, "report", "--lexicon",
                                 {"term": "é", "strength": 1.0, "stage": "imported"}), 2, "utf-8"),
+    ("report-lexicon-unknown-stage",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(b'"imported"', b'"nope"')), 2,
+     "unknown stage 'nope'"),
     ("config-not-utf8",
      lambda g, t: _latin1_input(t, "run", "--config", {"entries": ["é.jsonl"]}), 1, "config"),
     ("ingest-second-input-not-utf8", lambda g, t: _ingest_latin1_second_input(t), 2,
@@ -259,6 +263,23 @@ class TestScoreCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("a\t+1.5\tpositive")
         assert lines[1].startswith("b\t+0\tneutral")
+
+    def test_score_corpus_prints_the_score_text_results(self, tmp_path, capsys):
+        values = {"shit hot": 2.0, "shit": -2.0, "lit": 1.5, ":(": -1.0}
+        lex = lexicon_file(tmp_path, values)
+        texts = ["Battery life's SHIT hot!", '"lit," :( ...', "shit", "(lit) :(.", "nothing"]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({"id": str(i), "text": t}) + "\n" for i, t in enumerate(texts)),
+            encoding="utf-8",
+        )
+        assert main(["score", "--lexicon", str(lex), "--corpus", str(corpus)]) == 0
+        lexicon = load_lexicon(lex)
+        expected = [
+            f"{i}\t{b.total:+g}\t{b.polarity.value}"
+            for i, b in enumerate(score_text(t, lexicon) for t in texts)
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestLabelAndEvaluate:

@@ -89,6 +89,9 @@ MALFORMED_LEXICON_ROWS = [
     ("strength-out-of-range", _lexicon_file, [OK, ("lol", 2.5, "imported", [])], 2),
     ("seed-stage-without-sources", _lexicon_file, [OK, ("lol", 1.0, "seed_lexicon", [])], 2),
     ("sources-on-other-stage", _lexicon_file, [OK, ("lol", 1.0, "propagation", ["x"])], 2),
+    ("term-not-a-string", _lexicon_file, [OK, (5, 1.0, "imported", [])], 2),
+    ("sources-a-string", _lexicon_file, [OK, ("lol", 1.0, "seed_lexicon", "xy")], 2),
+    ("sources-not-strings", _lexicon_file, [OK, ("lol", 1.0, "seed_lexicon", [1, 2])], 2),
     ("duplicate-term", _lexicon_file,
      [("lol", 1.0, "imported", []), OK, ("lol", 0.0, "imported", [])], 3),
     ("slangsd-unnormalized-term", _slangsd_text, [("ok", 1), ("LoL", 1)], 2),

@@ -3,7 +3,8 @@
 Any other module that serializes JSON, opens gzip or writes a file itself
 bypasses the shared format, the blank-line and gzip rules of the reader, and
 the atomic write; this test names each such call. A second guard keeps term
-normalization where outside data enters the package."""
+normalization where outside data enters the package, and a third keeps the
+scorer's matcher compiled in one place, once per lexicon."""
 
 from __future__ import annotations
 
@@ -86,9 +87,9 @@ def test_guard_sees_each_kind_of_call():
     assert [line for line, _ in record_format_calls(source)] == [1, 2, 3, 4, 5, 6, 9]
 
 
-def normalize_term_uses(source: str) -> list[tuple[int, str]]:
+def _scoped_nodes(source: str, wanted) -> list[tuple[int, str]]:
     """(line, qualified name of the enclosing function or class, "" at module
-    level) of every use of normalize_term in `source`, called or passed."""
+    level) of every node of `source` for which `wanted(node)` holds."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -96,15 +97,31 @@ def normalize_term_uses(source: str) -> list[tuple[int, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (
-                isinstance(child, ast.Name) and child.id == "normalize_term"
-                or isinstance(child, ast.Attribute) and child.attr == "normalize_term"
-            ):
+            if wanted(child):
                 found.append((child.lineno, scope))
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _refers_to(node: ast.AST, name: str) -> bool:
+    return (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def normalize_term_uses(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every use of normalize_term in `source`, called or passed."""
+    return _scoped_nodes(source, lambda node: _refers_to(node, "normalize_term"))
+
+
+def phrase_matcher_builds(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every call that builds a PhraseMatcher in `source`."""
+    return _scoped_nodes(
+        source, lambda node: isinstance(node, ast.Call) and _refers_to(node.func, "PhraseMatcher")
+    )
 
 
 def test_terms_are_normalized_only_where_data_enters():
@@ -126,3 +143,23 @@ def test_normalize_guard_names_the_enclosing_function():
         "terms = map(text.normalize_term, raw)",
     ])
     assert normalize_term_uses(source) == [(4, "Entry.check"), (5, "")]
+
+
+def test_phrase_matcher_is_built_only_by_the_scoring_cache():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in phrase_matcher_builds(path.read_text(encoding="utf-8"))
+        if (path.name, scope) != ("scoring.py", "_compiled_matcher")
+    ]
+    assert offenders == []
+
+
+def test_matcher_guard_sees_calls_only():
+    source = "\n".join([
+        "def score(lexicon) -> PhraseMatcher:",
+        "    return PhraseMatcher(lexicon)",
+        "matcher = scoring.PhraseMatcher(lexicon)",
+        "kind: type = PhraseMatcher",
+    ])
+    assert phrase_matcher_builds(source) == [(2, "score"), (3, "")]

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import slangsent.scoring
 from slangsent.corpus import Document
 from slangsent.distant import LabeledDocument
 from slangsent.errors import EmptyEvaluationError
@@ -13,9 +18,10 @@ from slangsent.scoring import (
     PhraseMatcher,
     evaluate,
     score_text,
+    score_tokens,
 )
 
-from .oracles import brute_metrics
+from .oracles import brute_longest_match, brute_metrics
 
 
 def lexicon(values):
@@ -64,6 +70,70 @@ class TestMatchTerms:
         lex = lexicon({"out": -1.0, "out of the park": 2.0})
         matches = PhraseMatcher(lex).match(["knocked", "it", "out", "of", "the", "park"])
         assert [(m.term, m.span) for m in matches] == [("out of the park", (2, 5))]
+
+
+# Few distinct words, so drawn terms share first words; "a b c" is often
+# drawn without its prefix "a b".
+WORDS = st.sampled_from(["a", "b", "c", "shit", "hot"])
+TERMS = st.lists(WORDS, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def lexicon_and_tokens(draw):
+    """Term values, and tokens made of single words and whole terms, so that
+    long terms occur in the text and not only by chance."""
+    values = draw(st.dictionaries(TERMS, st.sampled_from([-2.0, -0.5, 1.0, 2.0]), max_size=8))
+    pieces = WORDS.map(lambda word: [word])
+    if values:
+        pieces |= st.sampled_from(sorted(values)).map(lambda term: term.split(" "))
+    return values, [token for piece in draw(st.lists(pieces, max_size=6)) for token in piece]
+
+
+@given(lexicon_and_tokens())
+@example(({"shit hot": 2.0, "shit": -2.0}, ["shit"]))
+@example(({"a b c": 1.0, "a": -1.0}, ["a", "b", "a", "b", "c"]))
+@example(({"a b c": 1.0, "a b": -1.0}, ["a", "b", "c"]))
+@example(({"a b c d": 1.0, "b": -1.0}, ["a", "b", "c"]))
+def test_matcher_equals_brute_longest_match(case):
+    values, tokens = case
+    matches = PhraseMatcher(lexicon(values)).match(tokens)
+    assert [(m.term, m.span, m.strength) for m in matches] == brute_longest_match(tokens, values)
+
+
+class TestCompileOnce:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        built = []
+
+        def counting(lexicon):
+            built.append(lexicon)
+            return PhraseMatcher(lexicon)
+
+        monkeypatch.setattr(slangsent.scoring, "PhraseMatcher", counting)
+        return built
+
+    def test_one_build_per_lexicon(self, builds):
+        lex = lexicon({"shit hot": 2.0, "shit": -2.0})
+        for _ in range(50):
+            score_text("battery life's shit hot", lex)
+        assert len(builds) == 1
+        other = lexicon({"shit hot": 2.0, "shit": -2.0})
+        assert score_text("shit", other).total == -2.0
+        assert len(builds) == 2
+
+    def test_evaluate_and_score_tokens_reuse_the_matcher(self, builds):
+        lex = lexicon({"lit": 1.0})
+        score_tokens(["so", "lit"], lex)
+        evaluate([labeled("lit", Polarity.POSITIVE)], lex)
+        assert len(builds) == 1
+
+    def test_dropped_lexicon_is_freed(self):
+        lex = lexicon({"lit": 1.0})
+        score_text("lit", lex)
+        ref = weakref.ref(lex)
+        del lex
+        gc.collect()
+        assert ref() is None
 
 
 class TestScoreText:
