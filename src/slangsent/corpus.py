@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .errors import EstimationError, MissingTermError, ParseError
+from .errors import MissingTermError, ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, clamp_strength, mean_strength
 from .records import read_records
 from .text import find_occurrences, tokenize
@@ -129,33 +129,6 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
     return mean_strength(best_values)
 
 
-def estimate_strength(
-    term: str,
-    provider: CorpusProvider,
-    seed: Lexicon,
-    max_docs: int = DEFAULT_MAX_DOCS,
-) -> float | None:
-    """Estimated strength for a term, or None when no document contains it
-    (the term then falls through to the propagation stage).
-
-    Provider failures, including documents returned without the term, raise
-    EstimationError carrying the underlying error.
-    """
-    if max_docs < 1:
-        raise ValueError(f"max_docs must be >= 1, got {max_docs}")
-    try:
-        documents = provider.query(term, max_docs)
-    except Exception as exc:
-        raise EstimationError(f"provider failed for {term!r}: {exc}") from exc
-    if not documents:
-        return None
-    try:
-        values = [document_strength(doc, term, seed) for doc in documents]
-    except MissingTermError as exc:
-        raise EstimationError(f"provider broke its contract for {term!r}: {exc}") from exc
-    return clamp_strength(mean_strength(values))
-
-
 @dataclass
 class EstimationReport:
     estimated: int = 0
@@ -171,24 +144,37 @@ def estimate_all(
 ) -> tuple[Lexicon, EstimationReport]:
     """Estimate every vocabulary term not already in the seed lexicon.
 
-    Seed entries are never touched; per-term provider failures are recorded
-    in the report and the run continues. The delta is assembled in sorted
-    term order, so results are deterministic.
+    A term's estimate is the mean evidence of the documents the provider
+    returns for it; a term no document contains is unlabelable and falls
+    through to the propagation stage. Seed entries are never touched. A
+    provider that raises, or returns a document without the term, fails that
+    term only: the failure is recorded in the report and the run continues.
+    The delta is assembled in sorted term order, so results are deterministic.
     """
+    if max_docs < 1:
+        raise ValueError(f"max_docs must be >= 1, got {max_docs}")
     report = EstimationReport()
     entries = []
     for term in sorted(set(vocabulary)):
         if term in seed:
             continue
+        failure = None
         try:
-            value = estimate_strength(term, provider, seed, max_docs)
-        except EstimationError as exc:
-            report.failures.append((term, str(exc)))
-            log.warning("estimation failed: %s", exc)
-            continue
-        if value is None:
+            documents = provider.query(term, max_docs)
+        except Exception as exc:
+            failure = f"provider failed for {term!r}: {exc}"
+        else:
+            try:
+                values = [document_strength(doc, term, seed) for doc in documents]
+            except MissingTermError as exc:
+                failure = f"provider broke its contract for {term!r}: {exc}"
+        if failure:
+            report.failures.append((term, failure))
+            log.warning("estimation failed: %s", failure)
+        elif not values:
             report.unlabelable.append(term)
-            continue
-        entries.append(LexiconEntry(term, value, Stage.CORPUS_ESTIMATE))
-        report.estimated += 1
+        else:
+            strength = clamp_strength(mean_strength(values))
+            entries.append(LexiconEntry(term, strength, Stage.CORPUS_ESTIMATE))
+            report.estimated += 1
     return Lexicon(entries), report

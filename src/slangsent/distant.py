@@ -17,29 +17,21 @@ from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
 from .records import read_lines, write_records
-from .text import emoticon_token
+from .text import tokenize
 
 
 @dataclass(frozen=True)
 class EmoticonSet:
-    """Disjoint, non-empty positive/negative emoticon token sets."""
+    """Positive and negative emoticon token sets. A plain record: the caller
+    holds its invariants, that both sets are non-empty and disjoint.
+    `from_lines` checks them for data read from outside."""
 
     positive: frozenset[str]
     negative: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if not self.positive or not self.negative:
-            raise ValueError("both emoticon sets must be non-empty")
-        overlap = self.positive & self.negative
-        if overlap:
-            raise ValueError(f"emoticons in both sets: {sorted(overlap)}")
-
     @property
     def all_tokens(self) -> frozenset[str]:
         return self.positive | self.negative
-
-    def swapped(self) -> EmoticonSet:
-        return EmoticonSet(positive=self.negative, negative=self.positive)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> EmoticonSet:
@@ -60,13 +52,12 @@ class EmoticonSet:
             if current is None:
                 raise ParseError("emoticon before any section header", line=number)
             current.add(line)
-        try:
-            return cls(
-                positive=frozenset(sections["positive"]),
-                negative=frozenset(sections["negative"]),
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        positive, negative = sections["positive"], sections["negative"]
+        if not positive or not negative:
+            raise ParseError("both emoticon sets must be non-empty")
+        if positive & negative:
+            raise ParseError(f"emoticons in both sets: {sorted(positive & negative)}")
+        return cls(positive=frozenset(positive), negative=frozenset(negative))
 
     @classmethod
     def from_file(cls, path: str | Path) -> EmoticonSet:
@@ -86,12 +77,16 @@ class LabeledDocument:
 
 
 def _strip_emoticons(doc: Document, emoticons: frozenset[str]) -> Document:
-    kept = [
-        chunk
-        for chunk in doc.text.split()
-        if (token := emoticon_token(chunk)) is None or token not in emoticons
-    ]
-    return Document.from_text(doc.id, " ".join(kept))
+    """The document with every chunk whose token is in `emoticons` removed,
+    by the token rule `_label` decides by. Kept chunks keep their tokens, so
+    the kept text is not tokenized again."""
+    chunks, tokens = [], []
+    for chunk in doc.text.split():
+        chunk_tokens = tokenize(chunk)
+        if emoticons.isdisjoint(chunk_tokens):
+            chunks.append(chunk)
+            tokens += chunk_tokens
+    return Document(doc.id, " ".join(chunks), tuple(tokens))
 
 
 def _label(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | str:
@@ -103,14 +98,6 @@ def _label(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | str:
         return "conflict" if has_positive else "unmarked"
     gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
     return LabeledDocument(_strip_emoticons(doc, emoticons.all_tokens), gold)
-
-
-def label_by_emoticon(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | None:
-    """Label one document, or None when it must be discarded (emoticons of
-    both polarities, or none at all). The returned document has every token
-    from either set removed, in text and tokens alike."""
-    labeled = _label(doc, emoticons)
-    return labeled if isinstance(labeled, LabeledDocument) else None
 
 
 @dataclass
@@ -125,7 +112,8 @@ def build_eval_corpus(
     documents: Iterable[Document], emoticons: EmoticonSet
 ) -> tuple[list[LabeledDocument], DistantReport]:
     """Label a document stream, preserving input order; discards are tallied
-    by reason in the report."""
+    by reason in the report. Each labeled document has every token from
+    either set removed, in text and tokens alike."""
     labeled: list[LabeledDocument] = []
     report = DistantReport()
     for doc in documents:

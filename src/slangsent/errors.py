@@ -51,9 +51,5 @@ class MissingTermError(DataError):
     """A document was expected to contain a query term but does not."""
 
 
-class EstimationError(ProviderError):
-    """The corpus provider failed while estimating a term."""
-
-
 class EmptyEvaluationError(DataError):
     """No documents were left to evaluate after subset filtering."""

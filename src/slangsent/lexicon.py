@@ -125,9 +125,6 @@ class Lexicon:
     def strength(self, term: str) -> float:
         return self._entries[term].strength
 
-    def terms(self) -> list[str]:
-        return sorted(self._entries)
-
     def entries(self) -> list[LexiconEntry]:
         """Entries in term-sorted order (the canonical order everywhere)."""
         return [self._entries[t] for t in sorted(self._entries)]
@@ -217,7 +214,8 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
 
 def load_seed_values(path: str | Path) -> dict[str, float]:
     """Read a seed-lexicon source file: one `term<TAB>native_strength` per
-    line, '#' comments and blank lines ignored."""
+    line, '#' comments and blank lines ignored. A term given twice is an
+    error naming the second line."""
     values: dict[str, float] = {}
     for number, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
@@ -227,6 +225,8 @@ def load_seed_values(path: str | Path) -> dict[str, float]:
         if len(fields) != 2:
             raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
         term, text = fields
+        if term in values:
+            raise ParseError(f"duplicate term {term!r}", line=number)
         try:
             values[term] = float(text)
         except ValueError:

@@ -140,14 +140,19 @@ def _parse_scale(raw: object) -> LinearScale:
 
 def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:
     """Parse a `[{id, path, scale}]` seed-source list, the format of both the
-    config's `seed_lexicons` and the `seed --sources` file. Paths are
-    resolved against `base`."""
+    config's `seed_lexicons` and the `seed --sources` file. Each id is a
+    distinct non-empty string. Paths are resolved against `base`."""
     sources = []
     for item in _typed(raw, "seed_lexicons", list):
         if not isinstance(item, dict) or "id" not in item or "path" not in item:
             raise ConfigError(f"seed source needs 'id' and 'path': {item!r}")
+        source_id = item["id"]
+        if not isinstance(source_id, str) or not source_id:
+            raise ConfigError(f"seed source 'id' must be a non-empty string, got {source_id!r}")
+        if any(source.source_id == source_id for source in sources):
+            raise ConfigError(f"seed source 'id' {source_id!r} is repeated")
         path = _resolve(base, item["path"], "seed_lexicons.path")
-        sources.append(SeedSourceConfig(str(item["id"]), path, _parse_scale(item.get("scale"))))
+        sources.append(SeedSourceConfig(source_id, path, _parse_scale(item.get("scale"))))
     return sources
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from slangsent.corpus import FileCorpusProvider, estimate_strength
-from slangsent.distant import build_eval_corpus, default_emoticons
+from slangsent.corpus import FileCorpusProvider, estimate_all
+from slangsent.distant import EmoticonSet, build_eval_corpus, default_emoticons
 from slangsent.ingest import extension_url
 from slangsent.lexicon import (
     Lexicon,
@@ -225,7 +225,7 @@ def test_propagation_properties():
         negated = propagate(
             SynonymGraph(nodes, edges), lex({t: -v for t, v in seed_values.items()})
         )
-        assert set(negated.labeled.terms()) == set(base.labeled.terms())
+        assert set(negated.labeled) == set(base.labeled)
         for term in base.labeled:
             assert negated.labeled.strength(term) == -base.labeled.strength(term)
 
@@ -276,7 +276,7 @@ def test_corpus_estimator_oracle(tmp_path):
     )
     assert neutral_hits >= 10
 
-    got = estimate_strength("q", provider, seed, max_docs=150)
+    got = estimate_all(["q"], provider, seed, max_docs=150)[0]["q"].strength
     expected = brute_estimate(token_lists, "q", seed_values, 150)
     assert got is not None and expected is not None
     assert abs(got - expected) <= 1e-12
@@ -473,7 +473,9 @@ def test_distant_labeler(tmp_path):
     for item in labeled:
         assert not set(item.document.tokens) & emoticons.all_tokens
 
-    swapped_labeled, swapped_report = build_eval_corpus(documents, emoticons.swapped())
+    swapped_labeled, swapped_report = build_eval_corpus(
+        documents, EmoticonSet(positive=emoticons.negative, negative=emoticons.positive)
+    )
     assert swapped_report.discarded_conflict == report.discarded_conflict
     assert swapped_report.discarded_unmarked == report.discarded_unmarked
     flipped = {Polarity.POSITIVE: Polarity.NEGATIVE, Polarity.NEGATIVE: Polarity.POSITIVE}

@@ -56,6 +56,13 @@ def _run_with_scale(golden, scale):
     return _run_with(golden, seed_lexicons=raw["seed_lexicons"])
 
 
+def _run_with_seed_ids(golden, *ids):
+    sources = json.loads(golden.read_text())["seed_lexicons"]
+    for source, source_id in zip(sources, ids):
+        source["id"] = source_id
+    return _run_with(golden, seed_lexicons=sources)
+
+
 def _seed_with(golden, tmp_path, **changes):
     sources = json.loads(golden.read_text())["seed_lexicons"]
     sources[0].update(changes)
@@ -93,6 +100,11 @@ def _seed_with_latin1_tsv(golden, tmp_path):
     return _seed_with(golden, tmp_path, path="latin1.tsv")
 
 
+def _seed_with_repeated_term(golden, tmp_path):
+    (golden.parent / "repeat.tsv").write_text("good\t1\ngood\t2\n", encoding="utf-8")
+    return _seed_with(golden, tmp_path, path="repeat.tsv")
+
+
 # (id, argv builder, exit code, word the error line must name): each bad
 # input from outside ends in one error line with its documented exit code,
 # never in a traceback.
@@ -115,6 +127,11 @@ BAD_INPUTS = [
     ("sources-source_range-degenerate",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1, 1]}), 1, "source_range"),
     ("sources-missing-seed-file", lambda g, t: _seed_with(g, t, path="nope.tsv"), 1, "nope.tsv"),
+    ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
+    ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
+    ("sources-id-null", lambda g, t: _seed_with(g, t, id=None), 1, "'id'"),
+    ("sources-id-empty", lambda g, t: _seed_with(g, t, id=""), 1, "'id'"),
+    ("sources-id-repeated", lambda g, t: _seed_with(g, t, id="wide"), 1, "'id'"),
     ("estimate-max-docs-zero",
      lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
                    "--max-docs", "0", "--output", str(t / "out.jsonl")], 1, "--max-docs"),
@@ -141,6 +158,7 @@ BAD_INPUTS = [
     ("ingest-second-input-not-utf8", lambda g, t: _ingest_latin1_second_input(t), 2,
      "latin1.jsonl"),
     ("seed-tsv-not-utf8", _seed_with_latin1_tsv, 2, "latin1.tsv"),
+    ("seed-tsv-repeated-term", _seed_with_repeated_term, 2, "line 2: duplicate term 'good'"),
 ]
 
 

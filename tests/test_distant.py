@@ -8,7 +8,6 @@ from slangsent.distant import (
     LabeledDocument,
     build_eval_corpus,
     default_emoticons,
-    label_by_emoticon,
     load_labeled_corpus,
     save_labeled_corpus,
 )
@@ -23,14 +22,25 @@ def doc(text, id="d"):
     return Document.from_text(id, text)
 
 
+def label_by_emoticon(document, emoticons):
+    """The labeled document `build_eval_corpus` makes of one document, or
+    None when it discards it."""
+    labeled, _ = build_eval_corpus([document], emoticons)
+    return labeled[0] if labeled else None
+
+
+def swapped(emoticons):
+    return EmoticonSet(positive=emoticons.negative, negative=emoticons.positive)
+
+
 class TestEmoticonSet:
     def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            EmoticonSet(positive=frozenset({":)"}), negative=frozenset({":)", ":("}))
+        with pytest.raises(ParseError):
+            EmoticonSet.from_lines(["[positive]", ":)", "[negative]", ":)", ":("])
 
     def test_rejects_empty_side(self):
-        with pytest.raises(ValueError):
-            EmoticonSet(positive=frozenset(), negative=frozenset({":("}))
+        with pytest.raises(ParseError):
+            EmoticonSet.from_lines(["[positive]", "[negative]", ":("])
 
     def test_from_lines(self):
         text = "# comment\n[positive]\n:)\n\n[negative]\n:(\nD:\n"
@@ -53,9 +63,9 @@ class TestEmoticonSet:
             assert emoticon_token(token) == token
 
     def test_swapped(self):
-        swapped = EMOTICONS.swapped()
-        assert swapped.positive == EMOTICONS.negative
-        assert swapped.negative == EMOTICONS.positive
+        flipped = swapped(EMOTICONS)
+        assert flipped.positive == EMOTICONS.negative
+        assert flipped.negative == EMOTICONS.positive
 
 
 class TestLabelByEmoticon:
@@ -97,16 +107,25 @@ class TestLabelByEmoticon:
         assert label_by_emoticon(doc("odd ;_; face"), EMOTICONS) is None
 
     def test_swap_symmetry(self):
-        flipped = EMOTICONS.swapped()
+        flipped = swapped(EMOTICONS)
         for text in (":) fine", "D: ugh", "both :) :(", "none at all"):
             original = label_by_emoticon(doc(text), EMOTICONS)
-            swapped = label_by_emoticon(doc(text), flipped)
+            mirrored = label_by_emoticon(doc(text), flipped)
             if original is None:
-                assert swapped is None
+                assert mirrored is None
             else:
-                assert swapped is not None
-                assert swapped.document == original.document
-                assert {original.gold, swapped.gold} == {Polarity.POSITIVE, Polarity.NEGATIVE}
+                assert mirrored is not None
+                assert mirrored.document == original.document
+                assert {original.gold, mirrored.gold} == {Polarity.POSITIVE, Polarity.NEGATIVE}
+
+    def test_strips_a_listed_token_that_is_no_emoticon_shape(self):
+        # "(xd)" is no emoticon chunk, but it tokenizes to "xd", which labels
+        # the document, so it must be stripped like any label source
+        emoticons = EmoticonSet(positive=frozenset({"xd"}), negative=frozenset({":("}))
+        labeled = label_by_emoticon(doc("so fun (xd) today"), emoticons)
+        assert labeled.gold is Polarity.POSITIVE
+        assert labeled.document.text == "so fun today"
+        assert labeled.document.tokens == ("so", "fun", "today")
 
 
 class TestBuildEvalCorpus:
