@@ -11,7 +11,7 @@ other name stays importable from its submodule.
 
 from .corpus import CorpusProvider, Document, FileCorpusProvider, estimate_all, load_corpus
 from .distant import LabeledDocument, load_labeled_corpus
-from .errors import ConfigError, DataError, ProviderError, SlangSentError
+from .errors import ConfigError, DataError, SlangSentError
 from .ingest import (
     EntryFetcher,
     SlangEntry,

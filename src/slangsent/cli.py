@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 provider error.
+Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .distant import (
     load_labeled_corpus,
     save_labeled_corpus,
 )
-from .errors import ConfigError, ProviderError, SlangSentError
+from .errors import ConfigError, SlangSentError
 from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, serialize_entry
 from .lexicon import load_lexicon, save_lexicon
 from .pipeline import (
@@ -40,7 +40,6 @@ from .scoring import EvalSubset, evaluate, score_text, score_tokens
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
-EXIT_PROVIDER = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,11 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ingest(args) -> int:
-    issues = []
-    vocabulary, count = ingest_entries(args.input, args.output, strict=args.strict, issues=issues)
+def _print_skipped(issues) -> None:
     for issue in issues:
-        print(f"skipped line {issue.line}: {issue.message}", file=sys.stderr)
+        print(f"skipped: {issue}", file=sys.stderr)
+
+
+def _cmd_ingest(args) -> int:
+    issues = None if args.strict else []
+    vocabulary, count = ingest_entries(args.input, args.output, issues=issues)
+    _print_skipped(issues or ())
     print(f"{count} entries -> {len(vocabulary)} terms -> {args.output}")
     return EXIT_OK
 
@@ -276,6 +279,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     result = run_pipeline(load_config(args.config), resume=args.resume)
+    _print_skipped(result.ingest_issues)
     print(result.report.format_text(), end="")
     print(f"exports under {result.paths['slangsd'].parent}")
     return EXIT_OK
@@ -295,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ProviderError as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
     except (SlangSentError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,7 +17,7 @@ from typing import Protocol
 
 from .errors import MissingTermError, ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, clamp_strength, mean_strength
-from .records import read_records
+from .records import naming, read_records
 from .text import find_occurrences, tokenize
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,8 @@ def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file: one JSON object per line with "id" and "text"."""
-    return [document for _, _, document in read_documents(path)]
+    with naming(path):
+        return [document for _, _, document in read_documents(path)]
 
 
 class FileCorpusProvider:

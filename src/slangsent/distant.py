@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
-from .records import read_lines, write_records
+from .records import naming, read_lines, write_records
 from .text import tokenize
 
 
@@ -61,7 +61,8 @@ class EmoticonSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> EmoticonSet:
-        return cls.from_lines(read_lines(path))
+        with naming(path):
+            return cls.from_lines(read_lines(path))
 
 
 @lru_cache(maxsize=1)
@@ -142,9 +143,10 @@ def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
     polarities = {p.value: p for p in Polarity}
     items: list[LabeledDocument] = []
-    for number, record, document in read_documents(path):
-        label = record.get("label")
-        if label not in polarities:
-            raise ParseError(f"bad label {label!r}", line=number)
-        items.append(LabeledDocument(document, polarities[label]))
+    with naming(path):
+        for number, record, document in read_documents(path):
+            label = record.get("label")
+            if label not in polarities:
+                raise ParseError(f"bad label {label!r}", line=number)
+            items.append(LabeledDocument(document, polarities[label]))
     return items

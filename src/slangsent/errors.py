@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The three mid-level families map onto CLI exit codes: ConfigError (1),
-DataError (2), ProviderError (3).
+The two mid-level families map onto CLI exit codes: ConfigError (1) and
+DataError (2). A subclass exists only where some caller catches it by name.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ class DataError(SlangSentError):
     """Malformed or inconsistent input data."""
 
 
-class ProviderError(SlangSentError):
-    """A pluggable provider (corpus, entry fetcher) failed."""
-
-
-class RecordError(DataError):
-    """Data error tied to a 1-based line of an input stream."""
+class ParseError(DataError):
+    """A record of an input file is malformed; `line` is its 1-based line,
+    when the record has one."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -35,21 +32,5 @@ class NormalizationError(DataError):
     """A term was empty after normalization."""
 
 
-class ScaleError(DataError):
-    """A seed-lexicon scale map produced a value outside the strength scale."""
-
-
-class ParseError(RecordError):
-    """A lexicon or corpus file could not be parsed."""
-
-
-class IngestError(RecordError):
-    """A dictionary-entry record could not be ingested."""
-
-
 class MissingTermError(DataError):
     """A document was expected to contain a query term but does not."""
-
-
-class EmptyEvaluationError(DataError):
-    """No documents were left to evaluate after subset filtering."""

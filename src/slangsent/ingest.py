@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .errors import IngestError, NormalizationError
-from .records import parse_record, read_lines, record_lines, write_records
+from .errors import NormalizationError, ParseError
+from .records import naming, parse_record, read_lines, record_lines, write_records
 from .text import normalize_term
 
 log = logging.getLogger(__name__)
@@ -43,53 +43,42 @@ class SlangEntry:
         return self.upvotes - self.downvotes
 
 
-@dataclass(frozen=True)
-class IngestIssue:
-    line: int
-    message: str
-
-
 def parse_entries(
-    lines: Iterable[str],
-    *,
-    strict: bool = True,
-    issues: list[IngestIssue] | None = None,
+    lines: Iterable[str], *, issues: list[ParseError] | None = None
 ) -> list[SlangEntry]:
     """Parse JSON-line entry records in stream order.
 
-    In strict mode the first bad record raises IngestError (with its line
-    number); in lenient mode bad records are skipped and reported through the
-    optional `issues` list. Blank lines are ignored in both modes.
+    Without an `issues` list the first bad record raises ParseError (with its
+    line number); with one, bad records are skipped and their errors
+    appended to it. Blank lines are ignored.
     """
     entries: list[SlangEntry] = []
     for number, raw in record_lines(lines):
         try:
             entries.append(_parse_record(raw, number))
-        except IngestError as exc:
-            if strict:
+        except ParseError as exc:
+            if issues is None:
                 raise
-            if issues is not None:
-                issues.append(IngestIssue(number, str(exc)))
-            log.warning("skipping entry record: %s", exc)
+            issues.append(exc)
     return entries
 
 
 def _parse_record(raw: str, number: int) -> SlangEntry:
-    record = parse_record(raw, number, IngestError)
+    record = parse_record(raw, number)
     term = record.get("term")
     if not isinstance(term, str):
-        raise IngestError("missing or non-string 'term'", line=number)
+        raise ParseError("missing or non-string 'term'", line=number)
     try:
         normalize_term(term)
     except NormalizationError:
-        raise IngestError(f"term {term!r} normalizes to nothing", line=number) from None
+        raise ParseError(f"term {term!r} normalizes to nothing", line=number) from None
 
     meanings = _string_list(record, "meanings", number)
     examples = _string_list(record, "examples", number)
     if not meanings:
-        raise IngestError("entry must have at least one meaning", line=number)
+        raise ParseError("entry must have at least one meaning", line=number)
     if not examples:
-        raise IngestError("entry must have at least one example", line=number)
+        raise ParseError("entry must have at least one example", line=number)
 
     related = _string_list(record, "related_terms", number, default=())
     upvotes = _vote(record, "upvotes", number)
@@ -100,7 +89,7 @@ def _parse_record(raw: str, number: int) -> SlangEntry:
         try:
             created = date.fromisoformat(record["created_date"])
         except (TypeError, ValueError):
-            raise IngestError(
+            raise ParseError(
                 f"bad created_date {record['created_date']!r}", line=number
             ) from None
 
@@ -122,18 +111,18 @@ def _string_list(
     if value is None:
         if default is not None:
             return default
-        raise IngestError(f"missing '{key}'", line=number)
+        raise ParseError(f"missing '{key}'", line=number)
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise IngestError(f"'{key}' must be a list of strings", line=number)
+        raise ParseError(f"'{key}' must be a list of strings", line=number)
     return tuple(value)
 
 
 def _vote(record: dict, key: str, number: int) -> int:
     value = record.get(key, 0)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise IngestError(f"'{key}' must be an integer", line=number)
+        raise ParseError(f"'{key}' must be an integer", line=number)
     if value < 0:
-        raise IngestError(f"'{key}' must be non-negative", line=number)
+        raise ParseError(f"'{key}' must be non-negative", line=number)
     return value
 
 
@@ -193,7 +182,8 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    return build_vocabulary(parse_entries(read_lines(path), strict=True))
+    with naming(path):
+        return build_vocabulary(parse_entries(read_lines(path)))
 
 
 # --- extension workflow ------------------------------------------------------
@@ -244,7 +234,7 @@ def fetch_new_entries(
             payload = fetcher(day)
             if isinstance(payload, bytes):
                 payload = payload.decode("utf-8")
-            entries.extend(parse_entries(payload.splitlines(), strict=True))
+            entries.extend(parse_entries(payload.splitlines()))
         except Exception as exc:
             report.failures.append(FetchFailure(day, str(exc)))
             log.warning("fetch failed for %s: %s", day, exc)

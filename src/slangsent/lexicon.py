@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import NormalizationError, ParseError, ScaleError
-from .records import read_lines, read_records, write_records
+from .errors import DataError, NormalizationError, ParseError
+from .records import naming, read_lines, read_records, write_records
 from .text import normalize_term
 
 STRENGTH_MIN = -2.0
@@ -197,7 +197,7 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
             term = normalize_term(raw_term)
             mapped = source.scale.apply(float(native))
             if not STRENGTH_MIN <= mapped <= STRENGTH_MAX:
-                raise ScaleError(
+                raise DataError(
                     f"source {source.source_id!r} maps {raw_term!r} ({native!r}) "
                     f"to {mapped!r}, outside [{STRENGTH_MIN}, {STRENGTH_MAX}]"
                 )
@@ -215,22 +215,23 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
 def load_seed_values(path: str | Path) -> dict[str, float]:
     """Read a seed-lexicon source file: one `term<TAB>native_strength` per
     line, '#' comments and blank lines ignored. A term given twice is an
-    error naming the second line."""
+    error naming the file and the second line."""
     values: dict[str, float] = {}
-    for number, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
-        term, text = fields
-        if term in values:
-            raise ParseError(f"duplicate term {term!r}", line=number)
-        try:
-            values[term] = float(text)
-        except ValueError:
-            raise ParseError(f"bad strength value {text!r}", line=number) from None
+    with naming(path):
+        for number, raw in enumerate(read_lines(path), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
+            term, text = fields
+            if term in values:
+                raise ParseError(f"duplicate term {term!r}", line=number)
+            try:
+                values[term] = float(text)
+            except ValueError:
+                raise ParseError(f"bad strength value {text!r}", line=number) from None
     return values
 
 
@@ -300,7 +301,8 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    return Lexicon(_checked_entries(_lexicon_rows(path)))
+    with naming(path):
+        return Lexicon(_checked_entries(_lexicon_rows(path)))
 
 
 def _lexicon_rows(path: str | Path) -> Iterator[tuple]:

@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import DEFAULT_MAX_DOCS, EstimationReport, FileCorpusProvider, estimate_all
-from .errors import ConfigError
-from .ingest import (
-    IngestIssue,
-    Vocabulary,
-    build_vocabulary,
-    load_vocabulary,
-    parse_entries,
-    save_vocabulary,
-)
+from .errors import ConfigError, ParseError
+from .ingest import Vocabulary, build_vocabulary, load_vocabulary, parse_entries, save_vocabulary
 from .lexicon import (
     Lexicon,
     LinearScale,
@@ -40,7 +33,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
-from .records import read_lines, write_json, write_text
+from .records import in_file, naming, read_lines, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -185,13 +178,18 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def ingest_entries(
-    entry_files: Iterable[Path], output: Path, *, strict: bool, issues: list[IngestIssue]
+    entry_files: Iterable[Path], output: Path, *, issues: list[ParseError] | None = None
 ) -> tuple[Vocabulary, int]:
     """Parse entry files into a vocabulary; returns it with the entry count.
-    In lenient mode skipped records are appended to `issues`."""
+    Without an `issues` list the first bad record raises; with one, bad
+    records are skipped and appended to it. Each error names its file."""
     entries = []
     for entry_file in entry_files:
-        entries.extend(parse_entries(read_lines(entry_file), strict=strict, issues=issues))
+        skipped = None if issues is None else []
+        with naming(entry_file):
+            entries.extend(parse_entries(read_lines(entry_file), issues=skipped))
+        if skipped:
+            issues.extend(in_file(issue, entry_file) for issue in skipped)
     vocabulary = build_vocabulary(entries)
     save_vocabulary(vocabulary, output)
     log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
@@ -263,7 +261,7 @@ class PipelineResult:
     final: Lexicon
     report: StageReport
     paths: dict[str, Path]
-    ingest_issues: list[IngestIssue] = field(default_factory=list)
+    ingest_issues: list[ParseError] = field(default_factory=list)
     estimation: EstimationReport | None = None
     propagation: PropagationResult | None = None
 
@@ -278,7 +276,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
-    issues: list[IngestIssue] = []
+    issues: list[ParseError] = []
     estimation = propagation = None
 
     def reuse(name, load):
@@ -290,7 +288,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     vocabulary = reuse("vocabulary", load_vocabulary)
     if vocabulary is None:
         vocabulary, _ = ingest_entries(
-            config.entry_files, paths["vocabulary"], strict=config.strict, issues=issues
+            config.entry_files, paths["vocabulary"], issues=None if config.strict else issues
         )
     seed = reuse("seed", load_lexicon)
     if seed is None:

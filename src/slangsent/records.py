@@ -1,6 +1,7 @@
 """Record files: one JSON object per line, UTF-8, LF, keys sorted. Readers
-accept gzip, skip blank lines and name the line of a malformed record. Every
-output file is written beside its target and renamed over it, atomically."""
+accept gzip, skip blank lines and name the file and line of a malformed
+record. Every output file is written beside its target and renamed over it,
+atomically."""
 
 from __future__ import annotations
 
@@ -10,9 +11,10 @@ import json
 import os
 import secrets
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import DataError, ParseError, RecordError
+from .errors import DataError, ParseError
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
@@ -33,14 +35,31 @@ def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     return ((number, raw) for number, raw in enumerate(lines, start=1) if raw.strip())
 
 
-def parse_record(raw: str, number: int, error: type[RecordError] = ParseError) -> dict:
-    """The JSON object on one line, or `error` naming the line."""
+def in_file(error: ParseError, path: str | Path) -> ParseError:
+    """`error`, its message now starting with the file it came from."""
+    error.args = (f"{path}: {error}",)
+    return error
+
+
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Name `path` in a ParseError raised inside the block. Only the outermost
+    reader of a file uses it, so no message names its file twice."""
+    try:
+        yield
+    except ParseError as exc:
+        in_file(exc, path)
+        raise
+
+
+def parse_record(raw: str, number: int) -> dict:
+    """The JSON object on one line, or a ParseError naming the line."""
     try:
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise error(f"bad JSON: {exc}", line=number) from None
+        raise ParseError(f"bad JSON: {exc}", line=number) from None
     if not isinstance(record, dict):
-        raise error("record is not an object", line=number)
+        raise ParseError("record is not an object", line=number)
     return record
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .distant import LabeledDocument
-from .errors import EmptyEvaluationError
+from .errors import DataError
 from .lexicon import Lexicon, Polarity
 from .text import tokenize
 
@@ -182,7 +182,7 @@ def evaluate(
     toward the "all" side of each one-vs-all split, but gets no row).
 
     With subset SLANG_ONLY, only documents containing at least one lexicon
-    term are evaluated; an empty subset raises EmptyEvaluationError.
+    term are evaluated; an empty subset raises DataError.
     """
     matcher = _compiled_matcher(lexicon)
     pairs: list[tuple[Polarity, Polarity]] = []
@@ -192,7 +192,7 @@ def evaluate(
             continue
         pairs.append((item.gold, _total_and_polarity(matches)[1]))
     if not pairs:
-        raise EmptyEvaluationError(f"no documents to evaluate (subset={subset.value})")
+        raise DataError(f"no documents to evaluate (subset={subset.value})")
 
     counts: dict[tuple[Polarity, Polarity], int] = {}
     for pair in pairs:

@@ -71,12 +71,13 @@ def emoticon_token(chunk: str) -> str | None:
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase tokens.
 
+    The text is put in Unicode NFC first, the form terms are stored in.
     Whitespace-delimited chunks are stripped of leading/trailing punctuation
     (word-internal apostrophes and hyphens survive); chunks recognized as
     emoticons are kept whole and verbatim; empty leftovers are dropped.
     """
     tokens: list[str] = []
-    for chunk in text.split():
+    for chunk in unicodedata.normalize("NFC", text).split():
         emo = emoticon_token(chunk)
         if emo is not None:
             tokens.append(emo)

@@ -105,6 +105,18 @@ def _seed_with_repeated_term(golden, tmp_path):
     return _seed_with(golden, tmp_path, path="repeat.tsv")
 
 
+def _estimate_with_bad_corpus_record(tmp_path):
+    vocabulary = tmp_path / "vocabulary.jsonl"
+    vocabulary.write_text(
+        json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]}) + "\n", encoding="utf-8"
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "1", "text": "lit :)"}\n{"id": 2, "text": "lit"}\n', encoding="utf-8")
+    return ["estimate", "--vocabulary", str(vocabulary),
+            "--seed", str(lexicon_file(tmp_path, {"good": 1.0})), "--corpus", str(corpus),
+            "--output", str(tmp_path / "estimates.jsonl")]
+
+
 # (id, argv builder, exit code, word the error line must name): each bad
 # input from outside ends in one error line with its documented exit code,
 # never in a traceback.
@@ -159,6 +171,13 @@ BAD_INPUTS = [
      "latin1.jsonl"),
     ("seed-tsv-not-utf8", _seed_with_latin1_tsv, 2, "latin1.tsv"),
     ("seed-tsv-repeated-term", _seed_with_repeated_term, 2, "line 2: duplicate term 'good'"),
+    ("estimate-corpus-bad-record", lambda g, t: _estimate_with_bad_corpus_record(t), 2,
+     "corpus.jsonl: line 2: record needs string 'id' and 'text'"),
+    ("seed-tsv-repeated-term-names-file", _seed_with_repeated_term, 2,
+     "repeat.tsv: line 2: duplicate term 'good'"),
+    ("emoticons-empty-section-names-file",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n"), 2,
+     "emoticons.txt: both emoticon sets must be non-empty"),
 ]
 
 
@@ -203,6 +222,30 @@ class TestRunCommand:
     def test_rerun_resume(self, golden, capsys):
         assert main(["run", "--config", str(golden)]) == 0
         assert main(["run", "--config", str(golden), "--resume"]) == 0
+
+
+def _lenient_ingest(golden, tmp_path):
+    entry_files = [str(golden.parent / name) for name in ("e1.jsonl", "e2.jsonl")]
+    return ["ingest", "--lenient", "--input", *entry_files,
+            "--output", str(tmp_path / "vocabulary.jsonl")]
+
+
+def _lenient_run(golden, tmp_path):
+    return _run_with(golden, entries=["entries.jsonl", "e1.jsonl", "e2.jsonl"], strict=False)
+
+
+@pytest.mark.parametrize("build_argv", [_lenient_ingest, _lenient_run], ids=["ingest", "run"])
+def test_lenient_skip_is_reported_once_with_its_file(golden, tmp_path, capsys, caplog,
+                                                     build_argv):
+    good = json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]})
+    for name in ("e1.jsonl", "e2.jsonl"):
+        (golden.parent / name).write_text(f"{good}\n{{broken\n", encoding="utf-8")
+    assert main(build_argv(golden, tmp_path)) == 0
+    reports = [line for line in capsys.readouterr().err.splitlines() if "line 2" in line]
+    reports += [record.getMessage() for record in caplog.records if "line 2" in record.getMessage()]
+    assert len(reports) == 2, reports
+    assert reports[0].startswith(f"skipped: {golden.parent / 'e1.jsonl'}: line 2: bad JSON")
+    assert reports[1].startswith(f"skipped: {golden.parent / 'e2.jsonl'}: line 2: bad JSON")
 
 
 class TestStageCommands:

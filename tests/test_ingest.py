@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from slangsent.errors import IngestError
+from slangsent.errors import ParseError
 from slangsent.ingest import (
     DirectoryFetcher,
     SlangEntry,
@@ -43,12 +43,12 @@ class TestParseEntries:
 
     def test_missing_examples_rejected(self):
         line = json.dumps({"term": "x", "meanings": ["m"], "upvotes": 0, "downvotes": 0})
-        with pytest.raises(IngestError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_entries([line])
         assert exc.value.line == 1
 
     def test_empty_examples_rejected(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ParseError):
             parse_entries([record(examples=[])])
 
     def test_related_terms_optional(self):
@@ -58,7 +58,7 @@ class TestParseEntries:
         assert parse_entries([line])[0].related_terms == ()
 
     def test_negative_votes_rejected(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ParseError):
             parse_entries([record(upvotes=-1)])
 
     def test_created_date_parsed(self):
@@ -66,19 +66,17 @@ class TestParseEntries:
         assert entries[0].created_date == date(2016, 7, 14)
 
     def test_bad_date_rejected(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ParseError):
             parse_entries([record(created_date="not a date")])
 
     def test_bad_json_line_number(self):
-        with pytest.raises(IngestError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_entries([record(), "{oops"])
         assert exc.value.line == 2
 
     def test_lenient_mode_skips_and_reports(self):
         issues = []
-        entries = parse_entries(
-            [record("a"), "{oops", record("b")], strict=False, issues=issues
-        )
+        entries = parse_entries([record("a"), "{oops", record("b")], issues=issues)
         assert [e.term for e in entries] == ["a", "b"]
         assert len(issues) == 1 and issues[0].line == 2
 

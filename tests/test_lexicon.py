@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slangsent.errors import ParseError, ScaleError
+from slangsent.errors import DataError, ParseError
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -134,7 +134,7 @@ class TestMergeSeedLexicons:
         assert merged.strength("meh") == -1.0
 
     def test_scale_error(self):
-        with pytest.raises(ScaleError):
+        with pytest.raises(DataError, match=r"source 'bad' maps 'x' \(3.0\) to 3.0, outside"):
             merge_seed_lexicons([SeedSource("bad", {"x": 3.0})])
 
     def test_terms_normalized(self):

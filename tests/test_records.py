@@ -3,8 +3,9 @@
 Any other module that serializes JSON, opens gzip or writes a file itself
 bypasses the shared format, the blank-line and gzip rules of the reader, and
 the atomic write; this test names each such call. A second guard keeps term
-normalization where outside data enters the package, and a third keeps the
-scorer's matcher compiled in one place, once per lexicon."""
+normalization where outside data enters the package, a third keeps the
+scorer's matcher compiled in one place, once per lexicon, and a fourth keeps
+an exception class only where some caller handles it apart from its family."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ NORMALIZERS = {
     ("lexicon.py", "merge_seed_lexicons"),
     ("lexicon.py", "_checked_entries"),
 }
+# The error families that map onto exit codes; the CLI catches them whole.
+ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
 
 def _mode(call: ast.Call) -> ast.expr | None:
@@ -163,3 +166,71 @@ def test_matcher_guard_sees_calls_only():
         "kind: type = PhraseMatcher",
     ])
     assert phrase_matcher_builds(source) == [(2, "score"), (3, "")]
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def error_model_faults(errors_source: str, sources: list[str]) -> list[str]:
+    """Each class of `errors_source` that no source raises, itself or through
+    a subclass, and each one outside ERROR_FAMILIES that no `except` clause
+    of the sources names."""
+    bases = {
+        node.name: {_name(base) for base in node.bases}
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised, caught = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.append(_name(getattr(node.exc, "func", node.exc)))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(map(_name, getattr(node.type, "elts", [node.type])))
+    covered: set[str] = set()
+    while raised:
+        name = raised.pop()
+        if name in bases and name not in covered:
+            covered.add(name)
+            raised.extend(bases[name])
+    return [
+        fault
+        for name in bases
+        for fault, holds in (
+            (f"{name}: never raised", name not in covered),
+            (f"{name}: never caught by name", name not in ERROR_FAMILIES | caught),
+        )
+        if holds
+    ]
+
+
+def test_each_error_class_is_raised_and_handled_by_name():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert error_model_faults((PACKAGE / "errors.py").read_text(encoding="utf-8"), sources) == []
+
+
+def test_error_guard_follows_subclasses_and_except_tuples():
+    errors = "\n".join([
+        "class SlangSentError(Exception): pass",
+        "class ConfigError(SlangSentError): pass",
+        "class DataError(SlangSentError): pass",
+        "class ParseError(DataError): pass",
+        "class Unused(DataError): pass",
+        "class Uncaught(DataError): pass",
+        "class Leaf(ParseError): pass",
+    ])
+    source = "\n".join([
+        "try:",
+        "    raise errors.ConfigError('x')",
+        "except (ParseError, errors.Unused):",
+        "    raise Leaf('y') from None",
+        "except Leaf as exc:",
+        "    raise Uncaught",
+        "except Exception:",
+        "    raise",
+    ])
+    assert error_model_faults(errors, [source]) == [
+        "Unused: never raised",
+        "Uncaught: never caught by name",
+    ]

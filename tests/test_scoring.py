@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import slangsent.scoring
 from slangsent.corpus import Document
 from slangsent.distant import LabeledDocument
-from slangsent.errors import EmptyEvaluationError
+from slangsent.errors import DataError
 from slangsent.lexicon import Lexicon, LexiconEntry, Polarity, Stage, clamp_strength
 from slangsent.scoring import (
     EvalSubset,
@@ -243,9 +243,9 @@ class TestEvaluate:
 
     def test_empty_subset_raises(self):
         lex = lexicon({"unused": 1.0})
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError, match=r"no documents to evaluate \(subset=slang\)"):
             evaluate([labeled("a", Polarity.NEUTRAL)], lex, EvalSubset.SLANG_ONLY)
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError, match=r"no documents to evaluate \(subset=all\)"):
             evaluate([], lex)
 
     def test_scale_invariance_of_polarity_and_report(self):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slangsent.errors import NormalizationError
@@ -77,6 +79,12 @@ class TestTokenize:
         for token in tokenize(text):
             if emoticon_token(token) is None:
                 assert token == token.lower()
+
+    @given(st.text(max_size=60))
+    @example("love this caf\u00e9")
+    def test_canonically_equal_texts_tokenize_alike(self, text):
+        nfd, nfc = (unicodedata.normalize(form, text) for form in ("NFD", "NFC"))
+        assert tokenize(nfd) == tokenize(nfc)
 
 
 class TestFindOccurrences:
