@@ -17,7 +17,7 @@ from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
 from .records import naming, read_lines, write_records
-from .text import tokenize
+from .text import chunk_token
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class EmoticonSet:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> EmoticonSet:
         """Parse the two-section config format: `[positive]` / `[negative]`
-        headers, one emoticon token per line, '#' comments ignored."""
+        headers, one emoticon token per line, '#' comments ignored. Each
+        token must be one `tokenize` emits verbatim, or it could never label."""
         sections: dict[str, set[str]] = {"positive": set(), "negative": set()}
         current: set[str] | None = None
         for number, raw in enumerate(lines, start=1):
@@ -51,6 +52,8 @@ class EmoticonSet:
                 continue
             if current is None:
                 raise ParseError("emoticon before any section header", line=number)
+            if chunk_token(line) != line:
+                raise ParseError(f"emoticon {line!r} is not a token tokenize emits", line=number)
             current.add(line)
         positive, negative = sections["positive"], sections["negative"]
         if not positive or not negative:
@@ -77,30 +80,6 @@ class LabeledDocument:
     gold: Polarity
 
 
-def _strip_emoticons(doc: Document, emoticons: frozenset[str]) -> Document:
-    """The document with every chunk whose token is in `emoticons` removed,
-    by the token rule `_label` decides by. Kept chunks keep their tokens, so
-    the kept text is not tokenized again."""
-    chunks, tokens = [], []
-    for chunk in doc.text.split():
-        chunk_tokens = tokenize(chunk)
-        if emoticons.isdisjoint(chunk_tokens):
-            chunks.append(chunk)
-            tokens += chunk_tokens
-    return Document(doc.id, " ".join(chunks), tuple(tokens))
-
-
-def _label(doc: Document, emoticons: EmoticonSet) -> LabeledDocument | str:
-    """The labeled document, or why it is discarded: "conflict" (emoticons
-    of both polarities) or "unmarked" (none at all)."""
-    has_positive = any(t in emoticons.positive for t in doc.tokens)
-    has_negative = any(t in emoticons.negative for t in doc.tokens)
-    if has_positive == has_negative:
-        return "conflict" if has_positive else "unmarked"
-    gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
-    return LabeledDocument(_strip_emoticons(doc, emoticons.all_tokens), gold)
-
-
 @dataclass
 class DistantReport:
     total: int = 0
@@ -114,19 +93,27 @@ def build_eval_corpus(
 ) -> tuple[list[LabeledDocument], DistantReport]:
     """Label a document stream, preserving input order; discards are tallied
     by reason in the report. Each labeled document has every token from
-    either set removed, in text and tokens alike."""
+    either set removed, in text and tokens alike: a chunk is dropped when its
+    `chunk_token` is one, and as a chunk yields at most one token, the kept
+    tokens are the document's tokens less those."""
+    sources = emoticons.all_tokens
     labeled: list[LabeledDocument] = []
     report = DistantReport()
     for doc in documents:
         report.total += 1
-        item = _label(doc, emoticons)
-        if isinstance(item, LabeledDocument):
-            labeled.append(item)
-            report.labeled += 1
-        elif item == "conflict":
-            report.discarded_conflict += 1
-        else:
-            report.discarded_unmarked += 1
+        has_positive = not emoticons.positive.isdisjoint(doc.tokens)
+        has_negative = not emoticons.negative.isdisjoint(doc.tokens)
+        if has_positive == has_negative:
+            if has_positive:
+                report.discarded_conflict += 1
+            else:
+                report.discarded_unmarked += 1
+            continue
+        text = " ".join(chunk for chunk in doc.text.split() if chunk_token(chunk) not in sources)
+        tokens = tuple(token for token in doc.tokens if token not in sources)
+        gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
+        labeled.append(LabeledDocument(Document(doc.id, text, tokens), gold))
+        report.labeled += 1
     return labeled, report
 
 
@@ -141,12 +128,13 @@ def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) 
 
 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
-    polarities = {p.value: p for p in Polarity}
     items: list[LabeledDocument] = []
     with naming(path):
         for number, record, document in read_documents(path):
             label = record.get("label")
-            if label not in polarities:
-                raise ParseError(f"bad label {label!r}", line=number)
-            items.append(LabeledDocument(document, polarities[label]))
+            try:
+                gold = Polarity(label)
+            except ValueError:  # Enum raises it for unhashable values too
+                raise ParseError(f"bad label {label!r}", line=number) from None
+            items.append(LabeledDocument(document, gold))
     return items

@@ -306,7 +306,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
-    stages = {stage.value: stage for stage in Stage}
     for number, record in read_records(path):
         try:
             term, strength, stage = record["term"], record["strength"], record["stage"]
@@ -317,11 +316,13 @@ def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
             raise ParseError(f"bad term {term!r}", line=number)
         if not isinstance(strength, (int, float)) or isinstance(strength, bool):
             raise ParseError(f"bad strength {strength!r}", line=number)
-        if not isinstance(stage, str) or stage not in stages:
-            raise ParseError(f"unknown stage {stage!r}", line=number)
+        try:
+            stage = Stage(stage)
+        except ValueError:  # Enum raises it for unhashable values too
+            raise ParseError(f"unknown stage {stage!r}", line=number) from None
         if not isinstance(sources, list) or not all(isinstance(source, str) for source in sources):
             raise ParseError(f"bad sources {sources!r}", line=number)
-        yield number, term, float(strength), stages[stage], tuple(sources)
+        yield number, term, float(strength), stage, tuple(sources)
 
 
 def _checked_entries(rows: Iterable[tuple]) -> Iterator[LexiconEntry]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -160,12 +161,10 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _one_vs_all(
-    pairs: list[tuple[Polarity, Polarity]], positive_class: Polarity
-) -> ClassMetrics:
-    tp = sum(1 for gold, pred in pairs if gold is positive_class and pred is positive_class)
-    fp = sum(1 for gold, pred in pairs if gold is not positive_class and pred is positive_class)
-    fn = sum(1 for gold, pred in pairs if gold is positive_class and pred is not positive_class)
+def _one_vs_all(counts: Counter[tuple[Polarity, Polarity]], polarity: Polarity) -> ClassMetrics:
+    tp = counts[polarity, polarity]
+    fp = sum(n for (_, pred), n in counts.items() if pred is polarity) - tp
+    fn = sum(n for (gold, _), n in counts.items() if gold is polarity) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -185,26 +184,21 @@ def evaluate(
     term are evaluated; an empty subset raises DataError.
     """
     matcher = _compiled_matcher(lexicon)
-    pairs: list[tuple[Polarity, Polarity]] = []
+    counts: Counter[tuple[Polarity, Polarity]] = Counter()
     for item in corpus:
         matches = matcher.match(item.document.tokens)
         if subset is EvalSubset.SLANG_ONLY and not matches:
             continue
-        pairs.append((item.gold, _total_and_polarity(matches)[1]))
-    if not pairs:
+        counts[item.gold, _total_and_polarity(matches)[1]] += 1
+    size = counts.total()
+    if not size:
         raise DataError(f"no documents to evaluate (subset={subset.value})")
-
-    counts: dict[tuple[Polarity, Polarity], int] = {}
-    for pair in pairs:
-        counts[pair] = counts.get(pair, 0) + 1
-    correct = sum(1 for gold, pred in pairs if gold is pred)
-    per_class = {
-        polarity: _one_vs_all(pairs, polarity)
-        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-    }
     return EvaluationReport(
-        accuracy=correct / len(pairs),
-        per_class=per_class,
+        accuracy=sum(counts[p, p] for p in Polarity) / size,
+        per_class={
+            polarity: _one_vs_all(counts, polarity)
+            for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+        },
         counts=counts,
-        size=len(pairs),
+        size=size,
     )

@@ -63,29 +63,31 @@ def emoticon_token(chunk: str) -> str | None:
     if EMOTICON_RE.fullmatch(chunk):
         return chunk
     trimmed = chunk.strip(_WRAPPING_PUNCT)
-    if trimmed and EMOTICON_RE.fullmatch(trimmed):
+    if trimmed != chunk and EMOTICON_RE.fullmatch(trimmed):
         return trimmed
     return None
 
 
+def _token(chunk: str) -> str | None:
+    return emoticon_token(chunk) or _EDGE_RE.sub("", chunk).lower() or None
+
+
+def chunk_token(chunk: str) -> str | None:
+    """The token `tokenize` makes of one whitespace-delimited chunk, or None
+    when it makes none. A chunk never yields more than one token."""
+    return _token(unicodedata.normalize("NFC", chunk))
+
+
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase tokens.
+    """Split text into lowercase tokens, at most one per chunk (`chunk_token`).
 
     The text is put in Unicode NFC first, the form terms are stored in.
     Whitespace-delimited chunks are stripped of leading/trailing punctuation
     (word-internal apostrophes and hyphens survive); chunks recognized as
     emoticons are kept whole and verbatim; empty leftovers are dropped.
     """
-    tokens: list[str] = []
-    for chunk in unicodedata.normalize("NFC", text).split():
-        emo = emoticon_token(chunk)
-        if emo is not None:
-            tokens.append(emo)
-            continue
-        word = _EDGE_RE.sub("", chunk).lower()
-        if word:
-            tokens.append(word)
-    return tokens
+    return [token for chunk in unicodedata.normalize("NFC", text).split()
+            if (token := _token(chunk)) is not None]
 
 
 def find_occurrences(tokens: Sequence[str], term: str) -> list[tuple[int, int]]:

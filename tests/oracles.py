@@ -8,6 +8,8 @@ second, independent path to the same numbers.
 
 from __future__ import annotations
 
+import re
+import unicodedata
 from fractions import Fraction
 
 
@@ -150,3 +152,76 @@ def brute_metrics(pairs):
             f_score = Fraction(0)
         out["classes"][cls] = (precision, recall, f_score)
     return out
+
+
+# --- tokenizing and distant labeling ------------------------------------------
+#
+# The tokenizer and the emoticon labeler as they stood before `chunk_token`
+# became the one per-chunk rule, copied verbatim (labels as plain strings).
+# `reference_label` tokenizes each chunk on its own, so it does not rely on a
+# chunk yielding at most one token.
+
+_EMOTICON = r"""
+    (?:
+        [<>]?                                   # optional brow
+        [:;=8xX]                                # eyes
+        [-o*']?                                 # optional nose
+        [)(\]\[dDpP/\\|}{@3*]+                  # mouth (repeats: ":)))")
+      |
+        [)(\]\[dDpP/\\|}{@]                     # mouth-first (reversed) face
+        [-o*']?
+        [:;=8]
+        [<>]?
+      |
+        <+/?3+                                  # hearts, broken hearts
+      |
+        \^_*\^ | [xX][dD]+ | [oO][._][oO] | -_+- | [tT][._][tT] | ;_; | \\o/
+    )
+"""
+EMOTICON_RE = re.compile(_EMOTICON, re.VERBOSE)
+_WRAPPING_PUNCT = ".,!?;\"'`\u2026\u201c\u201d\u2018\u2019"
+_EDGE_RE = re.compile(r"^[\W_]+|[\W_]+$")
+
+
+def reference_emoticon_token(chunk):
+    if EMOTICON_RE.fullmatch(chunk):
+        return chunk
+    trimmed = chunk.strip(_WRAPPING_PUNCT)
+    if trimmed and EMOTICON_RE.fullmatch(trimmed):
+        return trimmed
+    return None
+
+
+def reference_tokenize(text):
+    tokens = []
+    for chunk in unicodedata.normalize("NFC", text).split():
+        emo = reference_emoticon_token(chunk)
+        if emo is not None:
+            tokens.append(emo)
+            continue
+        word = _EDGE_RE.sub("", chunk).lower()
+        if word:
+            tokens.append(word)
+    return tokens
+
+
+def _reference_strip_emoticons(text, emoticons):
+    chunks, tokens = [], []
+    for chunk in text.split():
+        chunk_tokens = reference_tokenize(chunk)
+        if emoticons.isdisjoint(chunk_tokens):
+            chunks.append(chunk)
+            tokens += chunk_tokens
+    return " ".join(chunks), tuple(tokens)
+
+
+def reference_label(text, positive, negative):
+    """("positive" or "negative", kept text, kept tokens) of a labeled text,
+    or why it is discarded: "conflict" or "unmarked"."""
+    tokens = reference_tokenize(text)
+    has_positive = any(t in positive for t in tokens)
+    has_negative = any(t in negative for t in tokens)
+    if has_positive == has_negative:
+        return "conflict" if has_positive else "unmarked"
+    gold = "positive" if has_positive else "negative"
+    return (gold, *_reference_strip_emoticons(text, positive | negative))

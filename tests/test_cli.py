@@ -6,6 +6,8 @@ import json
 import pytest
 
 from slangsent.cli import main
+from slangsent.corpus import FileCorpusProvider, estimate_all
+from slangsent.ingest import load_vocabulary
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage, load_lexicon, save_lexicon
 from slangsent.scoring import score_text
 
@@ -117,6 +119,31 @@ def _estimate_with_bad_corpus_record(tmp_path):
             "--output", str(tmp_path / "estimates.jsonl")]
 
 
+def _ingest_record(tmp_path, **changes):
+    record = {"term": "lit", "meanings": ["m"], "examples": ["x"], **changes}
+    (tmp_path / "entries.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["ingest", "--input", str(tmp_path / "entries.jsonl"),
+            "--output", str(tmp_path / "out.jsonl")]
+
+
+def _seed_with_tsv(golden, tmp_path, text):
+    (golden.parent / "bad.tsv").write_text(text, encoding="utf-8")
+    return _seed_with(golden, tmp_path, path="bad.tsv")
+
+
+def _evaluate_with_label(tmp_path, label):
+    corpus = tmp_path / "labeled.jsonl"
+    corpus.write_text(json.dumps({"id": "1", "text": "hi", "label": label}) + "\n",
+                      encoding="utf-8")
+    return ["evaluate", "--lexicon", str(lexicon_file(tmp_path, {"hi": 1.0})),
+            "--corpus", str(corpus)]
+
+
+def _run_with_config_text(golden, text):
+    golden.write_text(text, encoding="utf-8")
+    return ["run", "--config", str(golden)]
+
+
 # (id, argv builder, exit code, word the error line must name): each bad
 # input from outside ends in one error line with its documented exit code,
 # never in a traceback.
@@ -178,6 +205,49 @@ BAD_INPUTS = [
     ("emoticons-empty-section-names-file",
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n"), 2,
      "emoticons.txt: both emoticon sets must be non-empty"),
+    ("emoticons-token-never-emitted",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\nLol\n[negative]\n:(\n"), 2,
+     "emoticons.txt: line 3: emoticon 'Lol'"),
+    ("evaluate-label-list", lambda g, t: _evaluate_with_label(t, ["positive"]), 2,
+     "labeled.jsonl: line 1: bad label ['positive']"),
+    ("entries-term-number", lambda g, t: _ingest_record(t, term=5), 2,
+     "entries.jsonl: line 1: missing or non-string 'term'"),
+    ("entries-term-blank", lambda g, t: _ingest_record(t, term=" \t"), 2,
+     "line 1: term ' \\t' normalizes to nothing"),
+    ("entries-meanings-empty", lambda g, t: _ingest_record(t, meanings=[]), 2,
+     "line 1: entry must have at least one meaning"),
+    ("entries-related_terms-not-strings", lambda g, t: _ingest_record(t, related_terms=[1]), 2,
+     "line 1: 'related_terms' must be a list of strings"),
+    ("entries-upvotes-float", lambda g, t: _ingest_record(t, upvotes=1.5), 2,
+     "line 1: 'upvotes' must be an integer"),
+    ("seed-tsv-no-tab", lambda g, t: _seed_with_tsv(g, t, "good 1\n"), 2,
+     "bad.tsv: line 1: expected 'term<TAB>value'"),
+    ("seed-tsv-two-tabs", lambda g, t: _seed_with_tsv(g, t, "good\t1\n\nbad\t-1\t2\n"), 2,
+     "bad.tsv: line 3: expected 'term<TAB>value'"),
+    ("report-lexicon-missing-field",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(b', "stage": "imported"', b"")),
+     2, "line 1: missing field 'stage'"),
+    ("report-lexicon-strength-string",
+     lambda g, t: _report_on_lexicon(
+         t, lambda data: data.replace(b'"strength": 1.0', b'"strength": "1.0"')),
+     2, "line 1: bad strength '1.0'"),
+    ("report-lexicon-record-not-object",
+     lambda g, t: _report_on_lexicon(t, lambda data: data + b"[1]\n"), 2,
+     "line 3: record is not an object"),
+    ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
+    ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a path string"),
+    ("scale-string", lambda g, t: _run_with_scale(g, "x"), 1, "scale must be an object"),
+    ("seed_lexicons-without-id",
+     lambda g, t: _run_with(g, seed_lexicons=[{"path": "seed_core.tsv"}]), 1,
+     "seed source needs 'id' and 'path'"),
+    ("seed_lexicons-without-path", lambda g, t: _run_with(g, seed_lexicons=[{"id": "core"}]), 1,
+     "seed source needs 'id' and 'path'"),
+    ("config-not-object", lambda g, t: _run_with_config_text(g, "[]"), 1,
+     "config must be a JSON object"),
+    ("extend-fetch-dir-is-file",
+     lambda g, t: ["extend", "--from", "2023-04-01", "--to", "2023-04-01",
+                   "--fetch-dir", str(g), "--output", str(t / "out.jsonl")], 1,
+     "not a directory"),
 ]
 
 
@@ -272,7 +342,6 @@ class TestStageCommands:
 
         stage12 = tmp_path / "stage12.jsonl"
         seed_lex = load_lexicon(seed)
-        from slangsent.ingest import load_vocabulary
         from slangsent.lexicon import combine
         save_lexicon(
             combine(seed_lex.restricted(load_vocabulary(vocab).keys()), load_lexicon(estimates)),
@@ -300,6 +369,35 @@ class TestStageCommands:
         result = run_pipeline(load_config(golden))
         assert slangsd.read_bytes() == result.paths["slangsd"].read_bytes()
         assert idioms.read_bytes() == result.paths["idiom_table"].read_bytes()
+
+    def test_estimate_samples_max_docs_documents(self, golden, tmp_path, capsys):
+        vocabulary, corpus = tmp_path / "vocabulary.jsonl", golden.parent / "corpus.jsonl"
+        assert main(["ingest", "--input", str(golden.parent / "entries.jsonl"),
+                     "--output", str(vocabulary)]) == 0
+        seed = lexicon_file(tmp_path, {"great": 2.0, "good": 1.0, "bad": -1.0}, "seed.jsonl")
+        estimates = tmp_path / "estimates.jsonl"
+        assert main(["estimate", "--vocabulary", str(vocabulary), "--seed", str(seed),
+                     "--corpus", str(corpus), "--max-docs", "1", "--output", str(estimates)]) == 0
+
+        def estimates_with(max_docs):
+            return estimate_all(load_vocabulary(vocabulary), FileCorpusProvider(corpus),
+                                load_lexicon(seed), max_docs=max_docs)[0]
+
+        assert load_lexicon(estimates) == estimates_with(1) != estimates_with(150)
+
+    def test_seed_source_without_scale_is_taken_as_is(self, golden, tmp_path, capsys):
+        sources = json.loads(golden.read_text())["seed_lexicons"]
+        core = next(source for source in sources if source["id"] == "core")
+        del core["scale"]
+        (golden.parent / "sources.json").write_text(json.dumps([core]), encoding="utf-8")
+        seed = tmp_path / "seed.jsonl"
+        assert main(["seed", "--sources", str(golden.parent / "sources.json"),
+                     "--output", str(seed)]) == 0
+        native = dict(line.split("\t") for line in
+                      (golden.parent / core["path"]).read_text().splitlines())
+        assert {term: load_lexicon(seed).strength(term) for term in native} == {
+            term: float(value) for term, value in native.items()
+        }
 
     def test_export_requires_a_target(self, tmp_path, capsys):
         lex = lexicon_file(tmp_path, {"lol": 1.0})

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slangsent.corpus import Document
 from slangsent.distant import (
@@ -13,7 +17,10 @@ from slangsent.distant import (
 )
 from slangsent.errors import ParseError
 from slangsent.lexicon import Polarity
-from slangsent.text import emoticon_token
+from slangsent.text import emoticon_token, tokenize
+
+from .oracles import reference_label
+from .test_text import texts
 
 EMOTICONS = EmoticonSet(positive=frozenset({":)", ":D"}), negative=frozenset({":(", "D:"}))
 
@@ -54,6 +61,12 @@ class TestEmoticonSet:
     def test_from_lines_rejects_unknown_section(self):
         with pytest.raises(ParseError):
             EmoticonSet.from_lines(["[meh]", ":|"])
+
+    @pytest.mark.parametrize("token", ["Lol", ": )", ":)."])
+    def test_from_lines_rejects_a_token_the_tokenizer_never_emits(self, token):
+        with pytest.raises(ParseError) as exc:
+            EmoticonSet.from_lines(["[positive]", ":)", token, "[negative]", ":("])
+        assert exc.value.line == 3
 
     def test_default_set_is_tokenizable(self):
         # every shipped emoticon must survive tokenization unchanged,
@@ -128,7 +141,37 @@ class TestLabelByEmoticon:
         assert labeled.document.tokens == ("so", "fun", "today")
 
 
+# Label sources as the tokenizer emits them: emoticons, and words an
+# emoticon file may list, such as "xd", which also shapes an emoticon.
+_SOURCES = sorted(default_emoticons().all_tokens | {"xd", "lol", "caf\u00e9", "so-so", "8"})
+
+
+@st.composite
+def emoticon_sets(draw):
+    pool = draw(st.lists(st.sampled_from(_SOURCES), min_size=2, max_size=12, unique=True))
+    cut = draw(st.integers(1, len(pool) - 1))
+    return EmoticonSet(positive=frozenset(pool[:cut]), negative=frozenset(pool[cut:]))
+
+
 class TestBuildEvalCorpus:
+    @given(st.lists(texts, max_size=4), emoticon_sets())
+    @example(["so fun (xd) today", "xd :( ugh", "cafe\u0301 :)."],
+             EmoticonSet(positive=frozenset({"xd", "caf\u00e9"}), negative=frozenset({":("})))
+    def test_labels_as_the_reference(self, raw_texts, emoticons):
+        documents = [doc(text, id=str(i)) for i, text in enumerate(raw_texts)]
+        labeled, report = build_eval_corpus(documents, emoticons)
+        expected = [reference_label(text, emoticons.positive, emoticons.negative)
+                    for text in raw_texts]
+        assert [
+            (item.document.id, item.gold.value, item.document.text, item.document.tokens)
+            for item in labeled
+        ] == [(str(i), *outcome) for i, outcome in enumerate(expected)
+              if isinstance(outcome, tuple)]
+        assert report.discarded_conflict == expected.count("conflict")
+        assert report.discarded_unmarked == expected.count("unmarked")
+        for item in labeled:
+            assert tokenize(item.document.text) == list(item.document.tokens)
+
     def test_one_of_each_outcome(self):
         documents = [doc(":) yay", id="1"), doc(":( :) huh", id="2"), doc("plain", id="3"),
                      doc("ugh :(", id="4")]
@@ -157,12 +200,16 @@ class TestLabeledCorpusFile:
         save_labeled_corpus(labeled, path)
         assert load_labeled_corpus(path) == labeled
 
-    def test_bad_label_rejected(self, tmp_path):
+    @pytest.mark.parametrize("label", ["meh", ["positive"], {"a": 1}, None],
+                             ids=["meh", "list", "object", "null"])
+    def test_bad_label_rejected(self, tmp_path, label):
         path = tmp_path / "labeled.jsonl"
-        path.write_text('{"id": "1", "label": "meh", "text": "x"}\n', encoding="utf-8")
+        path.write_text(json.dumps({"id": "1", "label": label, "text": "x"}) + "\n",
+                        encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             load_labeled_corpus(path)
         assert exc.value.line == 1
+        assert f"bad label {label!r}" in str(exc.value)
 
     def test_neutral_label_supported(self, tmp_path):
         path = tmp_path / "labeled.jsonl"

@@ -109,7 +109,7 @@ class TestBuildVocabulary:
         assert vocab["lol"].related_terms == ()
 
     def test_related_normalized_and_deduplicated(self):
-        entry = SlangEntry("a", ("m",), ("e",), related_terms=("B", "b", " c "))
+        entry = SlangEntry("a", ("m",), ("e",), related_terms=("B", "b", " c ", " \t "))
         assert build_vocabulary([entry])["a"].related_terms == ("b", "c")
 
     def test_disjoint_terms_keep_count(self):

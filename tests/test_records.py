@@ -4,8 +4,9 @@ Any other module that serializes JSON, opens gzip or writes a file itself
 bypasses the shared format, the blank-line and gzip rules of the reader, and
 the atomic write; this test names each such call. A second guard keeps term
 normalization where outside data enters the package, a third keeps the
-scorer's matcher compiled in one place, once per lexicon, and a fourth keeps
-an exception class only where some caller handles it apart from its family."""
+scorer's matcher compiled in one place, once per lexicon, a fourth keeps
+an exception class only where some caller handles it apart from its family,
+and a fifth keeps text tokenized only where raw text becomes tokens."""
 
 from __future__ import annotations
 
@@ -27,6 +28,10 @@ NORMALIZERS = {
     ("lexicon.py", "merge_seed_lexicons"),
     ("lexicon.py", "_checked_entries"),
 }
+# Outside text.py, the only calls of tokenize: a Document's tokens and
+# score_text's. Everything else reads Document.tokens, or `chunk_token` for
+# one chunk.
+TOKENIZERS = {("corpus.py", "Document.from_text"), ("scoring.py", "score_text")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -166,6 +171,37 @@ def test_matcher_guard_sees_calls_only():
         "kind: type = PhraseMatcher",
     ])
     assert phrase_matcher_builds(source) == [(2, "score"), (3, "")]
+
+
+def tokenize_calls(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every call of tokenize in `source`."""
+    return _scoped_nodes(
+        source, lambda node: isinstance(node, ast.Call) and _refers_to(node.func, "tokenize")
+    )
+
+
+def test_text_is_tokenized_only_where_it_becomes_tokens():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "text.py"
+        for line, scope in tokenize_calls(path.read_text(encoding="utf-8"))
+        if (path.name, scope) not in TOKENIZERS
+    ]
+    assert offenders == []
+
+
+def test_tokenize_guard_sees_calls_in_each_scope():
+    source = "\n".join([
+        "from .text import tokenize",
+        "def _strip_emoticons(doc, emoticons):",
+        "    return [chunk for chunk in doc.text.split() if emoticons.isdisjoint(tokenize(chunk))]",
+        "class Document:",
+        "    def from_text(cls, id, text):",
+        "        return cls(id, text, tuple(text.tokenize(text)))",
+        "rule: Callable = tokenize",
+    ])
+    assert tokenize_calls(source) == [(3, "_strip_emoticons"), (6, "Document.from_text")]
 
 
 def _name(node: ast.AST) -> str | None:

@@ -6,8 +6,37 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from slangsent.distant import default_emoticons
 from slangsent.errors import NormalizationError
-from slangsent.text import emoticon_token, find_occurrences, normalize_term, tokenize
+from slangsent.text import chunk_token, emoticon_token, find_occurrences, normalize_term, tokenize
+
+from .oracles import reference_tokenize
+
+# Chunk cores: words (with inner apostrophes, hyphens, digits and non-ASCII
+# letters, some decomposed), the default emoticons, and near-emoticons.
+_WORDS = ["lol", "shit", "hot", "life's", "so-so", "x", "xd", "8", "d", "p", "o", "t",
+          "caf\u00e9", "cafe\u0301", "na\u00efve", "stra\u00dfe", "\u03c3\u03af\u03c3\u03c5",
+          "\u65e5\u672c", "i\u0307", "\u212b", "2day", "_", "o_o", "^^^"]
+_EMOTICONS = sorted(default_emoticons().all_tokens)
+# Wrapping punctuation an emoticon sheds, and edge punctuation a word sheds.
+_EDGES = ["", "", ".", ",", "!", "?", ";", '"', "'", "`", "\u2026", "\u201c", "\u201d",
+          "\u2018", "\u2019", "(", ")", "[", "]", "<", ">", "-", "_", "*", "/", "...", '"(']
+_CASES = [str, str.upper, str.lower, str.swapcase, str.title]
+_SPACES = [" ", " ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2000"]
+
+chunks = st.builds(
+    lambda before, case, core, after: before + case(core) + after,
+    st.sampled_from(_EDGES), st.sampled_from(_CASES),
+    st.sampled_from(_WORDS + _EMOTICONS), st.sampled_from(_EDGES),
+)
+texts = st.one_of(
+    st.builds(
+        lambda parts, form: unicodedata.normalize(form, "".join(parts)) if form else "".join(parts),
+        st.lists(st.one_of(chunks, st.sampled_from(_SPACES)), max_size=12),
+        st.sampled_from([None, "NFC", "NFD"]),
+    ),
+    st.text(max_size=20),
+)
 
 
 class TestNormalizeTerm:
@@ -79,6 +108,17 @@ class TestTokenize:
         for token in tokenize(text):
             if emoticon_token(token) is None:
                 assert token == token.lower()
+
+    @given(texts)
+    @example("nice :), really")
+    @example("(xd) ;_; Lol...")
+    def test_tokenize_equals_the_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(texts)
+    def test_each_chunk_yields_its_chunk_token(self, text):
+        chunk_tokens = [chunk_token(chunk) for chunk in text.split()]
+        assert tokenize(text) == [token for token in chunk_tokens if token is not None]
 
     @given(st.text(max_size=60))
     @example("love this caf\u00e9")
