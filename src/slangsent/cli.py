@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="propagate strengths over the related-word graph")
     p.add_argument("--graph-from", required=True, type=Path, help="vocabulary file")
-    p.add_argument("--seeds", required=True, type=Path, help="lexicon file")
+    p.add_argument("--seeds", nargs="+", required=True, type=Path,
+                   help="the earlier stages' lexicon files, in stage order")
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--report", type=Path, help="text report path (JSON twin gets .json)")
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("assemble", help="combine stage lexicons with stage precedence")
@@ -192,12 +192,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    vocabulary = load_vocabulary(args.graph_from)
-    seeds = load_lexicon(args.seeds)
-    result = propagate_terms(vocabulary, seeds, args.output)
-    if args.report:
-        json_twin = args.report.with_suffix(args.report.suffix + ".json")
-        write_report(assemble(vocabulary, seeds, result.labeled), args.report, json_twin)
+    stages = [load_lexicon(path) for path in args.seeds]
+    result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
     print(
         f"{len(result.labeled)} labeled in {result.iterations} iterations, "
         f"{len(result.unreached)} unreached -> {args.output}"

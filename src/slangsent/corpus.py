@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import MissingTermError, ParseError
-from .lexicon import Lexicon, LexiconEntry, Stage, clamp_strength, mean_strength
+from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
 from .records import naming, read_records
 from .text import find_occurrences, tokenize
 
@@ -175,7 +175,6 @@ def estimate_all(
         elif not values:
             report.unlabelable.append(term)
         else:
-            strength = clamp_strength(mean_strength(values))
-            entries.append(LexiconEntry(term, strength, Stage.CORPUS_ESTIMATE))
+            entries.append(LexiconEntry(term, mean_strength(values), Stage.CORPUS_ESTIMATE))
             report.estimated += 1
     return Lexicon(entries), report

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Document, read_documents
 from .errors import ParseError
-from .lexicon import Polarity
+from .lexicon import Polarity, enum_member
 from .records import naming, read_lines, write_records
 from .text import chunk_token
 
@@ -132,9 +132,7 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
     with naming(path):
         for number, record, document in read_documents(path):
             label = record.get("label")
-            try:
-                gold = Polarity(label)
-            except ValueError:  # Enum raises it for unhashable values too
-                raise ParseError(f"bad label {label!r}", line=number) from None
+            if (gold := enum_member(Polarity, label)) is None:
+                raise ParseError(f"bad label {label!r}", line=number)
             items.append(LabeledDocument(document, gold))
     return items

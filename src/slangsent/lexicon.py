@@ -20,6 +20,7 @@ from .text import normalize_term
 
 STRENGTH_MIN = -2.0
 STRENGTH_MAX = 2.0
+CLASSES = range(-2, 3)  # the five strength classes, as `classify` returns them
 
 
 class Stage(Enum):
@@ -47,17 +48,16 @@ class Polarity(Enum):
         return cls.NEUTRAL
 
 
-def clamp_strength(value: float) -> float:
-    """Clamp a computed strength onto the scale.
+_MEMBERS = {enum: {member.value: member for member in enum} for enum in (Stage, Polarity)}
 
-    Only guards against float drift in averaging chains; parsed input is
-    rejected instead (see load_lexicon / parse_slangsd).
-    """
-    return min(STRENGTH_MAX, max(STRENGTH_MIN, float(value)))
+
+def enum_member(enum: type[Enum], value: object) -> Enum | None:
+    """The member of `enum` whose value is the string `value`, or None."""
+    return _MEMBERS[enum].get(value) if isinstance(value, str) else None
 
 
 def mean_strength(values: Sequence[float]) -> float:
-    """Arithmetic mean, closed over the inputs' own range.
+    """Arithmetic mean as a float, closed over the inputs' own range.
 
     math.fsum makes the result independent of summation order; the final
     nudge into [min(values), max(values)] removes the one-ulp drift a
@@ -66,7 +66,7 @@ def mean_strength(values: Sequence[float]) -> float:
     bounded and order-free, exactly.
     """
     mean = math.fsum(values) / len(values)
-    return min(max(values), max(min(values), mean))
+    return float(min(max(values), max(min(values), mean)))
 
 
 def classify(strength: float) -> int:
@@ -206,8 +206,7 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
     entries = []
     for term, by_source in per_source.items():
         source_ids = tuple(sorted(by_source))
-        source_means = [mean_strength(by_source[sid]) for sid in source_ids]
-        strength = clamp_strength(mean_strength(source_means))
+        strength = mean_strength([mean_strength(by_source[sid]) for sid in source_ids])
         entries.append(LexiconEntry(term, strength, Stage.SEED_LEXICON, source_ids))
     return Lexicon(entries)
 
@@ -266,7 +265,7 @@ def _slangsd_rows(stream: str | Iterable[str]) -> Iterator[tuple]:
             cls = int(class_text)
         except ValueError:
             raise ParseError(f"bad class {class_text!r}", line=number) from None
-        if cls < -2 or cls > 2:
+        if cls not in CLASSES:
             raise ParseError(f"class {cls} outside -2..2", line=number)
         yield number, term, float(cls), Stage.IMPORTED, ()
 
@@ -316,13 +315,11 @@ def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
             raise ParseError(f"bad term {term!r}", line=number)
         if not isinstance(strength, (int, float)) or isinstance(strength, bool):
             raise ParseError(f"bad strength {strength!r}", line=number)
-        try:
-            stage = Stage(stage)
-        except ValueError:  # Enum raises it for unhashable values too
-            raise ParseError(f"unknown stage {stage!r}", line=number) from None
+        if (member := enum_member(Stage, stage)) is None:
+            raise ParseError(f"unknown stage {stage!r}", line=number)
         if not isinstance(sources, list) or not all(isinstance(source, str) for source in sources):
             raise ParseError(f"bad sources {sources!r}", line=number)
-        yield number, term, float(strength), stage, tuple(sources)
+        yield number, term, float(strength), member, tuple(sources)
 
 
 def _checked_entries(rows: Iterable[tuple]) -> Iterator[LexiconEntry]:

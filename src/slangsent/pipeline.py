@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,17 +111,26 @@ def _typed(value: object, name: str, kind: type):
     return kind(value)
 
 
+def _known_keys(raw: dict, known: tuple[str, ...], what: str) -> list[str]:
+    """The keys of `known` that `raw` has, in that order; any other key is an error."""
+    unknown = sorted(raw.keys() - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {what}; known keys: {', '.join(known)}")
+    return [key for key in known if key in raw]
+
+
 def _parse_scale(raw: object) -> LinearScale:
     if raw is None:
         return LinearScale()
     if not isinstance(raw, dict):
         raise ConfigError(f"scale must be an object, got {raw!r}")
     if "source_range" not in raw:
+        _known_keys(raw, ("factor", "offset"), "a scale without 'source_range'")
         factor, offset = raw.get("factor", 1.0), raw.get("offset", 0.0)
         return LinearScale(_typed(factor, "factor", float), _typed(offset, "offset", float))
-    ranges = []
-    for name, pair in (("source_range", raw["source_range"]),
-                       ("target_range", raw.get("target_range", [-2.0, 2.0]))):
+    ranges = []  # without a 'target_range', from_ranges maps onto the strength scale
+    for name in _known_keys(raw, ("source_range", "target_range"), "a scale with 'source_range'"):
+        pair = raw[name]
         if len(_typed(pair, name, list)) != 2:
             raise ConfigError(f"'{name}' must be a [low, high] pair, got {pair!r}")
         ranges.append(tuple(_typed(value, name, float) for value in pair))
@@ -139,6 +148,7 @@ def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:
     for item in _typed(raw, "seed_lexicons", list):
         if not isinstance(item, dict) or "id" not in item or "path" not in item:
             raise ConfigError(f"seed source needs 'id' and 'path': {item!r}")
+        _known_keys(item, ("id", "path", "scale"), "a seed source")
         source_id = item["id"]
         if not isinstance(source_id, str) or not source_id:
             raise ConfigError(f"seed source 'id' must be a non-empty string, got {source_id!r}")
@@ -162,6 +172,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(raw, ("entries", "seed_lexicons", "corpus", "output_dir", "max_docs",
+                      "sample_seed", "strict"), "the config")
     base, entries = path.parent, raw.get("entries")
     return PipelineConfig(
         entry_files=[_resolve(base, p, "entries") for p in _typed(entries, "entries", list)],
@@ -220,9 +232,10 @@ def estimate_terms(
     return estimates, report
 
 
-def propagate_terms(vocabulary: Vocabulary, seeds: Lexicon, output: Path) -> PropagationResult:
-    """Propagate `seeds` over the vocabulary's related-word graph."""
-    result = propagate(build_graph(vocabulary), seeds)
+def propagate_terms(vocabulary: Vocabulary, stages: Sequence[Lexicon],
+                    output: Path) -> PropagationResult:
+    """Propagate the stages, assembled by precedence, over the related-word graph."""
+    result = propagate(build_graph(vocabulary), assemble(vocabulary, *stages))
     save_lexicon(result.labeled, output)
     log.info("propagation: %d labeled in %d iterations, %d unreached",
              len(result.labeled), result.iterations, len(result.unreached))
@@ -301,8 +314,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         )
     propagated = reuse("propagated", load_lexicon)
     if propagated is None:
-        seeds = assemble(vocabulary, seed, estimates)
-        propagation = propagate_terms(vocabulary, seeds, paths["propagated"])
+        propagation = propagate_terms(vocabulary, (seed, estimates), paths["propagated"])
         propagated = propagation.labeled
 
     final = assemble(vocabulary, seed, estimates, propagated)

@@ -13,7 +13,7 @@ from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
 from .ingest import Vocabulary
-from .lexicon import Lexicon, LexiconEntry, Stage, classify, clamp_strength, mean_strength
+from .lexicon import CLASSES, Lexicon, LexiconEntry, Stage, classify, mean_strength
 
 
 class SynonymGraph:
@@ -110,11 +110,8 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
             labeled.update(fresh)
             frontier = set(fresh)
 
-    delta = Lexicon(
-        LexiconEntry(term, clamp_strength(value), Stage.PROPAGATION)
-        for term, value in labeled.items()
-        if term not in seed_nodes
-    )
+    delta = Lexicon(LexiconEntry(term, value, Stage.PROPAGATION)
+                    for term, value in labeled.items() if term not in seed_nodes)
     unreached = frozenset(graph.nodes - labeled.keys())
     return PropagationResult(labeled=delta, iterations=iterations, unreached=unreached)
 
@@ -131,7 +128,7 @@ class StageReport:
         return {
             "total": self.total,
             "stages": {stage.value: self.by_stage[stage] for stage in Stage},
-            "classes": {str(cls): self.by_class[cls] for cls in range(-2, 3)},
+            "classes": {str(cls): self.by_class[cls] for cls in CLASSES},
         }
 
     def format_text(self, bar_width: int = 40) -> str:
@@ -142,7 +139,7 @@ class StageReport:
         lines.append("")
         lines.append(f"  {'class':>5}  count  histogram")
         peak = max(self.by_class.values(), default=0)
-        for cls in range(-2, 3):
+        for cls in CLASSES:
             count = self.by_class[cls]
             bar = "#" * (round(bar_width * count / peak) if peak else 0)
             lines.append(f"  {cls:>5}  {count:>5}  {bar}")
@@ -151,7 +148,7 @@ class StageReport:
 
 def stage_report(final: Lexicon) -> StageReport:
     by_stage = {stage: 0 for stage in Stage}
-    by_class = {cls: 0 for cls in range(-2, 3)}
+    by_class = {cls: 0 for cls in CLASSES}
     for entry in final.entries():
         by_stage[entry.stage] += 1
         by_class[classify(entry.strength)] += 1

@@ -26,7 +26,6 @@ from slangsent.lexicon import (
     Polarity,
     SeedSource,
     Stage,
-    clamp_strength,
     export_idiom_table,
     export_slangsd,
     merge_seed_lexicons,
@@ -65,6 +64,11 @@ def criterion(number: int, name: str):
         return wrapper
 
     return decorate
+
+
+def _clamp(value):
+    """`value` put on the [-2, 2] strength scale."""
+    return min(2.0, max(-2.0, value))
 
 
 def _entries_for(nodes, values):
@@ -398,7 +402,7 @@ def test_scorer_and_metrics(tmp_path):
     # polarity invariant under uniform positive scaling
     for factor in (0.5, 3.0, 10.0):
         scaled = Lexicon(
-            LexiconEntry(t, clamp_strength(factor * v), Stage.IMPORTED)
+            LexiconEntry(t, _clamp(factor * v), Stage.IMPORTED)
             for t, v in values.items()
         )
         for _, text, _ in docs:

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import gzip
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from slangsent.cli import main
 from slangsent.corpus import FileCorpusProvider, estimate_all
 from slangsent.ingest import load_vocabulary
-from slangsent.lexicon import Lexicon, LexiconEntry, Stage, load_lexicon, save_lexicon
+from slangsent.lexicon import Lexicon, LexiconEntry, Stage, combine, load_lexicon, save_lexicon
 from slangsent.scoring import score_text
 
 from .fixtures import write_golden_fixture
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def lexicon_file(tmp_path, values, name="lex.jsonl"):
@@ -52,9 +57,9 @@ def _run_with(golden, **changes):
     return ["run", "--config", str(golden)]
 
 
-def _run_with_scale(golden, scale):
+def _run_with_source(golden, **changes):
     raw = json.loads(golden.read_text())
-    raw["seed_lexicons"][0]["scale"] = scale
+    raw["seed_lexicons"][0].update(changes)
     return _run_with(golden, seed_lexicons=raw["seed_lexicons"])
 
 
@@ -157,10 +162,10 @@ BAD_INPUTS = [
     ("strict-string", lambda g, t: _run_with(g, strict="false"), 1, "strict"),
     ("entries-string", lambda g, t: _run_with(g, entries="entries.jsonl"), 1, "entries"),
     ("source_range-short",
-     lambda g, t: _run_with_scale(g, {"source_range": [1]}), 1, "source_range"),
+     lambda g, t: _run_with_source(g, scale={"source_range": [1]}), 1, "source_range"),
     ("source_range-degenerate",
-     lambda g, t: _run_with_scale(g, {"source_range": [1, 1]}), 1, "source_range"),
-    ("scale-factor-string", lambda g, t: _run_with_scale(g, {"factor": "x"}), 1, "factor"),
+     lambda g, t: _run_with_source(g, scale={"source_range": [1, 1]}), 1, "source_range"),
+    ("scale-factor-string", lambda g, t: _run_with_source(g, scale={"factor": "x"}), 1, "factor"),
     ("sources-source_range-short",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
@@ -236,7 +241,7 @@ BAD_INPUTS = [
      "line 3: record is not an object"),
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
     ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a path string"),
-    ("scale-string", lambda g, t: _run_with_scale(g, "x"), 1, "scale must be an object"),
+    ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1, "scale must be an object"),
     ("seed_lexicons-without-id",
      lambda g, t: _run_with(g, seed_lexicons=[{"path": "seed_core.tsv"}]), 1,
      "seed source needs 'id' and 'path'"),
@@ -244,6 +249,23 @@ BAD_INPUTS = [
      "seed source needs 'id' and 'path'"),
     ("config-not-object", lambda g, t: _run_with_config_text(g, "[]"), 1,
      "config must be a JSON object"),
+    ("config-unknown-key", lambda g, t: _run_with(g, max_doc=1), 1, "unknown key 'max_doc'"),
+    ("scale-mixes-factor-and-source_range",
+     lambda g, t: _run_with_source(g, scale={"source_range": [-4, 4], "factor": 9.0}), 1,
+     "unknown key 'factor'"),
+    ("scale-unknown-key",
+     lambda g, t: _run_with_source(g, scale={"factor": 2.0, "ofset": 0.0}), 1,
+     "unknown key 'ofset'"),
+    ("scale-target_range-without-source_range",
+     lambda g, t: _run_with_source(g, scale={"target_range": [-1, 1]}), 1,
+     "unknown key 'target_range'"),
+    ("seed_lexicons-unknown-key",
+     lambda g, t: _run_with_source(g, scael={"factor": 2.0}), 1, "unknown key 'scael'"),
+    ("sources-unknown-key", lambda g, t: _seed_with(g, t, scael={"factor": 2.0}), 1,
+     "unknown key 'scael'"),
+    ("sources-scale-mixes-factor-and-source_range",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [-4, 4], "factor": 9.0}), 1,
+     "unknown key 'factor'"),
     ("extend-fetch-dir-is-file",
      lambda g, t: ["extend", "--from", "2023-04-01", "--to", "2023-04-01",
                    "--fetch-dir", str(g), "--output", str(t / "out.jsonl")], 1,
@@ -318,6 +340,19 @@ def test_lenient_skip_is_reported_once_with_its_file(golden, tmp_path, capsys, c
     assert reports[1].startswith(f"skipped: {golden.parent / 'e2.jsonl'}: line 2: bad JSON")
 
 
+def staged_commands(readme: str) -> list[list[str]]:
+    """The argv, less `slangsent`, of each command in the CLI section's
+    stage-by-stage block, with continuation lines joined and the
+    `[--strict|--lenient]` alternative dropped."""
+    cli = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^Stage-by-stage equivalents.*?^```sh\n(.*?)^```", cli,
+                      re.MULTILINE | re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").replace("[--strict|--lenient]", "").splitlines()
+    commands = [shlex.split(line) for line in lines]
+    assert all(argv[0] == "slangsent" for argv in commands), commands
+    return [argv[1:] for argv in commands]
+
+
 class TestStageCommands:
     def test_ingest_estimate_propagate_assemble_export(self, golden, tmp_path, capsys):
         fixture_dir = golden.parent
@@ -340,19 +375,9 @@ class TestStageCommands:
                      "--sample-seed", "7", "--output", str(estimates),
                      "--report", str(tmp_path / "est.json")]) == 0
 
-        stage12 = tmp_path / "stage12.jsonl"
-        seed_lex = load_lexicon(seed)
-        from slangsent.lexicon import combine
-        save_lexicon(
-            combine(seed_lex.restricted(load_vocabulary(vocab).keys()), load_lexicon(estimates)),
-            stage12,
-        )
         propagated = tmp_path / "propagated.jsonl"
-        assert main(["propagate", "--graph-from", str(vocab), "--seeds", str(stage12),
-                     "--output", str(propagated),
-                     "--report", str(tmp_path / "prop.txt")]) == 0
-        assert (tmp_path / "prop.txt").exists()
-        assert (tmp_path / "prop.txt.json").exists()
+        assert main(["propagate", "--graph-from", str(vocab), "--seeds", str(seed), str(estimates),
+                     "--output", str(propagated)]) == 0
 
         final = tmp_path / "final.jsonl"
         assert main(["assemble", "--vocabulary", str(vocab), "--seed", str(seed),
@@ -369,6 +394,51 @@ class TestStageCommands:
         result = run_pipeline(load_config(golden))
         assert slangsd.read_bytes() == result.paths["slangsd"].read_bytes()
         assert idioms.read_bytes() == result.paths["idiom_table"].read_bytes()
+
+    def test_readme_staged_block_reproduces_run(self, golden, monkeypatch, capsys):
+        fixture_dir = golden.parent
+        config = json.loads(golden.read_text())
+        (fixture_dir / "sources.json").write_text(json.dumps(config["seed_lexicons"]))
+        monkeypatch.chdir(fixture_dir)
+        commands = staged_commands(README.read_text(encoding="utf-8"))
+        assert commands[-1][0] == "report"
+        for argv in commands:
+            assert main(argv) == 0, argv
+
+        assert main(["run", "--config", str(golden)]) == 0
+        out = fixture_dir / config["output_dir"]
+        for staged, ran in [("slangsd.txt", "slangsd.txt"), ("idioms.txt", "idiom_additions.txt"),
+                            ("final.jsonl", "final_lexicon.jsonl"),
+                            ("report.json", "stage_report.json")]:
+            assert (fixture_dir / staged).read_bytes() == (out / ran).read_bytes(), staged
+
+    def test_staged_block_reader(self):
+        readme = (
+            "## CLI\n\nStage-by-stage equivalents (same):\n\n```sh\n"
+            "slangsent ingest --input a.jsonl [--strict|--lenient]\n"
+            "slangsent propagate --seeds s.jsonl \\\n    e.jsonl --output 'p q.jsonl'\n```\n\n"
+            "```sh\nslangsent later\n```\n\n## Library\n"
+        )
+        assert staged_commands(readme) == [
+            ["ingest", "--input", "a.jsonl"],
+            ["propagate", "--seeds", "s.jsonl", "e.jsonl", "--output", "p q.jsonl"],
+        ]
+
+    def test_propagate_reads_one_preassembled_seed_file_as_two_stage_files(
+        self, golden, tmp_path, capsys
+    ):
+        assert main(["run", "--config", str(golden)]) == 0
+        out = golden.parent / "out"
+        vocabulary, seed, estimates = (
+            out / name for name in ("vocabulary.jsonl", "seed_lexicon.jsonl",
+                                    "corpus_estimates.jsonl"))
+        assembled = tmp_path / "assembled.jsonl"
+        save_lexicon(combine(load_lexicon(seed), load_lexicon(estimates)), assembled)
+        for name, seeds in (("one.jsonl", [assembled]), ("two.jsonl", [seed, estimates])):
+            assert main(["propagate", "--graph-from", str(vocabulary), "--seeds", *map(str, seeds),
+                         "--output", str(tmp_path / name)]) == 0
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "two.jsonl").read_bytes()
+        assert (tmp_path / "two.jsonl").read_bytes() == (out / "propagated.jsonl").read_bytes()
 
     def test_estimate_samples_max_docs_documents(self, golden, tmp_path, capsys):
         vocabulary, corpus = tmp_path / "vocabulary.jsonl", golden.parent / "corpus.jsonl"

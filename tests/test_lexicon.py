@@ -16,13 +16,13 @@ from slangsent.lexicon import (
     Polarity,
     SeedSource,
     Stage,
-    clamp_strength,
     classify,
     combine,
     export_idiom_table,
     export_slangsd,
     load_lexicon,
     load_seed_values,
+    mean_strength,
     merge_seed_lexicons,
     parse_slangsd,
     save_lexicon,
@@ -52,10 +52,14 @@ class TestClassify:
 
 
 class TestStrengthHelpers:
-    def test_clamp(self):
-        assert clamp_strength(2.5) == 2.0
-        assert clamp_strength(-9) == -2.0
-        assert clamp_strength(0.25) == 0.25
+    @given(st.data())
+    def test_mean_strength_is_an_order_free_float_within_its_inputs(self, data):
+        # ints up to 2**53 are exact as floats; the bound keeps fsum from overflowing
+        numbers = st.integers(-2**53, 2**53) | st.floats(-1e300, 1e300)
+        values = data.draw(st.lists(numbers, min_size=1, max_size=50))
+        mean = mean_strength(values)
+        assert type(mean) is float and min(values) <= mean <= max(values)
+        assert mean_strength(data.draw(st.permutations(values))) == mean
 
     def test_polarity_from_value(self):
         assert Polarity.from_value(0.1) is Polarity.POSITIVE

@@ -12,7 +12,7 @@ import slangsent.scoring
 from slangsent.corpus import Document
 from slangsent.distant import LabeledDocument
 from slangsent.errors import DataError
-from slangsent.lexicon import Lexicon, LexiconEntry, Polarity, Stage, clamp_strength
+from slangsent.lexicon import Lexicon, LexiconEntry, Polarity, Stage
 from slangsent.scoring import (
     EvalSubset,
     PhraseMatcher,
@@ -26,6 +26,11 @@ from .oracles import brute_longest_match, brute_metrics
 
 def lexicon(values):
     return Lexicon(LexiconEntry(t, s, Stage.IMPORTED) for t, s in values.items())
+
+
+def _clamp(value):
+    """`value` put on the [-2, 2] strength scale."""
+    return min(2.0, max(-2.0, value))
 
 
 def labeled(text, gold, id="d"):
@@ -260,7 +265,7 @@ class TestEvaluate:
         ]
         base_report = evaluate(corpus, lexicon(base_values))
         for factor in (0.5, 3.0, 10.0):
-            scaled = lexicon({t: clamp_strength(factor * v) for t, v in base_values.items()})
+            scaled = lexicon({t: _clamp(factor * v) for t, v in base_values.items()})
             for item in corpus:
                 assert (
                     score_text(item.document.text, scaled).polarity
