@@ -80,17 +80,22 @@ class FileCorpusProvider:
         return len(self._documents)
 
     def query(self, term: str, max_docs: int) -> list[Document]:
+        words = term.split(" ")
         candidates: set[int] | None = None
-        for token in term.split(" "):
-            positions = self._index.get(token)
+        for word in words:
+            positions = self._index.get(word)
             if positions is None:
                 return []
             candidates = positions if candidates is None else candidates & positions
-        matching = [
-            position
-            for position in sorted(candidates or ())
-            if find_occurrences(self._documents[position].tokens, term)
-        ]
+        matching = sorted(candidates or ())
+        # The index holds the documents of each token, so a one-word term's
+        # candidates all match; a phrase's words may lie apart.
+        if len(words) > 1:
+            matching = [
+                position
+                for position in matching
+                if find_occurrences(self._documents[position].tokens, term)
+            ]
         if len(matching) > max_docs:
             rng = random.Random(f"{self._sample_seed}:{term}")
             matching = sorted(rng.sample(matching, max_docs))
@@ -108,19 +113,18 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
     spans = find_occurrences(doc.tokens, term)
     if not spans:
         raise MissingTermError(f"term {term!r} not in document {doc.id!r}")
-    in_span = {i for start, end in spans for i in range(start, end + 1)}
-
+    get = seed.get
     best_gap: int | None = None
     best_values: list[float] = []
     for index, token in enumerate(doc.tokens):
-        if index in in_span:
-            continue
-        entry = seed.get(token)
+        entry = get(token)
         if entry is None:
             continue
         gap = min(
             start - index if index < start else index - end for start, end in spans
         )
+        if gap <= 0:  # inside an occurrence; every token outside one has a gap >= 1
+            continue
         if best_gap is None or gap < best_gap:
             best_gap, best_values = gap, [entry.strength]
         elif gap == best_gap:

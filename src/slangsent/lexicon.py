@@ -160,12 +160,17 @@ class LinearScale:
     @classmethod
     def from_ranges(
         cls,
-        source: tuple[float, float],
-        target: tuple[float, float] = (STRENGTH_MIN, STRENGTH_MAX),
+        source_range: tuple[float, float],
+        target_range: tuple[float, float] = (STRENGTH_MIN, STRENGTH_MAX),
     ) -> LinearScale:
-        (lo, hi), (target_lo, target_hi) = source, target
+        """The map taking `source_range` onto `target_range`, which must lie
+        within the strength scale. Raises ValueError naming the bad range."""
+        (lo, hi), (target_lo, target_hi) = source_range, target_range
         if hi == lo:
-            raise ValueError("degenerate source range")
+            raise ValueError(f"'source_range' {list(source_range)} is degenerate")
+        if not all(STRENGTH_MIN <= end <= STRENGTH_MAX for end in target_range):
+            raise ValueError(f"'target_range' {list(target_range)} reaches outside the "
+                             f"strength scale [{STRENGTH_MIN}, {STRENGTH_MAX}]")
         factor = (target_hi - target_lo) / (hi - lo)
         return cls(factor=factor, offset=target_lo - factor * lo)
 

@@ -137,7 +137,7 @@ def _parse_scale(raw: object) -> LinearScale:
     try:
         return LinearScale.from_ranges(*ranges)
     except ValueError as exc:
-        raise ConfigError(f"bad 'source_range' {raw['source_range']!r}: {exc}") from None
+        raise ConfigError(f"bad scale: {exc}") from None
 
 
 def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:

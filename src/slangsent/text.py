@@ -8,6 +8,7 @@ lexicon matching can see them.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from collections.abc import Sequence
@@ -68,6 +69,10 @@ def emoticon_token(chunk: str) -> str | None:
     return None
 
 
+# Short text repeats its chunks, so each distinct chunk is tokenized once per
+# process. The bound keeps a long tail of one-off chunks from growing the memo
+# without limit; the memo also hands out one shared string per token.
+@functools.lru_cache(maxsize=1 << 14)
 def _token(chunk: str) -> str | None:
     return emoticon_token(chunk) or _EDGE_RE.sub("", chunk).lower() or None
 
@@ -98,6 +103,8 @@ def find_occurrences(tokens: Sequence[str], term: str) -> list[tuple[int, int]]:
     """
     pattern = term.split(" ")
     width = len(pattern)
+    if width == 1:
+        return [(i, i) for i, token in enumerate(tokens) if token == term]
     spans: list[tuple[int, int]] = []
     i = 0
     limit = len(tokens) - width

@@ -170,6 +170,12 @@ BAD_INPUTS = [
      lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1, 1]}), 1, "source_range"),
+    ("scale-target_range-outside-the-strength-scale",
+     lambda g, t: _run_with_source(g, scale={"source_range": [-2, 2], "target_range": [-4, 4]}),
+     1, "'target_range' [-4.0, 4.0] reaches outside the strength scale"),
+    ("sources-scale-target_range-outside-the-strength-scale",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [-2, 2], "target_range": [-4, 4]}),
+     1, "'target_range' [-4.0, 4.0] reaches outside the strength scale"),
     ("sources-missing-seed-file", lambda g, t: _seed_with(g, t, path="nope.tsv"), 1, "nope.tsv"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slangsent.corpus import (
     DEFAULT_MAX_DOCS,
@@ -15,7 +18,7 @@ from slangsent.corpus import (
 from slangsent.errors import MissingTermError
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage
 
-from .oracles import brute_document_strength, brute_estimate
+from .oracles import brute_document_strength, brute_estimate, brute_spans
 
 
 def seed_lexicon(values):
@@ -50,6 +53,10 @@ class TestDocument:
     def test_tokens_derived_from_text(self):
         d = Document.from_text("1", "Great day :)")
         assert d.tokens == ("great", "day", ":)")
+
+
+# Terms and documents over a few words, some of them seed words.
+_WORDS = ["a", "b", "good", "bad"]
 
 
 class TestDocumentStrength:
@@ -99,6 +106,22 @@ class TestDocumentStrength:
             got = document_strength(doc(*tokens), "lol", seed)
             expected = brute_document_strength(tokens, "lol", seed_values)
             assert got == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.lists(st.sampled_from(_WORDS), max_size=8),
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+        st.lists(st.sampled_from(_WORDS), max_size=8),
+        st.dictionaries(st.sampled_from(_WORDS), st.sampled_from([-2.0, -1.0, -0.5, 0.5, 2.0])),
+    )
+    @example(["a"], ["good", "a"], ["good"], {"good": 2.0, "a": -1.0})
+    def test_phrases_and_seed_words_in_a_span_match_the_oracle(
+        self, before, term_words, after, seed_values
+    ):
+        tokens = before + term_words + after
+        term = " ".join(term_words)
+        got = document_strength(doc(*tokens), term, seed_lexicon(seed_values))
+        expected = brute_document_strength(tokens, term, seed_values)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_sign_symmetry(self):
         rng = random.Random(9)
@@ -251,3 +274,28 @@ class TestFileCorpusProvider:
     def test_unknown_term_yields_nothing(self, tmp_path):
         provider = FileCorpusProvider(self._write(tmp_path, ["hello world"]))
         assert provider.query("zzz", 10) == []
+
+    def test_query_equals_a_brute_force_provider(self, tmp_path):
+        rng = random.Random(5)
+        words = ["a", "b", "c", "d"]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 8))) for _ in range(60)]
+        path = self._write(tmp_path, texts)
+        token_lists = [text.split() for text in texts]
+        providers = {seed: FileCorpusProvider(path, sample_seed=seed) for seed in (0, 7)}
+        apart = 0  # documents holding all of a term's words, but not the term
+        for width in (1, 2, 3):
+            for term_words in itertools.product(words + ["e"], repeat=width):
+                term = " ".join(term_words)
+                matching = [position for position, tokens in enumerate(token_lists)
+                            if brute_spans(tokens, term_words)]
+                apart += sum(set(term_words) <= set(tokens) for tokens in token_lists)
+                apart -= len(matching)
+                for sample_seed, provider in providers.items():
+                    for max_docs in (1, 5, 150):
+                        expected = matching
+                        if len(matching) > max_docs:
+                            sampler = random.Random(f"{sample_seed}:{term}")
+                            expected = sorted(sampler.sample(matching, max_docs))
+                        got = provider.query(term, max_docs)
+                        assert [d.id for d in got] == [str(p) for p in expected], (term, max_docs)
+        assert apart > 0

@@ -10,7 +10,7 @@ from slangsent.distant import default_emoticons
 from slangsent.errors import NormalizationError
 from slangsent.text import chunk_token, emoticon_token, find_occurrences, normalize_term, tokenize
 
-from .oracles import reference_tokenize
+from .oracles import brute_spans, reference_tokenize
 
 # Chunk cores: words (with inner apostrophes, hyphens, digits and non-ASCII
 # letters, some decomposed), the default emoticons, and near-emoticons.
@@ -23,6 +23,11 @@ _EDGES = ["", "", ".", ",", "!", "?", ";", '"', "'", "`", "\u2026", "\u201c", "\
           "\u2018", "\u2019", "(", ")", "[", "]", "<", ">", "-", "_", "*", "/", "...", '"(']
 _CASES = [str, str.upper, str.lower, str.swapcase, str.title]
 _SPACES = [" ", " ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2000"]
+# Tokens and terms of 1-3 words over three words, so that repeats, adjacent
+# matches and overlapping candidates occur.
+_ABC = st.sampled_from(["a", "b", "c"])
+abc_terms = st.lists(_ABC, min_size=1, max_size=3).map(" ".join)
+abc_tokens = st.lists(_ABC, max_size=14)
 
 chunks = st.builds(
     lambda before, case, core, after: before + case(core) + after,
@@ -145,3 +150,9 @@ class TestFindOccurrences:
 
     def test_term_longer_than_tokens(self):
         assert find_occurrences(["a"], "a b") == []
+
+    @given(abc_tokens, abc_terms)
+    @example(["a", "a", "a"], "a")
+    @example(["a", "b", "a", "b", "a"], "a b a")
+    def test_equals_the_oracle(self, tokens, term):
+        assert find_occurrences(tokens, term) == brute_spans(tokens, term.split(" "))
