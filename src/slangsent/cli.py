@@ -20,7 +20,7 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, SlangSentError
-from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, serialize_entry
+from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, parse_day, serialize_entry
 from .lexicon import load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _date_arg(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return parse_day(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from None
 

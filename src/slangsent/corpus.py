@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .errors import MissingTermError, ParseError
+from .errors import MissingTermError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
-from .records import naming, read_records
+from .records import naming, read_records, value_of
 from .text import find_occurrences, tokenize
 
 log = logging.getLogger(__name__)
@@ -48,9 +48,7 @@ def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
     """Line number, JSON object and document of each non-blank line of a
     corpus file; every object needs string "id" and "text"."""
     for number, record in read_records(path):
-        doc_id, text = record.get("id"), record.get("text")
-        if not isinstance(doc_id, str) or not isinstance(text, str):
-            raise ParseError("record needs string 'id' and 'text'", line=number)
+        doc_id, text = value_of(record, "id", str, number), value_of(record, "text", str, number)
         yield number, record, Document.from_text(doc_id, text)
 
 

@@ -8,17 +8,14 @@ related-word lists are the only entry content the sentiment stages trust.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import NormalizationError, ParseError
-from .records import naming, parse_record, read_lines, record_lines, write_records
+from .records import naming, parse_record, read_lines, record_lines, value_of, write_records
 from .text import normalize_term
-
-log = logging.getLogger(__name__)
 
 Vocabulary = dict[str, "SlangEntry"]
 
@@ -65,65 +62,50 @@ def parse_entries(
 
 def _parse_record(raw: str, number: int) -> SlangEntry:
     record = parse_record(raw, number)
-    term = record.get("term")
-    if not isinstance(term, str):
-        raise ParseError("missing or non-string 'term'", line=number)
+    term = value_of(record, "term", str, number)
     try:
         normalize_term(term)
     except NormalizationError:
         raise ParseError(f"term {term!r} normalizes to nothing", line=number) from None
 
-    meanings = _string_list(record, "meanings", number)
-    examples = _string_list(record, "examples", number)
+    meanings = value_of(record, "meanings", list, number)
     if not meanings:
         raise ParseError("entry must have at least one meaning", line=number)
+    examples = value_of(record, "examples", list, number)
     if not examples:
         raise ParseError("entry must have at least one example", line=number)
 
-    related = _string_list(record, "related_terms", number, default=())
-    upvotes = _vote(record, "upvotes", number)
-    downvotes = _vote(record, "downvotes", number)
+    related = value_of(record, "related_terms", list, number, ())
+    upvotes = value_of(record, "upvotes", int, number, 0)
+    downvotes = value_of(record, "downvotes", int, number, 0)
+    if upvotes < 0 or downvotes < 0:
+        key = "upvotes" if upvotes < 0 else "downvotes"
+        raise ParseError(f"'{key}' must be non-negative", line=number)
 
-    created = None
-    if record.get("created_date") is not None:
-        try:
-            created = date.fromisoformat(record["created_date"])
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"bad created_date {record['created_date']!r}", line=number
-            ) from None
+    day = value_of(record, "created_date", str, number, None)
+    try:
+        created = None if day is None else parse_day(day)
+    except ValueError:
+        raise ParseError(f"'created_date' must be YYYY-MM-DD, got {day!r}", line=number) from None
 
     return SlangEntry(
         term=term,
-        meanings=meanings,
-        examples=examples,
-        related_terms=related,
+        meanings=tuple(meanings),
+        examples=tuple(examples),
+        related_terms=tuple(related),
         upvotes=upvotes,
         downvotes=downvotes,
         created_date=created,
     )
 
 
-def _string_list(
-    record: dict, key: str, number: int, default: tuple[str, ...] | None = None
-) -> tuple[str, ...]:
-    value = record.get(key)
-    if value is None:
-        if default is not None:
-            return default
-        raise ParseError(f"missing '{key}'", line=number)
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ParseError(f"'{key}' must be a list of strings", line=number)
-    return tuple(value)
-
-
-def _vote(record: dict, key: str, number: int) -> int:
-    value = record.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"'{key}' must be an integer", line=number)
-    if value < 0:
-        raise ParseError(f"'{key}' must be non-negative", line=number)
-    return value
+def parse_day(text: str) -> date:
+    """The day `text` names as YYYY-MM-DD, the one date form every input
+    uses; any other form, or a day that does not exist, is a ValueError."""
+    day = date.fromisoformat(text)  # which, from Python 3.11 on, reads other ISO forms too
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
 
 
 def serialize_entry(entry: SlangEntry) -> dict[str, object]:
@@ -237,7 +219,6 @@ def fetch_new_entries(
             entries.extend(parse_entries(payload.splitlines()))
         except Exception as exc:
             report.failures.append(FetchFailure(day, str(exc)))
-            log.warning("fetch failed for %s: %s", day, exc)
             continue
         report.succeeded += 1
     return entries, report

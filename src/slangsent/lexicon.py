@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DataError, NormalizationError, ParseError
-from .records import naming, read_lines, read_records, write_records
+from .records import naming, read_lines, read_records, value_of, write_records
 from .text import normalize_term
 
 STRENGTH_MIN = -2.0
@@ -311,19 +311,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
     for number, record in read_records(path):
-        try:
-            term, strength, stage = record["term"], record["strength"], record["stage"]
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line=number) from None
-        sources = record.get("sources", [])
-        if not isinstance(term, str):
-            raise ParseError(f"bad term {term!r}", line=number)
-        if not isinstance(strength, (int, float)) or isinstance(strength, bool):
-            raise ParseError(f"bad strength {strength!r}", line=number)
+        term = value_of(record, "term", str, number)
+        strength = value_of(record, "strength", float, number)
+        stage = value_of(record, "stage", str, number)
         if (member := enum_member(Stage, stage)) is None:
             raise ParseError(f"unknown stage {stage!r}", line=number)
-        if not isinstance(sources, list) or not all(isinstance(source, str) for source in sources):
-            raise ParseError(f"bad sources {sources!r}", line=number)
+        sources = value_of(record, "sources", list, number, ())
         yield number, term, float(strength), member, tuple(sources)
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .ingest import Vocabulary
 from .lexicon import CLASSES, Lexicon, LexiconEntry, Stage, classify, mean_strength
 
+_BAR_WIDTH = 40  # characters in the stage report's bar for its most frequent class
+
 
 class SynonymGraph:
     """Undirected graph over vocabulary terms. A plain record: the caller
@@ -131,7 +133,7 @@ class StageReport:
             "classes": {str(cls): self.by_class[cls] for cls in CLASSES},
         }
 
-    def format_text(self, bar_width: int = 40) -> str:
+    def format_text(self) -> str:
         lines = ["lexicon stage report", f"  total entries: {self.total}", ""]
         lines.append(f"  {'stage':<16} count")
         for stage in Stage:
@@ -141,7 +143,7 @@ class StageReport:
         peak = max(self.by_class.values(), default=0)
         for cls in CLASSES:
             count = self.by_class[cls]
-            bar = "#" * (round(bar_width * count / peak) if peak else 0)
+            bar = "#" * (round(_BAR_WIDTH * count / peak) if peak else 0)
             lines.append(f"  {cls:>5}  {count:>5}  {bar}")
         return "\n".join(lines) + "\n"
 

@@ -1,7 +1,7 @@
 """Record files: one JSON object per line, UTF-8, LF, keys sorted. Readers
 accept gzip, skip blank lines and name the file and line of a malformed
-record. Every output file is written beside its target and renamed over it,
-atomically."""
+record, and take every field through `value_of`. Every output file is
+written beside its target and renamed over it, atomically."""
 
 from __future__ import annotations
 
@@ -63,6 +63,27 @@ def parse_record(raw: str, number: int) -> dict:
     return record
 
 
+REQUIRED = object()  # the default of a field that must be present
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list of strings"}
+
+
+def value_of(record: dict, key: str, kind: type, line: int, default: object = REQUIRED):
+    """`record[key]` checked to be a `kind`: str, int, float or list (of
+    strings). An absent or null field takes `default`; without one, or of
+    another kind, it is a ParseError naming the line and the key."""
+    value = record.get(key)
+    # Types match exactly, as json.loads makes them: a float field takes an
+    # int, and a bool, whose type is not int, is no number.
+    if type(value) is kind or kind is float and type(value) is int:
+        if kind is not list or all(type(item) is str for item in value):
+            return value
+    elif value is None:
+        if default is REQUIRED:
+            raise ParseError(f"missing field '{key}'", line=line)
+        return default
+    raise ParseError(f"'{key}' must be {_KIND_NAMES[kind]}, got {value!r}", line=line)
+
+
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Line number and JSON object of each non-blank line of a record file."""
     for number, raw in record_lines(read_lines(path)):
@@ -77,8 +98,10 @@ def _write(path: str | Path, chunks: Iterable[str]) -> None:
         with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temporary):
+            exc.filename, exc.filename2 = str(path), None  # name the target, not the temporary
         raise
 
 

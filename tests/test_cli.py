@@ -210,7 +210,7 @@ BAD_INPUTS = [
     ("seed-tsv-not-utf8", _seed_with_latin1_tsv, 2, "latin1.tsv"),
     ("seed-tsv-repeated-term", _seed_with_repeated_term, 2, "line 2: duplicate term 'good'"),
     ("estimate-corpus-bad-record", lambda g, t: _estimate_with_bad_corpus_record(t), 2,
-     "corpus.jsonl: line 2: record needs string 'id' and 'text'"),
+     "corpus.jsonl: line 2: 'id' must be a string, got 2"),
     ("seed-tsv-repeated-term-names-file", _seed_with_repeated_term, 2,
      "repeat.tsv: line 2: duplicate term 'good'"),
     ("emoticons-empty-section-names-file",
@@ -222,7 +222,7 @@ BAD_INPUTS = [
     ("evaluate-label-list", lambda g, t: _evaluate_with_label(t, ["positive"]), 2,
      "labeled.jsonl: line 1: bad label ['positive']"),
     ("entries-term-number", lambda g, t: _ingest_record(t, term=5), 2,
-     "entries.jsonl: line 1: missing or non-string 'term'"),
+     "entries.jsonl: line 1: 'term' must be a string, got 5"),
     ("entries-term-blank", lambda g, t: _ingest_record(t, term=" \t"), 2,
      "line 1: term ' \\t' normalizes to nothing"),
     ("entries-meanings-empty", lambda g, t: _ingest_record(t, meanings=[]), 2,
@@ -231,6 +231,11 @@ BAD_INPUTS = [
      "line 1: 'related_terms' must be a list of strings"),
     ("entries-upvotes-float", lambda g, t: _ingest_record(t, upvotes=1.5), 2,
      "line 1: 'upvotes' must be an integer"),
+    ("entries-created_date-basic-format", lambda g, t: _ingest_record(t, created_date="20230401"),
+     2, "line 1: 'created_date' must be YYYY-MM-DD, got '20230401'"),
+    ("ingest-output-directory-missing",
+     lambda g, t: _ingest_record(t)[:-1] + [str(t / "nodir" / "v.jsonl")], 2,
+     "nodir/v.jsonl'"),
     ("seed-tsv-no-tab", lambda g, t: _seed_with_tsv(g, t, "good 1\n"), 2,
      "bad.tsv: line 1: expected 'term<TAB>value'"),
     ("seed-tsv-two-tabs", lambda g, t: _seed_with_tsv(g, t, "good\t1\n\nbad\t-1\t2\n"), 2,
@@ -241,7 +246,7 @@ BAD_INPUTS = [
     ("report-lexicon-strength-string",
      lambda g, t: _report_on_lexicon(
          t, lambda data: data.replace(b'"strength": 1.0', b'"strength": "1.0"')),
-     2, "line 1: bad strength '1.0'"),
+     2, "line 1: 'strength' must be a number, got '1.0'"),
     ("report-lexicon-record-not-object",
      lambda g, t: _report_on_lexicon(t, lambda data: data + b"[1]\n"), 2,
      "line 3: record is not an object"),
@@ -276,6 +281,10 @@ BAD_INPUTS = [
      lambda g, t: ["extend", "--from", "2023-04-01", "--to", "2023-04-01",
                    "--fetch-dir", str(g), "--output", str(t / "out.jsonl")], 1,
      "not a directory"),
+    ("extend-from-basic-format",
+     lambda g, t: ["extend", "--from", "20230401", "--to", "2023-04-01",
+                   "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
+     "argument --from: not a YYYY-MM-DD date: '20230401'"),
 ]
 
 
@@ -569,6 +578,15 @@ class TestExtendCommand:
         captured = capsys.readouterr()
         assert "1 entries from 1/2 days" in captured.out
         assert "2023-04-02" in captured.err
+
+    def test_fetch_failure_is_reported_once(self, tmp_path, capsys, caplog):
+        assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
+                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 0
+        reports = [line for line in capsys.readouterr().err.splitlines() if "2023-04-01" in line]
+        reports += [record.getMessage() for record in caplog.records
+                    if "2023-04-01" in record.getMessage()]
+        assert reports == [f"fetch failed for 2023-04-01: no record file for 2023-04-01 "
+                           f"under {tmp_path}"]
 
     def test_bad_date_is_usage_error(self, tmp_path, capsys):
         assert main(["extend", "--from", "yesterday", "--to", "2023-04-02",

@@ -15,6 +15,7 @@ from slangsent.ingest import (
     extension_url,
     fetch_new_entries,
     load_vocabulary,
+    parse_day,
     parse_entries,
     save_vocabulary,
     serialize_entry,
@@ -69,6 +70,11 @@ class TestParseEntries:
         with pytest.raises(ParseError):
             parse_entries([record(created_date="not a date")])
 
+    def test_null_counts_as_absent(self):
+        entry = parse_entries([record(related_terms=None, upvotes=None, created_date=None)])[0]
+        assert (entry.related_terms, entry.upvotes, entry.created_date) == ((), 0, None)
+
+
     def test_bad_json_line_number(self):
         with pytest.raises(ParseError) as exc:
             parse_entries([record(), "{oops"])
@@ -92,6 +98,20 @@ class TestParseEntries:
         )
         write_records(tmp_path / "entries.jsonl", map(serialize_entry, entries))
         assert parse_entries(read_lines(tmp_path / "entries.jsonl")) == entries
+
+
+class TestParseDay:
+    def test_reads_yyyy_mm_dd(self):
+        assert parse_day("2016-07-14") == date(2016, 7, 14)
+        assert parse_day("0999-12-31") == date(999, 12, 31)
+
+    @pytest.mark.parametrize("text", [
+        "20230401", "2023-W13-6", "2023-091", "2023-4-1", "2023-04-01T00:00", " 2023-04-01",
+        "2023-02-29", "2023-13-01", "２０２３-04-01", "",
+    ])
+    def test_every_other_form_is_rejected_on_every_python(self, text):
+        with pytest.raises(ValueError):
+            parse_day(text)
 
 
 class TestBuildVocabulary:

@@ -271,6 +271,14 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_lexicon(path)
 
+    def test_null_sources_count_as_absent(self, tmp_path):
+        path = tmp_path / "lex.jsonl"
+        path.write_text('{"term": "lol", "strength": 1.0, "stage": "imported", "sources": null}\n')
+        assert load_lexicon(path)["lol"].sources == ()
+        path.write_text('{"term": "lol", "strength": 1, "stage": "seed_lexicon", "sources": null}\n')
+        with pytest.raises(ParseError, match=r"line 1: sources \[\] do not fit stage seed_lexicon"):
+            load_lexicon(path)
+
     def test_interrupted_save_keeps_previous_file(self, tmp_path):
         class Interrupted(Lexicon):
             def entries(self):

@@ -6,14 +6,21 @@ the atomic write; this test names each such call. A second guard keeps term
 normalization where outside data enters the package, a third keeps the
 scorer's matcher compiled in one place, once per lexicon, a fourth keeps
 an exception class only where some caller handles it apart from its family,
-and a fifth keeps text tokenized only where raw text becomes tokens."""
+and a fifth keeps text tokenized only where raw text becomes tokens.
+
+The last table checks the one field rule, `records.value_of`, through the
+CLI for every typed field of every record reader."""
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
+import pytest
+
 import slangsent
+from slangsent.cli import main
 
 PACKAGE = Path(slangsent.__file__).resolve().parent
 FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
@@ -270,3 +277,87 @@ def test_error_guard_follows_subclasses_and_except_tuples():
         "Unused: never raised",
         "Uncaught: never caught by name",
     ]
+
+
+# --- the field rule, for every reader and every typed field ------------------
+
+
+def _lexicon_file(path: Path) -> Path:
+    record = {"term": "a", "strength": 1.0, "stage": "imported", "sources": []}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+# reader: (the good record on line 1, a good record with every typed field,
+# which each case changes on line 2, and the argv that reads the file)
+READERS = {
+    "entries": (
+        {"term": "a", "meanings": ["m"], "examples": ["x"]},
+        {"term": "b", "meanings": ["m"], "examples": ["x"], "related_terms": ["a"],
+         "upvotes": 1, "downvotes": 0, "created_date": "2023-04-01"},
+        lambda path: ["ingest", "--input", str(path), "--output", str(path.with_name("v.jsonl"))],
+    ),
+    "lexicon": (
+        {"term": "a", "strength": -1.0, "stage": "imported"},
+        {"term": "b", "strength": 1, "stage": "imported", "sources": []},
+        lambda path: ["report", "--lexicon", str(path)],
+    ),
+    "corpus": (
+        {"id": "1", "text": "a"},
+        {"id": "2", "text": "b"},
+        lambda path: ["score", "--lexicon", str(_lexicon_file(path.with_name("lex.jsonl"))),
+                      "--corpus", str(path)],
+    ),
+}
+# (reader, key, the kind its errors name, whether it is required)
+FIELDS = [
+    ("entries", "term", "a string", True),
+    ("entries", "meanings", "a list of strings", True),
+    ("entries", "examples", "a list of strings", True),
+    ("entries", "related_terms", "a list of strings", False),
+    ("entries", "upvotes", "an integer", False),
+    ("entries", "downvotes", "an integer", False),
+    ("entries", "created_date", "a string", False),
+    ("lexicon", "term", "a string", True),
+    ("lexicon", "strength", "a number", True),
+    ("lexicon", "stage", "a string", True),
+    ("lexicon", "sources", "a list of strings", False),
+    ("corpus", "id", "a string", True),
+    ("corpus", "text", "a string", True),
+]
+# Values of another kind: a bool is no number, and a list holds strings only.
+WRONG = {
+    "a string": [5, ["b"]],
+    "an integer": [1.5, True, "1"],
+    "a number": ["1.0", True],
+    "a list of strings": ["m", [1]],
+}
+ABSENT = object()
+
+
+def _field_cases():
+    for reader, key, kind, required in FIELDS:
+        for value, case in ((ABSENT, "absent"), (None, "null")):
+            expected = f"missing field '{key}'" if required else None
+            yield pytest.param(reader, key, value, expected, id=f"{reader}-{key}-{case}")
+        for value in WRONG[kind]:
+            yield pytest.param(reader, key, value, f"'{key}' must be {kind}, got {value!r}",
+                               id=f"{reader}-{key}-{json.dumps(value)}")
+
+
+@pytest.mark.parametrize("reader, key, value, expected", _field_cases())
+def test_each_field_follows_the_one_rule(tmp_path, capsys, reader, key, value, expected):
+    """A bad field ends in one error line naming the file, the line and the
+    key; an optional field may be absent or null."""
+    first, second, argv = READERS[reader]
+    case = {k: v for k, v in second.items() if k != key}
+    if value is not ABSENT:
+        case[key] = value
+    path = tmp_path / f"{reader}.jsonl"
+    path.write_text(f"{json.dumps(first)}\n{json.dumps(case)}\n", encoding="utf-8")
+    code = main(argv(path))
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    if expected is None:
+        assert (code, errors) == (0, [])
+    else:
+        assert code == 2 and errors == [f"data error: {path}: line 2: {expected}"]
