@@ -8,6 +8,7 @@ related-word lists are the only entry content the sentiment stages trust.
 
 from __future__ import annotations
 
+import io
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -164,8 +165,35 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
+    """The vocabulary `save_vocabulary` wrote, read back without merging it
+    again: each entry must already hold what `build_vocabulary` establishes (a
+    normalized term seen once; related terms normalized, sorted, unique and
+    not the term itself), or it is a ParseError naming its line."""
+    vocabulary: Vocabulary = {}
+    normalized: set[str] = set()  # each distinct string is checked once
     with naming(path):
-        return build_vocabulary(parse_entries(read_lines(path)))
+        for number, raw in record_lines(read_lines(path)):
+            entry = _parse_record(raw, number)
+            term, related = entry.term, entry.related_terms
+            distinct = set(related)
+            for text in sorted({term, *distinct} - normalized):
+                try:
+                    ok = normalize_term(text) == text
+                except NormalizationError:
+                    ok = False
+                if not ok:
+                    what = "term" if text == term else "related term"
+                    raise ParseError(f"{what} is not normalized: {text!r}", line=number)
+                normalized.add(text)
+            if term in vocabulary:
+                raise ParseError(f"duplicate term {term!r}", line=number)
+            if term in distinct:
+                raise ParseError(f"related terms include the term {term!r}", line=number)
+            if sorted(distinct) != list(related):
+                raise ParseError(f"related terms are not sorted and unique: {list(related)}",
+                                 line=number)
+            vocabulary[term] = entry
+    return vocabulary
 
 
 # --- extension workflow ------------------------------------------------------
@@ -182,7 +210,7 @@ def date_range(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range(days + 1)] if days >= 0 else []
 
 
-EntryFetcher = Callable[[date], "str | bytes"]
+EntryFetcher = Callable[[date], "str | bytes | Path"]
 
 
 @dataclass(frozen=True)
@@ -203,10 +231,11 @@ def fetch_new_entries(
 ) -> tuple[list[SlangEntry], FetchReport]:
     """Fetch and parse entry records for every day in [start, end].
 
-    The fetcher maps a day to its raw records (text or bytes). A failing day is
-    recorded in the report and the remaining days still run; output order is
-    by date, then record order within a day. Duplicate terms are left for
-    build_vocabulary to merge.
+    The fetcher maps a day to its raw records (text or bytes) or to the
+    record file that holds them; a record error then names that file. A
+    failing day is recorded in the report and the remaining days still run;
+    output order is by date, then record order within a day. Duplicate terms
+    are left for build_vocabulary to merge.
     """
     entries: list[SlangEntry] = []
     report = FetchReport()
@@ -214,9 +243,12 @@ def fetch_new_entries(
         report.requested += 1
         try:
             payload = fetcher(day)
-            if isinstance(payload, bytes):
-                payload = payload.decode("utf-8")
-            entries.extend(parse_entries(payload.splitlines()))
+            if isinstance(payload, Path):
+                with naming(payload):
+                    entries.extend(parse_entries(read_lines(payload)))
+            else:  # lines as a file has them: str.splitlines also splits at U+2028
+                text = payload.decode("utf-8") if isinstance(payload, bytes) else payload
+                entries.extend(parse_entries(io.StringIO(text, newline=None)))
         except Exception as exc:
             report.failures.append(FetchFailure(day, str(exc)))
             continue
@@ -231,9 +263,9 @@ class DirectoryFetcher:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
-    def __call__(self, day: date) -> str:
+    def __call__(self, day: date) -> Path:
         for name in (f"{day.isoformat()}.jsonl", f"{day.isoformat()}.jsonl.gz"):
             candidate = self.directory / name
             if candidate.exists():
-                return "".join(read_lines(candidate))
+                return candidate
         raise FileNotFoundError(f"no record file for {day} under {self.directory}")

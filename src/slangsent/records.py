@@ -10,6 +10,7 @@ import io
 import json
 import os
 import secrets
+import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,6 +29,8 @@ def read_lines(path: str | Path) -> Iterator[str]:
             yield from handle
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise DataError(f"{path}: not a complete gzip file: {exc}") from None
 
 
 def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -52,11 +55,29 @@ def naming(path: str | Path) -> Iterator[None]:
         raise
 
 
+# One decoder and one encoder for every record. raw_decode runs the scanner
+# json.loads runs, without the checks and whitespace matching json.loads
+# wraps around it; the encoder is the one json.dumps builds again on every
+# call with these arguments, so the bytes are the same.
+_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def parse_record(raw: str, number: int) -> dict:
     """The JSON object on one line, or a ParseError naming the line."""
     try:
+        record, end = _decode(raw)
+        # JSON's whitespace only: json.loads calls anything else extra data.
+        if type(record) is dict and not raw[end:].strip(" \t\n\r"):
+            return record
+    except (json.JSONDecodeError, RecursionError):
+        pass
+    # Not one object alone on the line, or not at its start (leading
+    # whitespace, a BOM): json.loads words the error as before. Nesting too
+    # deep for the decoder is bad JSON too.
+    try:
         record = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}", line=number) from None
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line=number)
@@ -106,7 +127,7 @@ def _write(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    _write(path, (json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records))
+    _write(path, (_encode(r) + "\n" for r in records))
 
 
 def write_text(path: str | Path, text: str) -> None:

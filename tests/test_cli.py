@@ -144,6 +144,45 @@ def _evaluate_with_label(tmp_path, label):
             "--corpus", str(corpus)]
 
 
+def _damaged_gzip_input(tmp_path, damage, command, option, record, *rest):
+    """`command` reading a gzip-compressed JSON file that `damage` cut short
+    or corrupted."""
+    path = tmp_path / "damaged.jsonl"
+    path.write_bytes(damage(gzip.compress((json.dumps(record) + "\n").encode("utf-8"))))
+    return [command, option, str(path), *rest]
+
+
+def _unmerged_vocabulary(tmp_path, command, *records):
+    """`command` reading a vocabulary file of one entry per record, with
+    inputs that are otherwise good."""
+    vocabulary = tmp_path / "vocabulary.jsonl"
+    vocabulary.write_text("".join(
+        json.dumps({"meanings": ["m"], "examples": ["x"], **record}) + "\n" for record in records
+    ), encoding="utf-8")
+    seed = str(lexicon_file(tmp_path, {"good": 1.0}))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "1", "text": "lit :)"}\n', encoding="utf-8")
+    rest = {
+        "estimate": ["--seed", seed, "--corpus", str(corpus)],
+        "assemble": ["--seed", seed, "--estimates", seed, "--propagated", seed],
+    }[command]
+    return [command, "--vocabulary", str(vocabulary), *rest, "--output", str(tmp_path / "o.jsonl")]
+
+
+# (id, records, what the error line names): vocabulary files that are not
+# merged, as `build_vocabulary` would leave them.
+UNMERGED_VOCABULARIES = [
+    ("duplicate-term", [{"term": "lit"}, {"term": "lit"}],
+     "vocabulary.jsonl: line 2: duplicate term 'lit'"),
+    ("term-not-normalized", [{"term": "Foo"}],
+     "vocabulary.jsonl: line 1: term is not normalized: 'Foo'"),
+    ("related-unsorted", [{"term": "lit", "related_terms": ["b", "a"]}],
+     "vocabulary.jsonl: line 1: related terms are not sorted and unique"),
+    ("related-is-the-term", [{"term": "lit", "related_terms": ["fire", "lit"]}],
+     "vocabulary.jsonl: line 1: related terms include the term 'lit'"),
+]
+
+
 def _run_with_config_text(golden, text):
     golden.write_text(text, encoding="utf-8")
     return ["run", "--config", str(golden)]
@@ -197,6 +236,24 @@ BAD_INPUTS = [
      lambda g, t: _latin1_input(t, "ingest", "--input",
                                 {"term": "é", "meanings": ["m"], "examples": ["x"]},
                                 "--output", str(t / "out.jsonl")), 2, "utf-8"),
+    ("label-corpus-truncated-gzip",
+     lambda g, t: _damaged_gzip_input(t, lambda data: data[:20], "label", "--corpus",
+                                      {"id": "1", "text": "hi :)"},
+                                      "--output", str(t / "out.jsonl")), 2,
+     "damaged.jsonl: not a complete gzip file"),
+    ("ingest-entries-truncated-gzip",
+     lambda g, t: _damaged_gzip_input(t, lambda data: data[:20], "ingest", "--input",
+                                      {"term": "lit", "meanings": ["m"], "examples": ["x"]},
+                                      "--output", str(t / "out.jsonl")), 2,
+     "damaged.jsonl: not a complete gzip file"),
+    ("label-corpus-corrupt-gzip",
+     lambda g, t: _damaged_gzip_input(t, lambda data: data[:10] + b"\xff" * 8 + data[18:],
+                                      "label", "--corpus", {"id": "1", "text": "hi :)"},
+                                      "--output", str(t / "out.jsonl")), 2,
+     "damaged.jsonl: not a complete gzip file: Error -3"),
+    ("report-lexicon-nested-too-deep",
+     lambda g, t: _report_on_lexicon(t, lambda data: data + b"[" * 100_000 + b"\n"), 2,
+     "lex.jsonl: line 3: bad JSON: maximum recursion depth exceeded"),
     ("report-lexicon-not-utf8",
      lambda g, t: _latin1_input(t, "report", "--lexicon",
                                 {"term": "é", "strength": 1.0, "stage": "imported"}), 2, "utf-8"),
@@ -285,6 +342,12 @@ BAD_INPUTS = [
      lambda g, t: ["extend", "--from", "20230401", "--to", "2023-04-01",
                    "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
      "argument --from: not a YYYY-MM-DD date: '20230401'"),
+] + [
+    (f"{command}-vocabulary-{case}",
+     lambda g, t, command=command, records=records: _unmerged_vocabulary(t, command, *records),
+     2, names)
+    for command in ("estimate", "assemble")
+    for case, records, names in UNMERGED_VOCABULARIES
 ]
 
 
@@ -587,6 +650,18 @@ class TestExtendCommand:
                     if "2023-04-01" in record.getMessage()]
         assert reports == [f"fetch failed for 2023-04-01: no record file for 2023-04-01 "
                            f"under {tmp_path}"]
+
+    def test_bad_record_is_reported_once_with_its_file(self, tmp_path, capsys, caplog):
+        day = tmp_path / "2023-04-01.jsonl"
+        day.write_text(json.dumps({"term": 5, "meanings": ["m"], "examples": ["e"]}) + "\n",
+                       encoding="utf-8")
+        assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
+                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 0
+        reports = [line for line in capsys.readouterr().err.splitlines() if "line 1" in line]
+        reports += [record.getMessage() for record in caplog.records
+                    if "line 1" in record.getMessage()]
+        assert reports == [f"fetch failed for 2023-04-01: {day}: line 1: "
+                           f"'term' must be a string, got 5"]
 
     def test_bad_date_is_usage_error(self, tmp_path, capsys):
         assert main(["extend", "--from", "yesterday", "--to", "2023-04-02",

@@ -5,6 +5,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slangsent.errors import ParseError
 from slangsent.ingest import (
@@ -160,6 +162,65 @@ class TestBuildVocabulary:
         assert load_vocabulary(path) == vocab
 
 
+# Raw terms that merge under normalization, and some that normalize to nothing.
+RAW_TERMS = st.sampled_from(["a", "A", " a ", "b", "B b", "b  b", "c", "ç", "c\u0327", " ", ""])
+ENTRIES = st.lists(st.builds(
+    SlangEntry,
+    term=RAW_TERMS.filter(str.strip),
+    meanings=st.lists(st.text(max_size=3), min_size=1, max_size=2).map(tuple),
+    examples=st.lists(st.text(max_size=3), min_size=1, max_size=2).map(tuple),
+    related_terms=st.lists(RAW_TERMS, max_size=4).map(tuple),
+    upvotes=st.integers(0, 9),
+    downvotes=st.integers(0, 9),
+    created_date=st.none() | st.dates(date(2000, 1, 1), date(2030, 1, 1)),
+), max_size=6)
+
+
+def vocabulary_file(tmp_path, *records):
+    path = tmp_path / "vocabulary.jsonl"
+    path.write_text("".join(r + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+class TestLoadVocabulary:
+    @settings(max_examples=50)
+    @given(entries=ENTRIES)
+    def test_reads_back_what_build_vocabulary_made(self, tmp_path_factory, entries):
+        vocab = build_vocabulary(entries)
+        path = tmp_path_factory.mktemp("vocabulary") / "vocab.jsonl"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert loaded == build_vocabulary(parse_entries(read_lines(path))) == vocab
+        assert list(loaded) == sorted(vocab)
+
+    @pytest.mark.parametrize("records, message", [
+        ([record("a", related_terms=["B"])], "line 1: related term is not normalized: 'B'"),
+        ([record("a", related_terms=[" "])], "line 1: related term is not normalized: ' '"),
+        ([record("a", related_terms=["b", "b"])], "line 1: related terms are not sorted and unique"),
+        ([record("a"), record("b", related_terms=["a", "c  d"])],
+         "line 2: related term is not normalized: 'c  d'"),
+        ([record("a"), record("b"), record("a")], "line 3: duplicate term 'a'"),
+        ([record("a b "), record("a b")], "line 1: term is not normalized: 'a b '"),
+    ])
+    def test_unmerged_line_is_a_parse_error_naming_it(self, tmp_path, records, message):
+        path = vocabulary_file(tmp_path, *records)
+        with pytest.raises(ParseError) as caught:
+            load_vocabulary(path)
+        assert str(caught.value).startswith(f"{path}: {message}")
+
+    def test_each_distinct_string_is_normalized_once(self, tmp_path, monkeypatch):
+        import slangsent.ingest as ingest
+
+        calls = []
+        normalize = ingest.normalize_term
+        monkeypatch.setattr(ingest, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
+        path = vocabulary_file(tmp_path, record("a", related_terms=["b", "c"]),
+                               record("b", related_terms=["a", "c"]), record("c"))
+        load_vocabulary(path)
+        # once per line as an entry's term, once per distinct string as merged
+        assert sorted(calls) == ["a", "a", "b", "b", "c", "c"]
+
+
 class TestGzipTransparency:
     def test_reads_gzip_records(self, tmp_path):
         path = tmp_path / "entries.jsonl.gz"
@@ -217,6 +278,14 @@ class TestFetchNewEntries:
         )
         assert len(entries) == 1
 
+    def test_text_payload_splits_as_a_record_file(self):
+        line = json.dumps(json.loads(record(meanings=["a\u2028b\x85c"])), ensure_ascii=False)
+        entries, report = fetch_new_entries(
+            lambda day: line + "\r\n" + line + "\r" + line, date(2020, 1, 1), date(2020, 1, 1)
+        )
+        assert not report.failures
+        assert [e.meanings for e in entries] == [("a\u2028b\x85c",)] * 3
+
     def test_date_range_inclusive(self):
         days = date_range(date(2020, 2, 27), date(2020, 3, 1))
         assert days == [date(2020, 2, 27), date(2020, 2, 28), date(2020, 2, 29), date(2020, 3, 1)]
@@ -227,7 +296,16 @@ class TestDirectoryFetcher:
         (tmp_path / "2020-01-01.jsonl").write_text(record() + "\n", encoding="utf-8")
         fetcher = DirectoryFetcher(tmp_path)
         payload = fetcher(date(2020, 1, 1))
-        assert json.loads(payload)["term"] == "lol"
+        assert payload == tmp_path / "2020-01-01.jsonl"
+        assert json.loads(payload.read_text(encoding="utf-8"))["term"] == "lol"
+
+    def test_fetches_gzip_file(self, tmp_path):
+        path = tmp_path / "2020-01-01.jsonl.gz"
+        path.write_bytes(gzip.compress((record() + "\n").encode("utf-8")))
+        entries, report = fetch_new_entries(
+            DirectoryFetcher(tmp_path), date(2020, 1, 1), date(2020, 1, 1)
+        )
+        assert [e.term for e in entries] == ["lol"] and report.succeeded == 1
 
     def test_missing_date_raises(self, tmp_path):
         fetcher = DirectoryFetcher(tmp_path)

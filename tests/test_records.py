@@ -9,7 +9,9 @@ an exception class only where some caller handles it apart from its family,
 and a fifth keeps text tokenized only where raw text becomes tokens.
 
 The last table checks the one field rule, `records.value_of`, through the
-CLI for every typed field of every record reader."""
+CLI for every typed field of every record reader. Two properties pin the
+record codec to the json module: each line reads as json.loads reads it, and
+each record is written as json.dumps writes it."""
 
 from __future__ import annotations
 
@@ -18,9 +20,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import slangsent
 from slangsent.cli import main
+from slangsent.errors import ParseError
+from slangsent.records import parse_record, write_records
 
 PACKAGE = Path(slangsent.__file__).resolve().parent
 FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
@@ -32,6 +38,7 @@ ALLOWED = {("pipeline.py", "json.loads")}
 NORMALIZERS = {
     ("ingest.py", "_parse_record"),
     ("ingest.py", "build_vocabulary"),
+    ("ingest.py", "load_vocabulary"),
     ("lexicon.py", "merge_seed_lexicons"),
     ("lexicon.py", "_checked_entries"),
 }
@@ -361,3 +368,69 @@ def test_each_field_follows_the_one_rule(tmp_path, capsys, reader, key, value, e
         assert (code, errors) == (0, [])
     else:
         assert code == 2 and errors == [f"data error: {path}: line 2: {expected}"]
+
+
+def reference_parse(raw: str, number: int) -> dict:
+    """parse_record as one json.loads per line."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}", line=number) from None
+    if not isinstance(record, dict):
+        raise ParseError("record is not an object", line=number)
+    return record
+
+
+def _outcome(parse, raw: str) -> tuple[str, str]:
+    try:
+        return "record", repr(parse(raw, 3))  # repr: NaN is not equal to itself
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+# Fragments of JSON lines, and of what is almost JSON: whitespace that JSON
+# has and whitespace that only str.isspace has, a BOM, and text after the object.
+FRAGMENTS = st.sampled_from([
+    "{", "}", "[", "]", ":", ",", '"', "\\", '"k"', '"é"', "1", "-0.0", "5e-324", "1e999",
+    "NaN", "Infinity", "null", "true", '{"a": 1}', "{}", " ", "\t", "\r", "\n", "\x0c",
+    "\x0b", "\x85", "\u2028", "\xa0", "\ufeff", "x",
+])
+LINES = st.lists(FRAGMENTS, max_size=12).map("".join) | st.text(max_size=20) | st.builds(
+    "{}{}{}\n".format,
+    st.sampled_from(["", " ", "\t ", "\ufeff", "\x0c"]),
+    st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3)
+    .map(json.dumps),
+    st.sampled_from(["", " ", "\r", " \t", "{}", "\x0c", "\xa0", ",", "\u2028"]),
+)
+
+
+@given(LINES)
+@example(' {"a": 1}\n')
+@example('{"a": 1} \t\r\n')
+@example("{}{}")
+@example("\ufeff{}")
+@example("[1]")
+@example("5")
+@example('{"a": NaN}')
+@example("[")
+@example("{}\x0c")
+def test_parse_record_reads_each_line_as_json_loads(raw):
+    assert _outcome(parse_record, raw) == _outcome(reference_parse, raw)
+
+
+VALUES = (
+    st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+    | st.lists(st.text(), max_size=3)
+)
+
+
+@given(st.lists(st.dictionaries(st.text(), VALUES, max_size=5), max_size=4))
+@example([{"q": 'say "hi"', "b": "back\\slash", "c": "\x00\x1f\t\n\x7f"}])
+@example([{"text": "é ü 漢字 \U0001f600", "sep": "a\u2028b\u2029c\x85"}])
+@example([{"z": -0.0, "tiny": 5e-324, "whole": 1.0, "big": 1e16, "n": 10**30, "m": -7}])
+@example([{"t": True, "f": False, "none": None, "list": ["a", "\u2028"]}, {}])
+def test_write_records_writes_each_record_as_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("records") / "out.jsonl"
+    write_records(path, records)
+    expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("utf-8")
