@@ -286,10 +286,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds the root handler only once per process, so each call
+    # sets the level of the package's loggers itself.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except ConfigError as exc:

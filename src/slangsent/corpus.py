@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,10 +70,12 @@ class FileCorpusProvider:
     def __init__(self, path: str | Path, *, sample_seed: int = 0):
         self._documents = load_corpus(path)
         self._sample_seed = sample_seed
-        self._index: dict[str, set[int]] = {}
+        # A posting set is made only for a token not seen before; `query`
+        # reads the index with `get`, which adds no key.
+        self._index: dict[str, set[int]] = defaultdict(set)
         for position, doc in enumerate(self._documents):
             for token in set(doc.tokens):
-                self._index.setdefault(token, set()).add(position)
+                self._index[token].add(position)
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity, enum_member
-from .records import naming, read_lines, write_records
+from .records import naming, read_lines, value_of, write_records
 from .text import chunk_token
 
 
@@ -131,7 +131,7 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
     items: list[LabeledDocument] = []
     with naming(path):
         for number, record, document in read_documents(path):
-            label = record.get("label")
+            label = value_of(record, "label", str, number)
             if (gold := enum_member(Polarity, label)) is None:
                 raise ParseError(f"bad label {label!r}", line=number)
             items.append(LabeledDocument(document, gold))

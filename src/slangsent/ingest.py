@@ -61,13 +61,21 @@ def parse_entries(
     return entries
 
 
-def _parse_record(raw: str, number: int) -> SlangEntry:
+def _parse_record(raw: str, number: int, normalized: set[str] | None = None) -> SlangEntry:
+    """The entry of one record. With the `normalized` strings of a merged
+    file, the term must be normalized already: it is checked unless it is
+    one of them, and then joins them."""
     record = parse_record(raw, number)
     term = value_of(record, "term", str, number)
-    try:
-        normalize_term(term)
-    except NormalizationError:
-        raise ParseError(f"term {term!r} normalizes to nothing", line=number) from None
+    if normalized is None or term not in normalized:
+        try:
+            normal = normalize_term(term)
+        except NormalizationError:
+            raise ParseError(f"term {term!r} normalizes to nothing", line=number) from None
+        if normalized is not None:
+            if normal != term:
+                raise ParseError(f"term is not normalized: {term!r}", line=number)
+            normalized.add(term)
 
     meanings = value_of(record, "meanings", list, number)
     if not meanings:
@@ -173,17 +181,16 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     normalized: set[str] = set()  # each distinct string is checked once
     with naming(path):
         for number, raw in record_lines(read_lines(path)):
-            entry = _parse_record(raw, number)
+            entry = _parse_record(raw, number, normalized)
             term, related = entry.term, entry.related_terms
             distinct = set(related)
-            for text in sorted({term, *distinct} - normalized):
+            for text in sorted(distinct - normalized):
                 try:
                     ok = normalize_term(text) == text
                 except NormalizationError:
                     ok = False
                 if not ok:
-                    what = "term" if text == term else "related term"
-                    raise ParseError(f"{what} is not normalized: {text!r}", line=number)
+                    raise ParseError(f"related term is not normalized: {text!r}", line=number)
                 normalized.add(text)
             if term in vocabulary:
                 raise ParseError(f"duplicate term {term!r}", line=number)

@@ -91,8 +91,8 @@ def tokenize(text: str) -> list[str]:
     (word-internal apostrophes and hyphens survive); chunks recognized as
     emoticons are kept whole and verbatim; empty leftovers are dropped.
     """
-    return [token for chunk in unicodedata.normalize("NFC", text).split()
-            if (token := _token(chunk)) is not None]
+    # `_token` never returns "", so filtering out falsy results drops only None.
+    return list(filter(None, map(_token, unicodedata.normalize("NFC", text).split())))
 
 
 def find_occurrences(tokens: Sequence[str], term: str) -> list[tuple[int, int]]:
@@ -101,15 +101,17 @@ def find_occurrences(tokens: Sequence[str], term: str) -> list[tuple[int, int]]:
     Spans are inclusive (start, end) token indexes, found leftmost-first; the
     cursor jumps past each match so occurrences never overlap.
     """
-    pattern = term.split(" ")
+    pattern = tuple(term.split(" "))
     width = len(pattern)
     if width == 1:
         return [(i, i) for i, token in enumerate(tokens) if token == term]
+    tokens = tuple(tokens)  # a list slice never equals the tuple pattern
+    first = pattern[0]
     spans: list[tuple[int, int]] = []
     i = 0
     limit = len(tokens) - width
     while i <= limit:
-        if all(tokens[i + k] == pattern[k] for k in range(width)):
+        if tokens[i] == first and tokens[i:i + width] == pattern:
             spans.append((i, i + width - 1))
             i += width
         else:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -277,7 +278,7 @@ BAD_INPUTS = [
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\nLol\n[negative]\n:(\n"), 2,
      "emoticons.txt: line 3: emoticon 'Lol'"),
     ("evaluate-label-list", lambda g, t: _evaluate_with_label(t, ["positive"]), 2,
-     "labeled.jsonl: line 1: bad label ['positive']"),
+     "labeled.jsonl: line 1: 'label' must be a string, got ['positive']"),
     ("entries-term-number", lambda g, t: _ingest_record(t, term=5), 2,
      "entries.jsonl: line 1: 'term' must be a string, got 5"),
     ("entries-term-blank", lambda g, t: _ingest_record(t, term=" \t"), 2,
@@ -676,3 +677,21 @@ class TestReportCommand:
         assert "total entries: 3" in capsys.readouterr().out
         payload = json.loads(out_json.read_text())
         assert payload["classes"]["2"] == 1
+
+
+@pytest.mark.parametrize("first, second", [([], ["-v"]), (["-v"], [])],
+                         ids=["quiet-then-verbose", "verbose-then-quiet"])
+def test_each_call_sets_its_own_log_level(tmp_path, capsys, first, second):
+    # Effective levels, not captured records: pytest's own handlers on the
+    # root logger would make the package log whatever level a call asked for.
+    lex = lexicon_file(tmp_path, {"a": 2.0})
+    package = logging.getLogger("slangsent")
+    saved = package.level
+    try:
+        for flags in (first, second):
+            assert main([*flags, "report", "--lexicon", str(lex)]) == 0
+            want = logging.INFO if flags else logging.WARNING
+            assert [logging.getLogger(f"slangsent.{name}").getEffectiveLevel()
+                    for name in ("pipeline", "corpus")] == [want, want]
+    finally:
+        package.setLevel(saved)

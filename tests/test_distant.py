@@ -200,16 +200,21 @@ class TestLabeledCorpusFile:
         save_labeled_corpus(labeled, path)
         assert load_labeled_corpus(path) == labeled
 
-    @pytest.mark.parametrize("label", ["meh", ["positive"], {"a": 1}, None],
-                             ids=["meh", "list", "object", "null"])
-    def test_bad_label_rejected(self, tmp_path, label):
+    @pytest.mark.parametrize("fields, message", [
+        ({"label": "meh"}, "bad label 'meh'"),
+        ({"label": ["positive"]}, "'label' must be a string, got ['positive']"),
+        ({"label": {"a": 1}}, "'label' must be a string, got {'a': 1}"),
+        ({"label": None}, "missing field 'label'"),
+        ({}, "missing field 'label'"),
+    ], ids=["meh", "list", "object", "null", "absent"])
+    def test_bad_label_rejected(self, tmp_path, fields, message):
         path = tmp_path / "labeled.jsonl"
-        path.write_text(json.dumps({"id": "1", "label": label, "text": "x"}) + "\n",
+        path.write_text(json.dumps({"id": "1", "text": "x", **fields}) + "\n",
                         encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             load_labeled_corpus(path)
         assert exc.value.line == 1
-        assert f"bad label {label!r}" in str(exc.value)
+        assert message in str(exc.value)
 
     def test_neutral_label_supported(self, tmp_path):
         path = tmp_path / "labeled.jsonl"

@@ -23,11 +23,12 @@ _EDGES = ["", "", ".", ",", "!", "?", ";", '"', "'", "`", "\u2026", "\u201c", "\
           "\u2018", "\u2019", "(", ")", "[", "]", "<", ">", "-", "_", "*", "/", "...", '"(']
 _CASES = [str, str.upper, str.lower, str.swapcase, str.title]
 _SPACES = [" ", " ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2000"]
-# Tokens and terms of 1-3 words over three words, so that repeats, adjacent
+# Tokens and terms of 1-4 words over three words, so that repeats, adjacent
 # matches and overlapping candidates occur.
 _ABC = st.sampled_from(["a", "b", "c"])
-abc_terms = st.lists(_ABC, min_size=1, max_size=3).map(" ".join)
-abc_tokens = st.lists(_ABC, max_size=14)
+abc_terms = st.lists(_ABC, min_size=1, max_size=4).map(" ".join)
+# Documents hold tuples; callers may pass any sequence, lists included.
+abc_tokens = st.lists(_ABC, max_size=14).flatmap(lambda t: st.sampled_from([t, tuple(t)]))
 
 chunks = st.builds(
     lambda before, case, core, after: before + case(core) + after,
@@ -154,5 +155,7 @@ class TestFindOccurrences:
     @given(abc_tokens, abc_terms)
     @example(["a", "a", "a"], "a")
     @example(["a", "b", "a", "b", "a"], "a b a")
+    @example(("a", "a", "a", "b"), "a a b")
+    @example(["a", "b", "a", "b", "a", "b"], "a b a b")
     def test_equals_the_oracle(self, tokens, term):
         assert find_occurrences(tokens, term) == brute_spans(tokens, term.split(" "))
