@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import NormalizationError, ParseError
 from .records import naming, parse_record, read_lines, record_lines, value_of, write_records
-from .text import normalize_term
+from .text import checked_term, normalize_term
 
 Vocabulary = dict[str, "SlangEntry"]
 
@@ -53,7 +53,13 @@ def parse_entries(
     entries: list[SlangEntry] = []
     for number, raw in record_lines(lines):
         try:
-            entries.append(_parse_record(raw, number))
+            entry = _parse_record(raw, number)
+            try:
+                normalize_term(entry.term)
+            except NormalizationError:
+                raise ParseError(f"term {entry.term!r} normalizes to nothing",
+                                 line=number) from None
+            entries.append(entry)
         except ParseError as exc:
             if issues is None:
                 raise
@@ -61,22 +67,10 @@ def parse_entries(
     return entries
 
 
-def _parse_record(raw: str, number: int, normalized: set[str] | None = None) -> SlangEntry:
-    """The entry of one record. With the `normalized` strings of a merged
-    file, the term must be normalized already: it is checked unless it is
-    one of them, and then joins them."""
+def _parse_record(raw: str, number: int) -> SlangEntry:
+    """The entry of one record, its fields checked; its term is left as written."""
     record = parse_record(raw, number)
     term = value_of(record, "term", str, number)
-    if normalized is None or term not in normalized:
-        try:
-            normal = normalize_term(term)
-        except NormalizationError:
-            raise ParseError(f"term {term!r} normalizes to nothing", line=number) from None
-        if normalized is not None:
-            if normal != term:
-                raise ParseError(f"term is not normalized: {term!r}", line=number)
-            normalized.add(term)
-
     meanings = value_of(record, "meanings", list, number)
     if not meanings:
         raise ParseError("entry must have at least one meaning", line=number)
@@ -145,16 +139,19 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
         groups.setdefault(normalize_term(entry.term), []).append(entry)
 
     vocabulary: Vocabulary = {}
+    normal: dict[str, str] = {}  # each distinct related string, normalized once
     for term, group in groups.items():
         ranked = sorted(group, key=lambda e: e.net_votes, reverse=True)
         related: set[str] = set()
         for entry in group:
             for raw in entry.related_terms:
-                try:
-                    related.add(normalize_term(raw))
-                except NormalizationError:
-                    continue
-        related.discard(term)
+                if raw not in normal:
+                    try:
+                        normal[raw] = normalize_term(raw)
+                    except NormalizationError:
+                        normal[raw] = ""  # normalizes to nothing: skipped
+                related.add(normal[raw])
+        related -= {term, ""}
         dates = [e.created_date for e in group if e.created_date is not None]
         vocabulary[term] = SlangEntry(
             term=term,
@@ -178,20 +175,16 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     normalized term seen once; related terms normalized, sorted, unique and
     not the term itself), or it is a ParseError naming its line."""
     vocabulary: Vocabulary = {}
-    normalized: set[str] = set()  # each distinct string is checked once
+    known: set[str] = set()  # the terms and related terms checked so far
     with naming(path):
         for number, raw in record_lines(read_lines(path)):
-            entry = _parse_record(raw, number, normalized)
+            entry = _parse_record(raw, number)
             term, related = entry.term, entry.related_terms
+            if term not in known:
+                known.add(checked_term(term, number))
             distinct = set(related)
-            for text in sorted(distinct - normalized):
-                try:
-                    ok = normalize_term(text) == text
-                except NormalizationError:
-                    ok = False
-                if not ok:
-                    raise ParseError(f"related term is not normalized: {text!r}", line=number)
-                normalized.add(text)
+            for text in sorted(distinct - known):
+                known.add(checked_term(text, number, "related term"))
             if term in vocabulary:
                 raise ParseError(f"duplicate term {term!r}", line=number)
             if term in distinct:

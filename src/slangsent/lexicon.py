@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import DataError, NormalizationError, ParseError
+from .errors import DataError, ParseError
 from .records import naming, read_lines, read_records, value_of, write_records
-from .text import normalize_term
+from .text import checked_term, normalize_term
 
 STRENGTH_MIN = -2.0
 STRENGTH_MAX = 2.0
@@ -218,8 +218,8 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
 
 def load_seed_values(path: str | Path) -> dict[str, float]:
     """Read a seed-lexicon source file: one `term<TAB>native_strength` per
-    line, '#' comments and blank lines ignored. A term given twice is an
-    error naming the file and the second line."""
+    line, '#' comments and blank lines ignored. A term given twice, or a
+    value that is no finite number, is an error naming the file and the line."""
     values: dict[str, float] = {}
     with naming(path):
         for number, raw in enumerate(read_lines(path), start=1):
@@ -235,7 +235,9 @@ def load_seed_values(path: str | Path) -> dict[str, float]:
             try:
                 values[term] = float(text)
             except ValueError:
-                raise ParseError(f"bad strength value {text!r}", line=number) from None
+                values[term] = math.nan
+            if not math.isfinite(values[term]):  # float() reads "nan", "inf" and "1e999" too
+                raise ParseError(f"bad strength value {text!r}", line=number)
     return values
 
 
@@ -255,10 +257,7 @@ def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
     Parsed strengths are the class values; provenance is not recoverable, so
     entries carry the distinguished stage `imported`.
     """
-    return Lexicon(_checked_entries(_slangsd_rows(stream)))
-
-
-def _slangsd_rows(stream: str | Iterable[str]) -> Iterator[tuple]:
+    entries: dict[str, LexiconEntry] = {}
     lines = stream.splitlines() if isinstance(stream, str) else stream
     for number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -272,7 +271,11 @@ def _slangsd_rows(stream: str | Iterable[str]) -> Iterator[tuple]:
             raise ParseError(f"bad class {class_text!r}", line=number) from None
         if cls not in CLASSES:
             raise ParseError(f"class {cls} outside -2..2", line=number)
-        yield number, term, float(cls), Stage.IMPORTED, ()
+        checked_term(term, number)
+        if term in entries:
+            raise ParseError(f"duplicate term {term!r}", line=number)
+        entries[term] = LexiconEntry(term, float(cls), Stage.IMPORTED)
+    return Lexicon(entries.values())
 
 
 def export_idiom_table(lexicon: Lexicon) -> str:
@@ -305,38 +308,23 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
+    """The lexicon `save_lexicon` wrote. A record that breaks a LexiconEntry
+    or Lexicon invariant is a ParseError naming its line."""
+    entries: dict[str, LexiconEntry] = {}
     with naming(path):
-        return Lexicon(_checked_entries(_lexicon_rows(path)))
-
-
-def _lexicon_rows(path: str | Path) -> Iterator[tuple]:
-    for number, record in read_records(path):
-        term = value_of(record, "term", str, number)
-        strength = value_of(record, "strength", float, number)
-        stage = value_of(record, "stage", str, number)
-        if (member := enum_member(Stage, stage)) is None:
-            raise ParseError(f"unknown stage {stage!r}", line=number)
-        sources = value_of(record, "sources", list, number, ())
-        yield number, term, float(strength), member, tuple(sources)
-
-
-def _checked_entries(rows: Iterable[tuple]) -> Iterator[LexiconEntry]:
-    """The entry of each `(line, term, strength, stage, sources)` row read
-    from a file, once it holds every LexiconEntry and Lexicon invariant; a
-    row that breaks one is a ParseError naming its line."""
-    seen: set[str] = set()
-    for number, term, strength, stage, sources in rows:
-        try:
-            normalized = normalize_term(term)
-        except NormalizationError as exc:
-            raise ParseError(str(exc), line=number) from None
-        if term != normalized:
-            raise ParseError(f"term is not normalized: {term!r}", line=number)
-        if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
-            raise ParseError(f"strength out of range: {strength!r}", line=number)
-        if (stage is Stage.SEED_LEXICON) != bool(sources):
-            raise ParseError(f"sources {list(sources)} do not fit stage {stage.value}", line=number)
-        if term in seen:
-            raise ParseError(f"duplicate term {term!r}", line=number)
-        seen.add(term)
-        yield LexiconEntry(term, strength, stage, sources)
+        for number, record in read_records(path):
+            term = value_of(record, "term", str, number)
+            strength = value_of(record, "strength", float, number)
+            stage = value_of(record, "stage", str, number)
+            if (member := enum_member(Stage, stage)) is None:
+                raise ParseError(f"unknown stage {stage!r}", line=number)
+            sources = value_of(record, "sources", list, number, [])
+            checked_term(term, number)
+            if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
+                raise ParseError(f"strength out of range: {strength!r}", line=number)
+            if (member is Stage.SEED_LEXICON) != bool(sources):
+                raise ParseError(f"sources {sources} do not fit stage {stage}", line=number)
+            if term in entries:
+                raise ParseError(f"duplicate term {term!r}", line=number)
+            entries[term] = LexiconEntry(term, strength, member, tuple(sources))
+    return Lexicon(entries.values())

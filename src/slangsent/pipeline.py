@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,7 +93,7 @@ def _read_json(path: Path, what: str) -> object:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -104,10 +105,12 @@ def _resolve(base: Path, value: object, name: str) -> Path:
 
 def _typed(value: object, name: str, kind: type):
     """`value` as a `kind`, where a float may be given as an int but a bool is
-    neither."""
+    neither, and a float is finite."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"'{name}' must be of type {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
     return kind(value)
 
 

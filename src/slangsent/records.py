@@ -10,6 +10,7 @@ import io
 import json
 import os
 import secrets
+import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -70,14 +71,14 @@ def parse_record(raw: str, number: int) -> dict:
         # JSON's whitespace only: json.loads calls anything else extra data.
         if type(record) is dict and not raw[end:].strip(" \t\n\r"):
             return record
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         pass
     # Not one object alone on the line, or not at its start (leading
-    # whitespace, a BOM): json.loads words the error as before. Nesting too
-    # deep for the decoder is bad JSON too.
+    # whitespace, a BOM): json.loads words the error as before. Too deep a
+    # nesting, or an integer too long for int() (a ValueError), is bad JSON too.
     try:
         record = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}", line=number) from None
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line=number)
@@ -94,10 +95,13 @@ def value_of(record: dict, key: str, kind: type, line: int, default: object = RE
     another kind, it is a ParseError naming the line and the key."""
     value = record.get(key)
     # Types match exactly, as json.loads makes them: a float field takes an
-    # int, and a bool, whose type is not int, is no number.
-    if type(value) is kind or kind is float and type(value) is int:
+    # int that a float can hold, as a float, and a bool, whose type is not
+    # int, is no number.
+    if type(value) is kind:
         if kind is not list or all(type(item) is str for item in value):
             return value
+    elif kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
     elif value is None:
         if default is REQUIRED:
             raise ParseError(f"missing field '{key}'", line=line)

@@ -13,7 +13,7 @@ import re
 import unicodedata
 from collections.abc import Sequence
 
-from .errors import NormalizationError
+from .errors import NormalizationError, ParseError
 
 # Classic ASCII emoticons: eyes+nose+mouth, reversed variants, hearts, and a
 # few fixed faces. Applied to whole whitespace-delimited chunks only.
@@ -53,6 +53,17 @@ def normalize_term(raw: str) -> str:
     if not term:
         raise NormalizationError(f"term is empty after normalization: {raw!r}")
     return term
+
+
+def checked_term(text: str, line: int, what: str = "term") -> str:
+    """`text`, a term read from a file, which must already be normalized; an
+    empty or unnormalized one is a ParseError naming the line."""
+    try:
+        if normalize_term(text) == text:
+            return text
+    except NormalizationError:
+        pass
+    raise ParseError(f"{what} is not normalized: {text!r}", line=line)
 
 
 def emoticon_token(chunk: str) -> str | None:

@@ -127,9 +127,25 @@ def _estimate_with_bad_corpus_record(tmp_path):
 
 def _ingest_record(tmp_path, **changes):
     record = {"term": "lit", "meanings": ["m"], "examples": ["x"], **changes}
-    (tmp_path / "entries.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return _ingest_text(tmp_path, json.dumps(record) + "\n")
+
+
+def _ingest_text(tmp_path, text):
+    (tmp_path / "entries.jsonl").write_text(text, encoding="utf-8")
     return ["ingest", "--input", str(tmp_path / "entries.jsonl"),
             "--output", str(tmp_path / "out.jsonl")]
+
+
+def _score_corpus_text(tmp_path, text):
+    (tmp_path / "corpus.jsonl").write_text(text, encoding="utf-8")
+    return ["score", "--lexicon", str(lexicon_file(tmp_path, {"hi": 1.0})),
+            "--corpus", str(tmp_path / "corpus.jsonl")]
+
+
+def _seed_with_sources_text(golden, tmp_path, text):
+    (golden.parent / "sources.json").write_text(text, encoding="utf-8")
+    return ["seed", "--sources", str(golden.parent / "sources.json"),
+            "--output", str(tmp_path / "seed.jsonl")]
 
 
 def _seed_with_tsv(golden, tmp_path, text):
@@ -187,6 +203,13 @@ UNMERGED_VOCABULARIES = [
 def _run_with_config_text(golden, text):
     golden.write_text(text, encoding="utf-8")
     return ["run", "--config", str(golden)]
+
+
+# An integer with more digits than int() converts from text (4,300 by
+# default), written as raw text: json.dumps of it would hit the same limit.
+TOO_MANY_DIGITS = "1" * 5000
+# An integer that reads as JSON but is too large for a float.
+HUGE_INTEGER = 10**400
 
 
 # (id, argv builder, exit code, word the error line must name): each bad
@@ -343,6 +366,49 @@ BAD_INPUTS = [
      lambda g, t: ["extend", "--from", "20230401", "--to", "2023-04-01",
                    "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
      "argument --from: not a YYYY-MM-DD date: '20230401'"),
+    ("score-corpus-field-too-many-digits",
+     lambda g, t: _score_corpus_text(t, f'{{"id": "1", "text": "hi", "n": {TOO_MANY_DIGITS}}}\n'),
+     2, "corpus.jsonl: line 1: bad JSON: Exceeds the limit (4300 digits)"),
+    ("report-lexicon-strength-too-many-digits",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
+         b'"strength": 1.0', b'"strength": ' + TOO_MANY_DIGITS.encode())),
+     2, "lex.jsonl: line 1: bad JSON: Exceeds the limit (4300 digits)"),
+    ("ingest-upvotes-too-many-digits",
+     lambda g, t: _ingest_text(t, '{"term": "lit", "meanings": ["m"], "examples": ["x"], '
+                                  f'"upvotes": {TOO_MANY_DIGITS}}}\n'),
+     2, "entries.jsonl: line 1: bad JSON: Exceeds the limit (4300 digits)"),
+    ("config-too-many-digits",
+     lambda g, t: _run_with_config_text(g, f'{{"max_docs": {TOO_MANY_DIGITS}}}'), 1,
+     "config is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("config-nested-too-deep", lambda g, t: _run_with_config_text(g, "[" * 100_000), 1,
+     "config is not valid JSON: maximum recursion depth exceeded"),
+    ("sources-too-many-digits",
+     lambda g, t: _seed_with_sources_text(g, t, f"[{TOO_MANY_DIGITS}]"), 1,
+     "sources is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("sources-nested-too-deep", lambda g, t: _seed_with_sources_text(g, t, "[" * 100_000), 1,
+     "sources is not valid JSON: maximum recursion depth exceeded"),
+    ("report-lexicon-strength-too-large-for-a-float",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
+         b'"strength": 1.0', b'"strength": ' + str(HUGE_INTEGER).encode())),
+     2, "lex.jsonl: line 1: 'strength' must be a number, got 1000"),
+    ("scale-factor-nan", lambda g, t: _run_with_source(g, scale={"factor": float("nan")}), 1,
+     "'factor' must be a finite number, got nan"),
+    ("scale-offset-infinity",
+     lambda g, t: _run_with_source(g, scale={"offset": float("inf")}), 1,
+     "'offset' must be a finite number, got inf"),
+    ("scale-source_range-nan",
+     lambda g, t: _run_with_source(g, scale={"source_range": [float("nan"), 1]}), 1,
+     "'source_range' must be a finite number, got nan"),
+    ("scale-factor-too-large-for-a-float",
+     lambda g, t: _run_with_source(g, scale={"factor": HUGE_INTEGER}), 1,
+     "'factor' must be a finite number, got 1000"),
+    ("sources-scale-factor-nan",
+     lambda g, t: _seed_with(g, t, scale={"factor": float("nan")}), 1,
+     "'factor' must be a finite number, got nan"),
+    ("seed-tsv-nan", lambda g, t: _seed_with_tsv(g, t, "good\tnan\n"), 2,
+     "bad.tsv: line 1: bad strength value 'nan'"),
+    ("seed-tsv-inf", lambda g, t: _seed_with_tsv(g, t, "# scale\ngood\t1\nbad\t-inf\n"), 2,
+     "bad.tsv: line 3: bad strength value '-inf'"),
 ] + [
     (f"{command}-vocabulary-{case}",
      lambda g, t, command=command, records=records: _unmerged_vocabulary(t, command, *records),

@@ -134,6 +134,19 @@ class TestBuildVocabulary:
         entry = SlangEntry("a", ("m",), ("e",), related_terms=("B", "b", " c ", " \t "))
         assert build_vocabulary([entry])["a"].related_terms == ("b", "c")
 
+    def test_each_distinct_related_string_is_normalized_once(self, monkeypatch):
+        import slangsent.ingest as ingest
+
+        calls = []
+        normalize = ingest.normalize_term
+        monkeypatch.setattr(ingest, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
+        entries = [SlangEntry(term, ("m",), ("e",), related_terms=related) for term, related in
+                   [("a", ("b", "C")), ("b", ("a", "C")), ("A", ("b", " \t "))]]
+        vocab = build_vocabulary(entries)
+        assert sorted(calls) == [" \t ", "A", "C", "a", "a", "b", "b"]
+        assert {term: vocab[term].related_terms for term in vocab} == {"a": ("b", "c"),
+                                                                      "b": ("a", "c")}
+
     def test_disjoint_terms_keep_count(self):
         entries = [SlangEntry(t, ("m",), ("e",)) for t in ("a", "b", "c")]
         assert len(build_vocabulary(entries)) == 3
@@ -201,7 +214,7 @@ class TestLoadVocabulary:
          "line 2: related term is not normalized: 'c  d'"),
         ([record("a"), record("b"), record("a")], "line 3: duplicate term 'a'"),
         ([record("a b "), record("a b")], "line 1: term is not normalized: 'a b '"),
-        ([record(" ")], "line 1: term ' ' normalizes to nothing"),
+        ([record(" ")], "line 1: term is not normalized: ' '"),
     ])
     def test_unmerged_line_is_a_parse_error_naming_it(self, tmp_path, records, message):
         path = vocabulary_file(tmp_path, *records)
@@ -210,11 +223,11 @@ class TestLoadVocabulary:
         assert str(caught.value).startswith(f"{path}: {message}")
 
     def test_each_distinct_string_is_normalized_once(self, tmp_path, monkeypatch):
-        import slangsent.ingest as ingest
+        import slangsent.text as text
 
         calls = []
-        normalize = ingest.normalize_term
-        monkeypatch.setattr(ingest, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
+        normalize = text.normalize_term
+        monkeypatch.setattr(text, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
         path = vocabulary_file(tmp_path, record("a", related_terms=["b", "c"]),
                                record("b", related_terms=["a", "c"]), record("c"))
         load_vocabulary(path)

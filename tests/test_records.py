@@ -36,11 +36,10 @@ ALLOWED = {("pipeline.py", "json.loads")}
 # The functions that turn outside data into terms; every other function
 # trusts the terms it is given.
 NORMALIZERS = {
-    ("ingest.py", "_parse_record"),
+    ("ingest.py", "parse_entries"),
     ("ingest.py", "build_vocabulary"),
-    ("ingest.py", "load_vocabulary"),
     ("lexicon.py", "merge_seed_lexicons"),
-    ("lexicon.py", "_checked_entries"),
+    ("text.py", "checked_term"),
 }
 # Outside text.py, the only calls of tokenize: a Document's tokens and
 # score_text's. Everything else reads Document.tokens, or `chunk_token` for

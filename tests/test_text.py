@@ -7,7 +7,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slangsent.distant import default_emoticons
-from slangsent.errors import NormalizationError
+from slangsent.errors import NormalizationError, ParseError
+from slangsent.ingest import SlangEntry, load_vocabulary, save_vocabulary
+from slangsent.lexicon import (
+    Lexicon,
+    LexiconEntry,
+    Stage,
+    load_lexicon,
+    parse_slangsd,
+    save_lexicon,
+)
 from slangsent.text import chunk_token, emoticon_token, find_occurrences, normalize_term, tokenize
 
 from .oracles import brute_spans, reference_tokenize
@@ -77,6 +86,49 @@ class TestNormalizeTerm:
         assert term == term.strip()
         assert "  " not in term
         assert term == term.lower()
+
+
+# Terms near a normalized one: case variants, inner and outer whitespace
+# (tabs, U+00A0 and U+2028 among it), NFD forms, and the empty string.
+_TERM_PARTS = ["a", "A", "b", "\u00e9", "e\u0301", "\u00c9", "E\u0301",
+               " ", "  ", "\t", "\u00a0", "\u2028"]
+near_terms = st.lists(st.sampled_from(_TERM_PARTS), max_size=6).map("".join)
+
+
+def _normalized(raw: str) -> bool:
+    try:
+        return normalize_term(raw) == raw
+    except NormalizationError:
+        return False
+
+
+class TestCheckedTerm:
+    @given(raw=near_terms)
+    @example(raw="")
+    @example(raw="a b")
+    @example(raw="a  b")
+    @example(raw="e\u0301")
+    @example(raw="\u00e9 a")
+    def test_every_term_reader_takes_exactly_the_normalized_terms(self, tmp_path_factory, raw):
+        directory, line = tmp_path_factory.mktemp("terms"), f"{raw}\t1"
+        save_lexicon(Lexicon([LexiconEntry(raw, 1.0, Stage.IMPORTED)]), directory / "lex.jsonl")
+        save_vocabulary({raw: SlangEntry(raw, ("m",), ("e",))}, directory / "vocab.jsonl")
+        readers = {
+            "lexicon": lambda: load_lexicon(directory / "lex.jsonl"),
+            "vocabulary": lambda: load_vocabulary(directory / "vocab.jsonl"),
+            # A list of lines: str.splitlines would also split the text at U+2028.
+            "dictionary": lambda: parse_slangsd([line + "\n"]),
+        }
+        for name, read in readers.items():
+            if _normalized(raw):
+                assert list(read()) == [raw], name
+                continue
+            with pytest.raises(ParseError) as caught:
+                read()
+            if name == "dictionary" and "\t" in raw:  # the line has three fields
+                assert str(caught.value) == f"line 1: expected 'term<TAB>class', got {line!r}"
+            else:
+                assert str(caught.value).endswith(f"line 1: term is not normalized: {raw!r}"), name
 
 
 class TestTokenize:
