@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Document, read_documents
 from .errors import ParseError
-from .lexicon import Polarity, enum_member
+from .lexicon import Polarity
 from .records import naming, read_lines, value_of, write_records
 from .text import chunk_token
 
@@ -128,11 +128,6 @@ def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) 
 
 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
-    items: list[LabeledDocument] = []
     with naming(path):
-        for number, record, document in read_documents(path):
-            label = value_of(record, "label", str, number)
-            if (gold := enum_member(Polarity, label)) is None:
-                raise ParseError(f"bad label {label!r}", line=number)
-            items.append(LabeledDocument(document, gold))
-    return items
+        return [LabeledDocument(document, value_of(record, "label", Polarity, number))
+                for number, record, document in read_documents(path)]

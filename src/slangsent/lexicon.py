@@ -48,14 +48,6 @@ class Polarity(Enum):
         return cls.NEUTRAL
 
 
-_MEMBERS = {enum: {member.value: member for member in enum} for enum in (Stage, Polarity)}
-
-
-def enum_member(enum: type[Enum], value: object) -> Enum | None:
-    """The member of `enum` whose value is the string `value`, or None."""
-    return _MEMBERS[enum].get(value) if isinstance(value, str) else None
-
-
 def mean_strength(values: Sequence[float]) -> float:
     """Arithmetic mean as a float, closed over the inputs' own range.
 
@@ -315,16 +307,14 @@ def load_lexicon(path: str | Path) -> Lexicon:
         for number, record in read_records(path):
             term = value_of(record, "term", str, number)
             strength = value_of(record, "strength", float, number)
-            stage = value_of(record, "stage", str, number)
-            if (member := enum_member(Stage, stage)) is None:
-                raise ParseError(f"unknown stage {stage!r}", line=number)
+            stage = value_of(record, "stage", Stage, number)
             sources = value_of(record, "sources", list, number, [])
             checked_term(term, number)
             if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
                 raise ParseError(f"strength out of range: {strength!r}", line=number)
-            if (member is Stage.SEED_LEXICON) != bool(sources):
-                raise ParseError(f"sources {sources} do not fit stage {stage}", line=number)
+            if (stage is Stage.SEED_LEXICON) != bool(sources):
+                raise ParseError(f"sources {sources} do not fit stage {stage.value}", line=number)
             if term in entries:
                 raise ParseError(f"duplicate term {term!r}", line=number)
-            entries[term] = LexiconEntry(term, strength, member, tuple(sources))
+            entries[term] = LexiconEntry(term, strength, stage, tuple(sources))
     return Lexicon(entries.values())

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
-from collections.abc import Iterable, Sequence
+import reprlib
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
-from .records import in_file, naming, read_lines, write_json, write_text
+from .records import in_file, naming, read_lines, value_of, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if self.max_docs < 1:
-            raise ConfigError(f"max_docs must be >= 1, got {self.max_docs}")
+            raise ConfigError(f"max_docs must be >= 1, got {reprlib.repr(self.max_docs)}")
         if not self.entry_files:
             raise ConfigError("no entry files configured")
         _require_files([*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file])
@@ -88,82 +89,80 @@ def _require_files(paths: Iterable[Path]) -> None:
         raise ConfigError(f"missing input files: {', '.join(missing)}")
 
 
-def _read_json(path: Path, what: str) -> object:
+@contextmanager
+def _reading(path: Path, what: str) -> Iterator[object]:
+    """The JSON value in a config or sources file. A read error, and a field
+    that breaks the field rule (`value_of`) within the block, is a ConfigError."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
+        yield json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read {what} file: {exc}") from None
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _resolve(base: Path, value: object, name: str) -> Path:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"'{name}' must be a path string, got {value!r}")
-    return base / value
+def _string(raw: dict, key: str) -> str:
+    if not (value := value_of(raw, key, str, None)):
+        raise ConfigError(f"'{key}' must not be empty")
+    return value
 
 
-def _typed(value: object, name: str, kind: type):
-    """`value` as a `kind`, where a float may be given as an int but a bool is
-    neither, and a float is finite."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"'{name}' must be of type {kind.__name__}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
-    return kind(value)
+def _object(raw: object, what: str, known: tuple[str, ...]) -> None:
+    """Check that `raw` is a JSON object with no key outside `known`."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(raw)}")
+    if unknown := sorted(raw.keys() - set(known)):
+        raise ConfigError(f"unknown key {reprlib.repr(unknown[0])} in {what}; "
+                          f"known keys: {', '.join(known)}")
 
 
-def _known_keys(raw: dict, known: tuple[str, ...], what: str) -> list[str]:
-    """The keys of `known` that `raw` has, in that order; any other key is an error."""
-    unknown = sorted(raw.keys() - set(known))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {what}; known keys: {', '.join(known)}")
-    return [key for key in known if key in raw]
+def _range(raw: dict, key: str) -> tuple[float, float]:
+    """The `[low, high]` pair at `key`, each end read by the field rule."""
+    pair = raw.get(key)
+    if type(pair) is not list or len(pair) != 2 or None in pair:
+        raise ConfigError(f"'{key}' must be a [low, high] pair, got {reprlib.repr(pair)}")
+    return tuple(value_of({key: end}, key, float, None) for end in pair)
 
 
 def _parse_scale(raw: object) -> LinearScale:
     if raw is None:
         return LinearScale()
-    if not isinstance(raw, dict):
-        raise ConfigError(f"scale must be an object, got {raw!r}")
-    if "source_range" not in raw:
-        _known_keys(raw, ("factor", "offset"), "a scale without 'source_range'")
-        factor, offset = raw.get("factor", 1.0), raw.get("offset", 0.0)
-        return LinearScale(_typed(factor, "factor", float), _typed(offset, "offset", float))
-    ranges = []  # without a 'target_range', from_ranges maps onto the strength scale
-    for name in _known_keys(raw, ("source_range", "target_range"), "a scale with 'source_range'"):
-        pair = raw[name]
-        if len(_typed(pair, name, list)) != 2:
-            raise ConfigError(f"'{name}' must be a [low, high] pair, got {pair!r}")
-        ranges.append(tuple(_typed(value, name, float) for value in pair))
+    if type(raw) is not dict or "source_range" not in raw:
+        _object(raw, "scale", ("factor", "offset"))
+        return LinearScale(value_of(raw, "factor", float, None, 1.0),
+                           value_of(raw, "offset", float, None, 0.0))
+    _object(raw, "a scale with 'source_range'", ("source_range", "target_range"))
+    ranges = [_range(raw, "source_range")]
+    if raw.get("target_range") is not None:  # without one, from_ranges maps onto the strength scale
+        ranges.append(_range(raw, "target_range"))
     try:
         return LinearScale.from_ranges(*ranges)
     except ValueError as exc:
         raise ConfigError(f"bad scale: {exc}") from None
 
 
-def parse_seed_sources(raw: object, base: Path) -> list[SeedSourceConfig]:
+def _parse_seed_sources(raw: object, base: Path, what: str = "sources") -> list[SeedSourceConfig]:
     """Parse a `[{id, path, scale}]` seed-source list, the format of both the
     config's `seed_lexicons` and the `seed --sources` file. Each id is a
     distinct non-empty string. Paths are resolved against `base`."""
+    if type(raw) is not list:
+        raise ConfigError(f"{what} must be a JSON list, got {reprlib.repr(raw)}")
     sources = []
-    for item in _typed(raw, "seed_lexicons", list):
-        if not isinstance(item, dict) or "id" not in item or "path" not in item:
-            raise ConfigError(f"seed source needs 'id' and 'path': {item!r}")
-        _known_keys(item, ("id", "path", "scale"), "a seed source")
-        source_id = item["id"]
-        if not isinstance(source_id, str) or not source_id:
-            raise ConfigError(f"seed source 'id' must be a non-empty string, got {source_id!r}")
+    for item in raw:
+        _object(item, "a seed source", ("id", "path", "scale"))
+        source_id = _string(item, "id")
         if any(source.source_id == source_id for source in sources):
-            raise ConfigError(f"seed source 'id' {source_id!r} is repeated")
-        path = _resolve(base, item["path"], "seed_lexicons.path")
+            raise ConfigError(f"seed source 'id' {reprlib.repr(source_id)} is repeated")
+        path = base / _string(item, "path")
         sources.append(SeedSourceConfig(source_id, path, _parse_scale(item.get("scale"))))
     return sources
 
 
 def load_seed_sources(path: Path) -> list[SeedSourceConfig]:
-    sources = parse_seed_sources(_read_json(path, "sources"), path.parent)
+    with _reading(path, "sources") as raw:
+        sources = _parse_seed_sources(raw, path.parent)
     _require_files(source.path for source in sources)
     return sources
 
@@ -172,21 +171,21 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline config file (JSON). Relative paths are resolved
     against the config file's directory."""
     path = Path(path)
-    raw = _read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _known_keys(raw, ("entries", "seed_lexicons", "corpus", "output_dir", "max_docs",
-                      "sample_seed", "strict"), "the config")
-    base, entries = path.parent, raw.get("entries")
-    return PipelineConfig(
-        entry_files=[_resolve(base, p, "entries") for p in _typed(entries, "entries", list)],
-        seed_sources=parse_seed_sources(raw.get("seed_lexicons", []), base),
-        corpus_file=_resolve(base, raw.get("corpus"), "corpus"),
-        output_dir=_resolve(base, raw.get("output_dir"), "output_dir"),
-        max_docs=_typed(raw.get("max_docs", DEFAULT_MAX_DOCS), "max_docs", int),
-        sample_seed=_typed(raw.get("sample_seed", 0), "sample_seed", int),
-        strict=_typed(raw.get("strict", True), "strict", bool),
-    )
+    with _reading(path, "config") as raw:
+        _object(raw, "config", ("entries", "seed_lexicons", "corpus", "output_dir", "max_docs",
+                                "sample_seed", "strict"))
+        base, sources = path.parent, raw.get("seed_lexicons")
+        return PipelineConfig(
+            entry_files=[base / _string({"entries": entry}, "entries")
+                         for entry in value_of(raw, "entries", list, None)],
+            seed_sources=_parse_seed_sources([] if sources is None else sources, base,
+                                             "'seed_lexicons'"),
+            corpus_file=base / _string(raw, "corpus"),
+            output_dir=base / _string(raw, "output_dir"),
+            max_docs=value_of(raw, "max_docs", int, None, DEFAULT_MAX_DOCS),
+            sample_seed=value_of(raw, "sample_seed", int, None, 0),
+            strict=value_of(raw, "strict", bool, None, True),
+        )
 
 
 # --- stages: each computes its output and persists it ------------------------

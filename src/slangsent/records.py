@@ -1,7 +1,8 @@
 """Record files: one JSON object per line, UTF-8, LF, keys sorted. Readers
 accept gzip, skip blank lines and name the file and line of a malformed
-record, and take every field through `value_of`. Every output file is
-written beside its target and renamed over it, atomically."""
+record, and take every field through `value_of`, the one field rule, which
+the config and sources readers use too. Every output file is written beside
+its target and renamed over it, atomically."""
 
 from __future__ import annotations
 
@@ -9,11 +10,13 @@ import gzip
 import io
 import json
 import os
+import reprlib
 import secrets
 import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from enum import Enum
 from pathlib import Path
 
 from .errors import DataError, ParseError
@@ -86,27 +89,38 @@ def parse_record(raw: str, number: int) -> dict:
 
 
 REQUIRED = object()  # the default of a field that must be present
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list of strings"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               bool: "true or false", list: "a list of strings"}
+_FLOAT_MAX = sys.float_info.max
+_BY_VALUE: dict[type, dict[str, Enum]] = {}  # each Enum kind's members by value, on first use
 
 
-def value_of(record: dict, key: str, kind: type, line: int, default: object = REQUIRED):
-    """`record[key]` checked to be a `kind`: str, int, float or list (of
-    strings). An absent or null field takes `default`; without one, or of
-    another kind, it is a ParseError naming the line and the key."""
+def value_of(record: dict, key: str, kind: type, line: int | None, default: object = REQUIRED):
+    """`record[key]` checked to be a `kind`: str, int, float (finite), bool,
+    list (of strings), or an Enum of strings, whose member it returns. An
+    absent or null field takes `default`; without one, or of another kind, it
+    is a ParseError naming the line (when there is one) and the key."""
     value = record.get(key)
-    # Types match exactly, as json.loads makes them: a float field takes an
-    # int that a float can hold, as a float, and a bool, whose type is not
-    # int, is no number.
+    # Types match exactly, as json.loads makes them: a bool is no number, and
+    # a float field takes an int that a float can hold, as a float.
     if type(value) is kind:
-        if kind is not list or all(type(item) is str for item in value):
+        if kind is float:
+            if -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN and the infinities are not
+                return value
+        elif kind is not list or all(type(item) is str for item in value):
             return value
-    elif kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+    elif type(value) is str and kind not in _KIND_NAMES:
+        members = _BY_VALUE.get(kind) or _BY_VALUE.setdefault(kind, {m.value: m for m in kind})
+        if (member := members.get(value)) is not None:
+            return member
+    elif kind is float and type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
     elif value is None:
         if default is REQUIRED:
             raise ParseError(f"missing field '{key}'", line=line)
         return default
-    raise ParseError(f"'{key}' must be {_KIND_NAMES[kind]}, got {value!r}", line=line)
+    name = _KIND_NAMES.get(kind) or "one of " + ", ".join(repr(m.value) for m in kind)
+    raise ParseError(f"'{key}' must be {name}, got {reprlib.repr(value)}", line=line)
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:

@@ -212,10 +212,27 @@ TOO_MANY_DIGITS = "1" * 5000
 HUGE_INTEGER = 10**400
 
 
+# (id, argv builder, exit code, word the error line must name): values too
+# long to repeat whole, which the error line shortens.
+LONG_VALUES = [
+    ("report-lexicon-strength-too-large-for-a-float",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
+         b'"strength": 1.0', b'"strength": ' + str(HUGE_INTEGER).encode())),
+     2, "lex.jsonl: line 1: 'strength' must be a finite number, got 1000"),
+    ("scale-factor-too-large-for-a-float",
+     lambda g, t: _run_with_source(g, scale={"factor": HUGE_INTEGER}), 1,
+     "'factor' must be a finite number, got 1000"),
+    # The longest integer JSON reads; one of more digits is bad JSON (the
+    # too-many-digits rows below).
+    ("entries-term-4300-digits", lambda g, t: _ingest_record(t, term=10**4299), 2,
+     "entries.jsonl: line 1: 'term' must be a string, got 1000"),
+]
+
+
 # (id, argv builder, exit code, word the error line must name): each bad
 # input from outside ends in one error line with its documented exit code,
 # never in a traceback.
-BAD_INPUTS = [
+BAD_INPUTS = LONG_VALUES + [
     ("max_docs-string", lambda g, t: _run_with(g, max_docs="abc"), 1, "max_docs"),
     ("max_docs-bool", lambda g, t: _run_with(g, max_docs=True), 1, "max_docs"),
     ("max_docs-float", lambda g, t: _run_with(g, max_docs=1.5), 1, "max_docs"),
@@ -229,6 +246,9 @@ BAD_INPUTS = [
     ("source_range-degenerate",
      lambda g, t: _run_with_source(g, scale={"source_range": [1, 1]}), 1, "source_range"),
     ("scale-factor-string", lambda g, t: _run_with_source(g, scale={"factor": "x"}), 1, "factor"),
+    ("source_range-end-null",
+     lambda g, t: _run_with_source(g, scale={"source_range": [None, 1]}), 1,
+     "'source_range' must be a [low, high] pair, got [None, 1]"),
     ("sources-source_range-short",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
@@ -283,7 +303,8 @@ BAD_INPUTS = [
                                 {"term": "é", "strength": 1.0, "stage": "imported"}), 2, "utf-8"),
     ("report-lexicon-unknown-stage",
      lambda g, t: _report_on_lexicon(t, lambda data: data.replace(b'"imported"', b'"nope"')), 2,
-     "unknown stage 'nope'"),
+     "'stage' must be one of 'seed_lexicon', 'corpus_estimate', 'propagation', 'imported', "
+     "got 'nope'"),
     ("config-not-utf8",
      lambda g, t: _latin1_input(t, "run", "--config", {"entries": ["é.jsonl"]}), 1, "config"),
     ("ingest-second-input-not-utf8", lambda g, t: _ingest_latin1_second_input(t), 2,
@@ -301,7 +322,8 @@ BAD_INPUTS = [
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\nLol\n[negative]\n:(\n"), 2,
      "emoticons.txt: line 3: emoticon 'Lol'"),
     ("evaluate-label-list", lambda g, t: _evaluate_with_label(t, ["positive"]), 2,
-     "labeled.jsonl: line 1: 'label' must be a string, got ['positive']"),
+     "labeled.jsonl: line 1: 'label' must be one of 'positive', 'negative', 'neutral', "
+     "got ['positive']"),
     ("entries-term-number", lambda g, t: _ingest_record(t, term=5), 2,
      "entries.jsonl: line 1: 'term' must be a string, got 5"),
     ("entries-term-blank", lambda g, t: _ingest_record(t, term=" \t"), 2,
@@ -327,18 +349,19 @@ BAD_INPUTS = [
     ("report-lexicon-strength-string",
      lambda g, t: _report_on_lexicon(
          t, lambda data: data.replace(b'"strength": 1.0', b'"strength": "1.0"')),
-     2, "line 1: 'strength' must be a number, got '1.0'"),
+     2, "line 1: 'strength' must be a finite number, got '1.0'"),
     ("report-lexicon-record-not-object",
      lambda g, t: _report_on_lexicon(t, lambda data: data + b"[1]\n"), 2,
      "line 3: record is not an object"),
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
-    ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a path string"),
-    ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1, "scale must be an object"),
+    ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a string, got 5"),
+    ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1,
+     "scale must be a JSON object, got 'x'"),
     ("seed_lexicons-without-id",
      lambda g, t: _run_with(g, seed_lexicons=[{"path": "seed_core.tsv"}]), 1,
-     "seed source needs 'id' and 'path'"),
+     "missing field 'id'"),
     ("seed_lexicons-without-path", lambda g, t: _run_with(g, seed_lexicons=[{"id": "core"}]), 1,
-     "seed source needs 'id' and 'path'"),
+     "missing field 'path'"),
     ("config-not-object", lambda g, t: _run_with_config_text(g, "[]"), 1,
      "config must be a JSON object"),
     ("config-unknown-key", lambda g, t: _run_with(g, max_doc=1), 1, "unknown key 'max_doc'"),
@@ -387,10 +410,6 @@ BAD_INPUTS = [
      "sources is not valid JSON: Exceeds the limit (4300 digits)"),
     ("sources-nested-too-deep", lambda g, t: _seed_with_sources_text(g, t, "[" * 100_000), 1,
      "sources is not valid JSON: maximum recursion depth exceeded"),
-    ("report-lexicon-strength-too-large-for-a-float",
-     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
-         b'"strength": 1.0', b'"strength": ' + str(HUGE_INTEGER).encode())),
-     2, "lex.jsonl: line 1: 'strength' must be a number, got 1000"),
     ("scale-factor-nan", lambda g, t: _run_with_source(g, scale={"factor": float("nan")}), 1,
      "'factor' must be a finite number, got nan"),
     ("scale-offset-infinity",
@@ -399,12 +418,16 @@ BAD_INPUTS = [
     ("scale-source_range-nan",
      lambda g, t: _run_with_source(g, scale={"source_range": [float("nan"), 1]}), 1,
      "'source_range' must be a finite number, got nan"),
-    ("scale-factor-too-large-for-a-float",
-     lambda g, t: _run_with_source(g, scale={"factor": HUGE_INTEGER}), 1,
-     "'factor' must be a finite number, got 1000"),
     ("sources-scale-factor-nan",
      lambda g, t: _seed_with(g, t, scale={"factor": float("nan")}), 1,
      "'factor' must be a finite number, got nan"),
+    ("config-is-a-directory", lambda g, t: ["run", "--config", str(t)], 1,
+     "cannot read config file: "),
+    ("sources-is-a-directory",
+     lambda g, t: ["seed", "--sources", str(t), "--output", str(t / "seed.jsonl")], 1,
+     "cannot read sources file: "),
+    ("sources-not-a-list", lambda g, t: _seed_with_sources_text(g, t, "{}"), 1,
+     "sources must be a JSON list, got {}"),
     ("seed-tsv-nan", lambda g, t: _seed_with_tsv(g, t, "good\tnan\n"), 2,
      "bad.tsv: line 1: bad strength value 'nan'"),
     ("seed-tsv-inf", lambda g, t: _seed_with_tsv(g, t, "# scale\ngood\t1\nbad\t-inf\n"), 2,
@@ -427,6 +450,17 @@ def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_arg
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and names in errors[0], err
+
+
+@pytest.mark.parametrize(
+    "build_argv, code, names", [case[1:] for case in LONG_VALUES],
+    ids=[c[0] for c in LONG_VALUES]
+)
+def test_long_value_is_shortened(golden, tmp_path, capsys, build_argv, code, names):
+    assert main(build_argv(golden, tmp_path)) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and names in errors[0]
+    assert len(errors[0].replace(str(tmp_path), "<tmp>")) < 200, errors[0]
 
 
 def _report_on_lexicon(tmp_path, transform):

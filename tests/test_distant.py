@@ -22,6 +22,7 @@ from slangsent.text import emoticon_token, tokenize
 from .oracles import reference_label
 from .test_text import texts
 
+LABELS = "one of 'positive', 'negative', 'neutral'"
 EMOTICONS = EmoticonSet(positive=frozenset({":)", ":D"}), negative=frozenset({":(", "D:"}))
 
 
@@ -201,9 +202,9 @@ class TestLabeledCorpusFile:
         assert load_labeled_corpus(path) == labeled
 
     @pytest.mark.parametrize("fields, message", [
-        ({"label": "meh"}, "bad label 'meh'"),
-        ({"label": ["positive"]}, "'label' must be a string, got ['positive']"),
-        ({"label": {"a": 1}}, "'label' must be a string, got {'a': 1}"),
+        ({"label": "meh"}, f"'label' must be {LABELS}, got 'meh'"),
+        ({"label": ["positive"]}, f"'label' must be {LABELS}, got ['positive']"),
+        ({"label": {"a": 1}}, f"'label' must be {LABELS}, got {{'a': 1}}"),
         ({"label": None}, "missing field 'label'"),
         ({}, "missing field 'label'"),
     ], ids=["meh", "list", "object", "null", "absent"])

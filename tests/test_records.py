@@ -6,12 +6,14 @@ the atomic write; this test names each such call. A second guard keeps term
 normalization where outside data enters the package, a third keeps the
 scorer's matcher compiled in one place, once per lexicon, a fourth keeps
 an exception class only where some caller handles it apart from its family,
-and a fifth keeps text tokenized only where raw text becomes tokens.
+a fifth keeps text tokenized only where raw text becomes tokens, and a sixth
+keeps the kind of a JSON scalar checked by the field rule alone.
 
-The last table checks the one field rule, `records.value_of`, through the
-CLI for every typed field of every record reader. Two properties pin the
-record codec to the json module: each line reads as json.loads reads it, and
-each record is written as json.dumps writes it."""
+The last two tables check the one field rule, `records.value_of`, through
+the CLI for every typed field of every record reader, and of the config and
+`seed --sources` files. Two properties pin the record codec to the json
+module: each line reads as json.loads reads it, and each record is written
+as json.dumps writes it."""
 
 from __future__ import annotations
 
@@ -28,7 +30,10 @@ from slangsent.cli import main
 from slangsent.errors import ParseError
 from slangsent.records import parse_record, write_records
 
+from .fixtures import write_golden_fixture
+
 PACKAGE = Path(slangsent.__file__).resolve().parent
+GOLDEN_FILE = Path(__file__).parent / "data" / "golden_slangsd.txt"
 FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
 WRITE_METHODS = {"write_text", "write_bytes"}
 # Config and seed-source files are single JSON documents, not records.
@@ -45,6 +50,11 @@ NORMALIZERS = {
 # score_text's. Everything else reads Document.tokens, or `chunk_token` for
 # one chunk.
 TOKENIZERS = {("corpus.py", "Document.from_text"), ("scoring.py", "score_text")}
+# The kinds of a JSON scalar, and the functions that may check a value
+# against one: the field rule, and parse_slangsd, which tells a text from an
+# iterable of lines (an argument, not a JSON value).
+SCALARS = {"str", "int", "float", "bool"}
+SCALAR_CHECKS = {("records.py", "value_of"), ("lexicon.py", "parse_slangsd")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -217,6 +227,47 @@ def test_tokenize_guard_sees_calls_in_each_scope():
     assert tokenize_calls(source) == [(3, "_strip_emoticons"), (6, "Document.from_text")]
 
 
+def _checks_a_scalar_kind(node: ast.AST) -> bool:
+    """Whether `node` is `isinstance(x, K)` or `type(x) <op> K` for a scalar
+    kind K, alone or in a tuple."""
+    if isinstance(node, ast.Call) and _refers_to(node.func, "isinstance") and len(node.args) == 2:
+        kinds = node.args[1]
+    elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) \
+            and _refers_to(node.left.func, "type"):
+        kinds = node.comparators[0]
+    else:
+        return False
+    elements = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(ast.unparse(element) in SCALARS for element in elements)
+
+
+def scalar_kind_checks(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every check of a value against a JSON scalar kind."""
+    return _scoped_nodes(source, _checks_a_scalar_kind)
+
+
+def test_scalar_kinds_are_checked_only_by_the_field_rule():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in scalar_kind_checks(path.read_text(encoding="utf-8"))
+        if (path.name, scope) not in SCALAR_CHECKS
+    ]
+    assert offenders == []
+
+
+def test_scalar_guard_sees_each_form_of_check():
+    source = "\n".join([
+        "def _typed(value, name, kind):",
+        "    if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "        return type(value) is not str",
+        "    return type(value) in (list, int)",
+        "ok = isinstance(record, dict) or type(record) is dict or type(value) is kind",
+    ])
+    assert scalar_kind_checks(source) == [(2, "_typed"), (2, "_typed"), (3, "_typed"),
+                                          (4, "_typed")]
+
+
 def _name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
@@ -314,7 +365,15 @@ READERS = {
         lambda path: ["score", "--lexicon", str(_lexicon_file(path.with_name("lex.jsonl"))),
                       "--corpus", str(path)],
     ),
+    "labeled": (
+        {"id": "1", "label": "positive", "text": "a"},
+        {"id": "2", "label": "negative", "text": "b"},
+        lambda path: ["evaluate", "--lexicon", str(_lexicon_file(path.with_name("lex.jsonl"))),
+                      "--corpus", str(path)],
+    ),
 }
+STAGES = "one of 'seed_lexicon', 'corpus_estimate', 'propagation', 'imported'"
+LABELS = "one of 'positive', 'negative', 'neutral'"
 # (reader, key, the kind its errors name, whether it is required)
 FIELDS = [
     ("entries", "term", "a string", True),
@@ -325,18 +384,25 @@ FIELDS = [
     ("entries", "downvotes", "an integer", False),
     ("entries", "created_date", "a string", False),
     ("lexicon", "term", "a string", True),
-    ("lexicon", "strength", "a number", True),
-    ("lexicon", "stage", "a string", True),
+    ("lexicon", "strength", "a finite number", True),
+    ("lexicon", "stage", STAGES, True),
     ("lexicon", "sources", "a list of strings", False),
     ("corpus", "id", "a string", True),
     ("corpus", "text", "a string", True),
+    ("labeled", "id", "a string", True),
+    ("labeled", "label", LABELS, True),
+    ("labeled", "text", "a string", True),
 ]
-# Values of another kind: a bool is no number, and a list holds strings only.
+# Values of another kind: a bool is no number, a number is finite, a list
+# holds strings only, and a fixed set of strings matches case and all.
 WRONG = {
     "a string": [5, ["b"]],
     "an integer": [1.5, True, "1"],
-    "a number": ["1.0", True],
+    "a finite number": ["1.0", True, float("nan"), float("inf")],
+    "true or false": ["true", 1],
     "a list of strings": ["m", [1]],
+    STAGES: [5, ["b"], "nope", "Imported"],
+    LABELS: [5, ["positive"], "meh", "Positive"],
 }
 ABSENT = object()
 
@@ -367,6 +433,89 @@ def test_each_field_follows_the_one_rule(tmp_path, capsys, reader, key, value, e
         assert (code, errors) == (0, [])
     else:
         assert code == 2 and errors == [f"data error: {path}: line 2: {expected}"]
+
+
+# (place, key, the kind its errors name, whether it is required): a key of
+# config.json ("config"), of its first seed source ("source"), of that
+# source's scale ("scale"), or the low end of a `source_range` pair ("range"),
+# which cannot be absent. A "sources-" place is the same key in a
+# `seed --sources` file.
+CONFIG_FIELDS = [
+    ("config", "entries", "a list of strings", True),
+    ("config", "corpus", "a string", True),
+    ("config", "output_dir", "a string", True),
+    ("config", "max_docs", "an integer", False),
+    ("config", "sample_seed", "an integer", False),
+    ("config", "strict", "true or false", False),
+] + [
+    (prefix + place, key, kind, required)
+    for prefix in ("", "sources-")
+    for place, key, kind, required in [
+        ("source", "id", "a string", True),
+        ("source", "path", "a string", True),
+        ("scale", "factor", "a finite number", False),
+        ("scale", "offset", "a finite number", False),
+        ("range", "source_range", "a finite number", None),
+    ]
+]
+
+
+def _config_field_cases():
+    for place, key, kind, required in CONFIG_FIELDS:
+        if required is not None:
+            for value, case in ((ABSENT, "absent"), (None, "null")):
+                expected = f"missing field '{key}'" if required else None
+                yield pytest.param(place, key, value, expected, id=f"{place}-{key}-{case}")
+        for value in WRONG[kind]:
+            yield pytest.param(place, key, value, f"'{key}' must be {kind}, got {value!r}",
+                               id=f"{place}-{key}-{json.dumps(value)}")
+
+
+def _golden_argv(root: Path, place: str, key: str | None = None,
+                 value: object = ABSENT) -> tuple[list[str], Path]:
+    """The argv that reads the golden config, or its seed sources as a
+    `seed --sources` file, with `key` at `place` set to `value` (dropped when
+    ABSENT; no key changes no field), and the file that argv writes."""
+    config = write_golden_fixture(root)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    source = raw["seed_lexicons"][0]
+    if key == "source_range":
+        source["scale"] = {"source_range": [value, 2]}
+    elif key is not None:
+        target = {"config": raw, "source": source, "scale": source["scale"]}
+        fields = target[place.removeprefix("sources-")]
+        del fields[key]
+        if value is not ABSENT:
+            fields[key] = value
+    if place.startswith("sources-"):
+        (root / "sources.json").write_text(json.dumps(raw["seed_lexicons"]), encoding="utf-8")
+        output = root / "seed.jsonl"
+        return ["seed", "--sources", str(root / "sources.json"), "--output", str(output)], output
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    return ["run", "--config", str(config)], root / "out" / "slangsd.txt"
+
+
+@pytest.mark.parametrize("place, key, value, expected", _config_field_cases())
+def test_each_config_field_follows_the_one_rule(tmp_path, capsys, place, key, value, expected):
+    """The config and sources readers take each field through the same rule:
+    a bad field ends in one error line naming the key (exit 1), and an
+    optional field that is absent or null takes its default."""
+    argv, output = _golden_argv(tmp_path / "changed", place, key, value)
+    code = main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    if expected is not None:
+        assert code == 1 and errors == [f"error: {expected}"]
+        return
+    assert (code, errors) == (0, [])
+    # The golden config gives the first seed source the default scale and
+    # every optional config key its default (or, for sample_seed, one that
+    # does not change the export).
+    if place.startswith("sources-"):
+        reference_argv, reference = _golden_argv(tmp_path / "golden", place)
+        assert main(reference_argv) == 0
+        assert output.read_bytes() == reference.read_bytes()
+    else:
+        assert output.read_bytes() == GOLDEN_FILE.read_bytes()
 
 
 def reference_parse(raw: str, number: int) -> dict:
