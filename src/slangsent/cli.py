@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--resume", action="store_true",
-                   help="reuse stage outputs already present in the output directory")
+                   help="reuse each stage file that exists, unchecked against inputs and config")
     p.set_defaults(func=_cmd_run)
 
     return parser
@@ -184,20 +184,16 @@ def _cmd_estimate(args) -> int:
             "unlabelable": report.unlabelable,
             "failures": [{"term": t, "error": e} for t, e in report.failures],
         })
-    print(
-        f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable, "
-        f"{len(report.failures)} failures -> {args.output}"
-    )
+    print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable, "
+          f"{len(report.failures)} failures -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_propagate(args) -> int:
     stages = [load_lexicon(path) for path in args.seeds]
-    result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
-    print(
-        f"{len(result.labeled)} labeled in {result.iterations} iterations, "
-        f"{len(result.unreached)} unreached -> {args.output}"
-    )
+    labeled, result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
+    print(f"{len(labeled)} labeled in {result.iterations} iterations, "
+          f"{len(result.unreached)} unreached -> {args.output}")
     return EXIT_OK
 
 

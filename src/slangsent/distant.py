@@ -7,6 +7,7 @@ stripped from the labeled output so a scorer can never see the label source.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,19 +48,20 @@ class EmoticonSet:
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip().lower()
                 if name not in sections:
-                    raise ParseError(f"unknown section {name!r}", line=number)
+                    raise ParseError(f"unknown section {reprlib.repr(name)}", line=number)
                 current = sections[name]
                 continue
             if current is None:
                 raise ParseError("emoticon before any section header", line=number)
             if chunk_token(line) != line:
-                raise ParseError(f"emoticon {line!r} is not a token tokenize emits", line=number)
+                raise ParseError(f"emoticon {reprlib.repr(line)} is not a token tokenize emits",
+                                 line=number)
             current.add(line)
         positive, negative = sections["positive"], sections["negative"]
         if not positive or not negative:
             raise ParseError("both emoticon sets must be non-empty")
         if positive & negative:
-            raise ParseError(f"emoticons in both sets: {sorted(positive & negative)}")
+            raise ParseError(f"emoticons in both sets: {reprlib.repr(sorted(positive & negative))}")
         return cls(positive=frozenset(positive), negative=frozenset(negative))
 
     @classmethod

@@ -9,6 +9,7 @@ related-word lists are the only entry content the sentiment stages trust.
 from __future__ import annotations
 
 import io
+import reprlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -57,7 +58,7 @@ def parse_entries(
             try:
                 normalize_term(entry.term)
             except NormalizationError:
-                raise ParseError(f"term {entry.term!r} normalizes to nothing",
+                raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing",
                                  line=number) from None
             entries.append(entry)
         except ParseError as exc:
@@ -89,7 +90,8 @@ def _parse_record(raw: str, number: int) -> SlangEntry:
     try:
         created = None if day is None else parse_day(day)
     except ValueError:
-        raise ParseError(f"'created_date' must be YYYY-MM-DD, got {day!r}", line=number) from None
+        raise ParseError(f"'created_date' must be YYYY-MM-DD, got {reprlib.repr(day)}",
+                         line=number) from None
 
     return SlangEntry(
         term=term,
@@ -186,12 +188,13 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             for text in sorted(distinct - known):
                 known.add(checked_term(text, number, "related term"))
             if term in vocabulary:
-                raise ParseError(f"duplicate term {term!r}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
             if term in distinct:
-                raise ParseError(f"related terms include the term {term!r}", line=number)
-            if sorted(distinct) != list(related):
-                raise ParseError(f"related terms are not sorted and unique: {list(related)}",
+                raise ParseError(f"related terms include the term {reprlib.repr(term)}",
                                  line=number)
+            if sorted(distinct) != list(related):
+                raise ParseError("related terms are not sorted and unique: "
+                                 f"{reprlib.repr(list(related))}", line=number)
             vocabulary[term] = entry
     return vocabulary
 

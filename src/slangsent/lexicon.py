@@ -9,6 +9,7 @@ happens only at export and reporting time.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -194,10 +195,9 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
             term = normalize_term(raw_term)
             mapped = source.scale.apply(float(native))
             if not STRENGTH_MIN <= mapped <= STRENGTH_MAX:
-                raise DataError(
-                    f"source {source.source_id!r} maps {raw_term!r} ({native!r}) "
-                    f"to {mapped!r}, outside [{STRENGTH_MIN}, {STRENGTH_MAX}]"
-                )
+                raise DataError(f"source {reprlib.repr(source.source_id)} maps "
+                                f"{reprlib.repr(raw_term)} ({native!r}) to {mapped!r}, "
+                                f"outside [{STRENGTH_MIN}, {STRENGTH_MAX}]")
             per_source.setdefault(term, {}).setdefault(source.source_id, []).append(mapped)
 
     entries = []
@@ -220,16 +220,17 @@ def load_seed_values(path: str | Path) -> dict[str, float]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError(f"expected 'term<TAB>value', got {line!r}", line=number)
+                raise ParseError(f"expected 'term<TAB>value', got {reprlib.repr(line)}",
+                                 line=number)
             term, text = fields
             if term in values:
-                raise ParseError(f"duplicate term {term!r}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
             try:
                 values[term] = float(text)
             except ValueError:
                 values[term] = math.nan
             if not math.isfinite(values[term]):  # float() reads "nan", "inf" and "1e999" too
-                raise ParseError(f"bad strength value {text!r}", line=number)
+                raise ParseError(f"bad strength value {reprlib.repr(text)}", line=number)
     return values
 
 
@@ -255,17 +256,17 @@ def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
         line = raw.rstrip("\n")
         fields = line.split("\t")
         if len(fields) != 2:
-            raise ParseError(f"expected 'term<TAB>class', got {line!r}", line=number)
+            raise ParseError(f"expected 'term<TAB>class', got {reprlib.repr(line)}", line=number)
         term, class_text = fields
         try:
             cls = int(class_text)
         except ValueError:
-            raise ParseError(f"bad class {class_text!r}", line=number) from None
+            raise ParseError(f"bad class {reprlib.repr(class_text)}", line=number) from None
         if cls not in CLASSES:
-            raise ParseError(f"class {cls} outside -2..2", line=number)
+            raise ParseError(f"class {reprlib.repr(cls)} outside -2..2", line=number)
         checked_term(term, number)
         if term in entries:
-            raise ParseError(f"duplicate term {term!r}", line=number)
+            raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
         entries[term] = LexiconEntry(term, float(cls), Stage.IMPORTED)
     return Lexicon(entries.values())
 
@@ -311,10 +312,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
             sources = value_of(record, "sources", list, number, [])
             checked_term(term, number)
             if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
-                raise ParseError(f"strength out of range: {strength!r}", line=number)
+                raise ParseError(f"strength out of range: {reprlib.repr(strength)}", line=number)
             if (stage is Stage.SEED_LEXICON) != bool(sources):
-                raise ParseError(f"sources {sources} do not fit stage {stage.value}", line=number)
+                raise ParseError(f"sources {reprlib.repr(sources)} do not fit stage {stage.value}",
+                                 line=number)
             if term in entries:
-                raise ParseError(f"duplicate term {term!r}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
             entries[term] = LexiconEntry(term, strength, stage, tuple(sources))
     return Lexicon(entries.values())

@@ -5,8 +5,8 @@ corpus-estimate the rest -> propagate over the related-word graph ->
 assemble with stage precedence (seed > corpus estimate > propagation) ->
 export. Each stage is one function here, shared by `run_pipeline` and the
 stage subcommands of the CLI. Every stage's output is persisted in the
-output directory, so a run can resume from any intermediate, and identical
-configs produce byte-identical exports.
+output directory, where a resumed run reuses it unchecked (`run_pipeline`),
+and identical configs produce byte-identical exports.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_MAX_DOCS, EstimationReport, FileCorpusProvider, estimate_all
@@ -235,13 +235,13 @@ def estimate_terms(
 
 
 def propagate_terms(vocabulary: Vocabulary, stages: Sequence[Lexicon],
-                    output: Path) -> PropagationResult:
+                    output: Path) -> tuple[Lexicon, PropagationResult]:
     """Propagate the stages, assembled by precedence, over the related-word graph."""
     result = propagate(build_graph(vocabulary), assemble(vocabulary, *stages))
     save_lexicon(result.labeled, output)
     log.info("propagation: %d labeled in %d iterations, %d unreached",
              len(result.labeled), result.iterations, len(result.unreached))
-    return result
+    return result.labeled, result
 
 
 def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
@@ -270,66 +270,61 @@ def write_report(lexicon: Lexicon, text_path: Path | None, json_path: Path | Non
 
 # --- the whole run -----------------------------------------------------------
 
+# The persisted stages in build order: (name in OUTPUT_FILES, build, load).
+# `build(config, done, path, issues)` makes a stage from the config and the
+# stages `done` before it, saves it to `path` and returns (value, report). Rows
+# look this module's functions up when they run, so a patched name takes effect.
+_STAGES = (
+    ("vocabulary",
+     lambda config, done, path, issues: ingest_entries(
+         config.entry_files, path, issues=None if config.strict else issues),
+     lambda path: load_vocabulary(path)),
+    ("seed",
+     lambda config, done, path, issues: (merge_seeds(config.seed_sources, path), None),
+     lambda path: load_lexicon(path)),
+    ("estimates",
+     lambda config, done, path, issues: estimate_terms(
+         done["vocabulary"], done["seed"], config.corpus_file, path,
+         max_docs=config.max_docs, sample_seed=config.sample_seed),
+     lambda path: load_lexicon(path)),
+    ("propagated",
+     lambda config, done, path, issues: propagate_terms(
+         done["vocabulary"], (done["seed"], done["estimates"]), path),
+     lambda path: load_lexicon(path)),
+)
+
 
 @dataclass
 class PipelineResult:
     final: Lexicon
     report: StageReport
     paths: dict[str, Path]
-    ingest_issues: list[ParseError] = field(default_factory=list)
-    estimation: EstimationReport | None = None
-    propagation: PropagationResult | None = None
+    ingest_issues: list[ParseError]
+    built: dict[str, object]  # the report of each stage built in this run, by name
 
 
 def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineResult:
     """Run the full construction pipeline, persisting every stage output.
 
-    With resume=True, stages whose output file already exists are loaded
-    instead of recomputed; rerunning from any persisted intermediate yields
-    the same final exports.
+    With resume=True, a stage whose output file exists is loaded instead of
+    built; the file is never compared with the current inputs or config.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
     issues: list[ParseError] = []
-    estimation = propagation = None
-
-    def reuse(name, load):
+    done: dict[str, object] = {}
+    built: dict[str, object] = {}
+    for name, build, load in _STAGES:
         if resume and paths[name].exists():
             log.info("resuming: %s from %s", name, paths[name])
-            return load(paths[name])
-        return None
+            done[name] = load(paths[name])
+        else:
+            done[name], built[name] = build(config, done, paths[name], issues)
 
-    vocabulary = reuse("vocabulary", load_vocabulary)
-    if vocabulary is None:
-        vocabulary, _ = ingest_entries(
-            config.entry_files, paths["vocabulary"], issues=None if config.strict else issues
-        )
-    seed = reuse("seed", load_lexicon)
-    if seed is None:
-        seed = merge_seeds(config.seed_sources, paths["seed"])
-    estimates = reuse("estimates", load_lexicon)
-    if estimates is None:
-        estimates, estimation = estimate_terms(
-            vocabulary, seed, config.corpus_file, paths["estimates"],
-            max_docs=config.max_docs, sample_seed=config.sample_seed,
-        )
-    propagated = reuse("propagated", load_lexicon)
-    if propagated is None:
-        propagation = propagate_terms(vocabulary, (seed, estimates), paths["propagated"])
-        propagated = propagation.labeled
-
-    final = assemble(vocabulary, seed, estimates, propagated)
+    final = assemble(*done.values())  # vocabulary, seed, estimates, propagated
     save_lexicon(final, paths["final"])
     write_exports(final, paths["slangsd"], paths["idiom_table"])
     report = write_report(final, paths["report_text"], paths["report_json"])
     log.info("final lexicon: %d terms -> %s", len(final), paths["slangsd"])
-
-    return PipelineResult(
-        final=final,
-        report=report,
-        paths=paths,
-        ingest_issues=issues,
-        estimation=estimation,
-        propagation=propagation,
-    )
+    return PipelineResult(final, report, paths, issues, built)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
+import reprlib
 import unicodedata
 from collections.abc import Sequence
 
@@ -51,7 +52,7 @@ def normalize_term(raw: str) -> str:
     """
     term = " ".join(unicodedata.normalize("NFC", raw).lower().split())
     if not term:
-        raise NormalizationError(f"term is empty after normalization: {raw!r}")
+        raise NormalizationError(f"term is empty after normalization: {reprlib.repr(raw)}")
     return term
 
 
@@ -63,7 +64,7 @@ def checked_term(text: str, line: int, what: str = "term") -> str:
             return text
     except NormalizationError:
         pass
-    raise ParseError(f"{what} is not normalized: {text!r}", line=line)
+    raise ParseError(f"{what} is not normalized: {reprlib.repr(text)}", line=line)
 
 
 def emoticon_token(chunk: str) -> str | None:

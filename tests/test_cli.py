@@ -226,6 +226,27 @@ LONG_VALUES = [
     # too-many-digits rows below).
     ("entries-term-4300-digits", lambda g, t: _ingest_record(t, term=10**4299), 2,
      "entries.jsonl: line 1: 'term' must be a string, got 1000"),
+    ("report-lexicon-term-10000-characters",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
+         b'"term": "lol"', b'"term": "' + b"A" * 10_000 + b'"')),
+     2, "lex.jsonl: line 1: term is not normalized: 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
+    ("report-lexicon-sources-3000-items",
+     lambda g, t: _report_on_lexicon(t, lambda data: data.replace(
+         b'"sources": []', b'"sources": ' + json.dumps(["x"] * 3000).encode(), 1)),
+     2, "lex.jsonl: line 1: sources ['x', 'x', 'x', 'x', 'x', 'x', ...] do not fit stage imported"),
+    ("sources-tsv-line-10000-characters", lambda g, t: _seed_with_tsv(g, t, "A" * 10_000 + "\n"),
+     2, "bad.tsv: line 1: expected 'term<TAB>value', got 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
+    ("entries-created_date-10000-characters",
+     lambda g, t: _ingest_record(t, created_date="2" * 10_000), 2,
+     "line 1: 'created_date' must be YYYY-MM-DD, got '222222222222...2222222222222'"),
+    ("vocabulary-related-3000-items",
+     lambda g, t: _unmerged_vocabulary(
+         t, "estimate", {"term": "lit", "related_terms": [f"w{i}" for i in range(3000, 0, -1)]}),
+     2, "line 1: related terms are not sorted and unique: ['w3000', 'w2999', 'w2998', 'w2997', "
+        "'w2996', 'w2995', ...]"),
+    ("emoticons-token-10000-characters",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n" + "A" * 10_000 + "\n"),
+     2, "line 4: emoticon 'AAAAAAAAAAAA...AAAAAAAAAAAAA' is not a token tokenize emits"),
 ]
 
 

@@ -214,6 +214,18 @@ class TestSlangsdFormat:
         with pytest.raises(ParseError):
             parse_slangsd("lol\t1\nlol\t1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("A" * 10_000, "line 1: expected 'term<TAB>class', got 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
+        ("lol\t" + "x" * 10_000, "line 1: bad class 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        ("lol\t" + "7" * 4000, "line 1: class 777777777777777777...7777777777777777777 outside -2..2"),
+        ("A" * 10_000 + "\t1", "line 1: term is not normalized: 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
+        (("a" * 10_000 + "\t1\n") * 2, "line 2: duplicate term 'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
+    ], ids=["line", "class-text", "class-4000-digits", "term", "duplicate-term"])
+    def test_long_value_is_shortened(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_slangsd(text)
+        assert str(exc.value).startswith(message) and len(str(exc.value)) < 200
+
     @given(
         st.dictionaries(
             st.text(alphabet="abcdefg ", min_size=1, max_size=8).map(str.strip).filter(bool),

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slangsent.errors import ConfigError
 from slangsent.lexicon import LinearScale, Stage, load_lexicon
 from slangsent.pipeline import OUTPUT_FILES, load_config, run_pipeline
 
-from .fixtures import write_golden_fixture, write_synthetic_fixture
+from .fixtures import _entry, write_golden_fixture, write_synthetic_fixture
+from .reference import reference_slangsd
 
 
 def read_exports(out_dir):
@@ -79,7 +84,7 @@ class TestRunPipeline:
 
     def test_unreached_terms_excluded(self, tmp_path):
         result = run_pipeline(load_config(write_golden_fixture(tmp_path)))
-        assert result.propagation.unreached == frozenset({"ghosted", "ratio"})
+        assert result.built["propagated"].unreached == frozenset({"ghosted", "ratio"})
         assert "ghosted" not in result.final and "ratio" not in result.final
 
     def test_all_outputs_written(self, tmp_path):
@@ -109,8 +114,18 @@ class TestRunPipeline:
         run_pipeline(config)
         baseline = read_exports(config.output_dir)
         result = run_pipeline(config, resume=True)
-        # estimation report absent because the stage was loaded, not recomputed
-        assert result.estimation is None
+        # no stage was built: each was loaded
+        assert result.built == {}
+        assert read_exports(config.output_dir) == baseline
+
+    @pytest.mark.parametrize("stage", ["vocabulary", "seed", "estimates", "propagated"])
+    def test_resume_builds_only_the_missing_stage(self, tmp_path, stage):
+        config = load_config(write_golden_fixture(tmp_path))
+        run_pipeline(config)
+        baseline = read_exports(config.output_dir)
+        (config.output_dir / OUTPUT_FILES[stage]).unlink()
+        result = run_pipeline(config, resume=True)
+        assert result.built.keys() == {stage}
         assert read_exports(config.output_dir) == baseline
 
     def test_lenient_ingest_reports_issues(self, tmp_path):
@@ -138,3 +153,71 @@ class TestRunPipeline:
             assert stage_sets[stage], f"stage {stage} unexpectedly empty"
         total = sum(len(stage_sets[s]) for s in Stage)
         assert total == len(result.final)
+
+
+# --- the pipeline against the independent reference on drawn fixtures -------
+
+TERM_WORDS = ["lit", "fire", "sus", "mid", "cap", "yeet"]
+SEED_WORDS = ["good", "bad", "great", "awful", *TERM_WORDS[:3]]
+FILLER = ["the", "day", "so"]
+
+TERMS = st.lists(st.sampled_from(TERM_WORDS), min_size=1, max_size=2).map(" ".join)
+CASED_TERMS = st.tuples(TERMS, st.sampled_from([str.lower, str.upper, str.title])).map(
+    lambda pair: pair[1](pair[0]))
+RECORDS = st.lists(
+    st.tuples(CASED_TERMS, st.lists(CASED_TERMS, max_size=3)), min_size=1, max_size=10
+).map(lambda pairs: [_entry(term, related=related) for term, related in pairs])
+
+
+@st.composite
+def seed_sources(draw):
+    """One or two sources on a quarter-step grid that scales into [-2, 2]."""
+    sources = []
+    for index in range(draw(st.integers(1, 2))):
+        factor = draw(st.sampled_from([1.0, 0.5]))
+        quarters = st.integers(-8, 8).map(lambda q, f=factor: q / 4 / f)
+        values = draw(st.dictionaries(st.sampled_from(SEED_WORDS), quarters, max_size=6))
+        sources.append((f"s{index}", values, (factor, 0.0)))
+    return sources
+
+
+DOCUMENTS = st.lists(
+    st.lists(st.sampled_from(TERM_WORDS + SEED_WORDS + FILLER), min_size=1, max_size=8)
+    .map(" ".join),
+    max_size=25,
+)
+
+
+def _write_fixture(root, records, sources, documents):
+    (root / "entries.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    seed_items = []
+    for source_id, values, (factor, offset) in sources:
+        (root / f"{source_id}.tsv").write_text(
+            "".join(f"{term}\t{value}\n" for term, value in values.items()), encoding="utf-8")
+        seed_items.append({"id": source_id, "path": f"{source_id}.tsv",
+                           "scale": {"factor": factor, "offset": offset}})
+    (root / "corpus.jsonl").write_text(
+        "".join(json.dumps({"id": f"d{i}", "text": text}) + "\n"
+                for i, text in enumerate(documents)), encoding="utf-8")
+    config = {"entries": ["entries.jsonl"], "seed_lexicons": seed_items,
+              "corpus": "corpus.jsonl", "output_dir": "out", "max_docs": 150}
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return root / "config.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=RECORDS, sources=seed_sources(), documents=DOCUMENTS)
+def test_pipeline_equals_reference(records, sources, documents):
+    with tempfile.TemporaryDirectory() as root:
+        result = run_pipeline(load_config(_write_fixture(Path(root), records, sources, documents)))
+        exported = result.paths["slangsd"].read_text(encoding="utf-8")
+    text, stages = reference_slangsd(records, sources, documents)
+    for stage, key in ((Stage.SEED_LEXICON, "stage1"), (Stage.CORPUS_ESTIMATE, "stage2"),
+                       (Stage.PROPAGATION, "stage3")):
+        expected = stages[key]
+        got = {e.term: e.strength for e in result.final.entries() if e.stage is stage}
+        assert got.keys() == expected.keys(), stage
+        for term, value in expected.items():
+            assert got[term] == pytest.approx(value, abs=1e-9), (stage, term)
+    assert exported == text

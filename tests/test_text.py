@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import reprlib
 import unicodedata
 
 import pytest
@@ -109,6 +110,9 @@ class TestCheckedTerm:
     @example(raw="a  b")
     @example(raw="e\u0301")
     @example(raw="\u00e9 a")
+    # Long enough that the repr of the dictionary line, and of the term, is shortened.
+    @example(raw="\t\u2028\u2028\u2028\u2028")
+    @example(raw="a\u00a0\u2028\u2028\u2028\u2028")
     def test_every_term_reader_takes_exactly_the_normalized_terms(self, tmp_path_factory, raw):
         directory, line = tmp_path_factory.mktemp("terms"), f"{raw}\t1"
         save_lexicon(Lexicon([LexiconEntry(raw, 1.0, Stage.IMPORTED)]), directory / "lex.jsonl")
@@ -126,9 +130,11 @@ class TestCheckedTerm:
             with pytest.raises(ParseError) as caught:
                 read()
             if name == "dictionary" and "\t" in raw:  # the line has three fields
-                assert str(caught.value) == f"line 1: expected 'term<TAB>class', got {line!r}"
+                assert str(caught.value) == (
+                    f"line 1: expected 'term<TAB>class', got {reprlib.repr(line)}")
             else:
-                assert str(caught.value).endswith(f"line 1: term is not normalized: {raw!r}"), name
+                assert str(caught.value).endswith(
+                    f"line 1: term is not normalized: {reprlib.repr(raw)}"), name
 
 
 class TestTokenize:
