@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error.
+Exit codes: 0 success, 1 usage/config error, 2 data error. A command fails
+only by raising; `main` maps a ConfigError to 1 and a data or OS error to 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import reprlib
 import sys
 from datetime import date
 from pathlib import Path
@@ -54,12 +56,12 @@ def _date_arg(text: str) -> date:
     try:
         return parse_day(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {reprlib.repr(text)}") from None
 
 
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a positive integer: {reprlib.repr(text)}")
     return int(text)
 
 
@@ -159,21 +161,19 @@ def _print_skipped(issues) -> None:
         print(f"skipped: {issue}", file=sys.stderr)
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> None:
     issues = None if args.strict else []
     vocabulary, count = ingest_entries(args.input, args.output, issues=issues)
     _print_skipped(issues or ())
     print(f"{count} entries -> {len(vocabulary)} terms -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_seed(args) -> int:
+def _cmd_seed(args) -> None:
     lexicon = merge_seeds(load_seed_sources(args.sources), args.output)
     print(f"{len(lexicon)} seed terms -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     _, report = estimate_terms(
         load_vocabulary(args.vocabulary), load_lexicon(args.seed), args.corpus, args.output,
         max_docs=args.max_docs, sample_seed=args.sample_seed,
@@ -186,26 +186,23 @@ def _cmd_estimate(args) -> int:
         })
     print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable, "
           f"{len(report.failures)} failures -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_propagate(args) -> int:
+def _cmd_propagate(args) -> None:
     stages = [load_lexicon(path) for path in args.seeds]
     labeled, result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
     print(f"{len(labeled)} labeled in {result.iterations} iterations, "
           f"{len(result.unreached)} unreached -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args) -> None:
     stages = [load_lexicon(path) for path in (args.seed, args.estimates, args.propagated)]
     final = assemble(load_vocabulary(args.vocabulary), *stages)
     save_lexicon(final, args.output)
     print(f"{len(final)} terms -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> None:
     if not args.slangsd and not args.idiom_table:
         raise ConfigError("nothing to export: pass --slangsd and/or --idiom-table")
     write_exports(load_lexicon(args.lexicon), args.slangsd, args.idiom_table)
@@ -213,21 +210,19 @@ def _cmd_export(args) -> int:
         print(f"dictionary -> {args.slangsd}")
     if args.idiom_table:
         print(f"idiom table -> {args.idiom_table}")
-    return EXIT_OK
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     if args.text is not None:
         print(score_text(args.text, lexicon).format_text(), end="")
-        return EXIT_OK
+        return
     for doc in load_corpus(args.corpus):
         breakdown = score_tokens(doc.tokens, lexicon)
         print(f"{doc.id}\t{breakdown.total:+g}\t{breakdown.polarity.value}")
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     corpus = load_labeled_corpus(args.corpus)
     report = evaluate(corpus, lexicon, EvalSubset(args.subset))
@@ -235,46 +230,37 @@ def _cmd_evaluate(args) -> int:
     print(report.format_table(), end="")
     if args.json:
         write_json(args.json, report.to_dict())
-    return EXIT_OK
 
 
-def _cmd_label(args) -> int:
+def _cmd_label(args) -> None:
     emoticons = EmoticonSet.from_file(args.emoticons) if args.emoticons else default_emoticons()
     labeled, report = build_eval_corpus(load_corpus(args.corpus), emoticons)
     save_labeled_corpus(labeled, args.output)
-    print(
-        f"{report.labeled} labeled, {report.discarded_conflict} conflicting, "
-        f"{report.discarded_unmarked} without emoticons -> {args.output}"
-    )
-    return EXIT_OK
+    print(f"{report.labeled} labeled, {report.discarded_conflict} conflicting, "
+          f"{report.discarded_unmarked} without emoticons -> {args.output}")
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> None:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     entries, report = fetch_new_entries(DirectoryFetcher(args.fetch_dir), args.start, args.end)
     write_records(args.output, map(serialize_entry, entries))
     for failure in report.failures:
         print(f"fetch failed for {failure.day}: {failure.error}", file=sys.stderr)
-    print(
-        f"{len(entries)} entries from {report.succeeded}/{report.requested} days "
-        f"-> {args.output}"
-    )
-    return EXIT_OK
+    print(f"{len(entries)} entries from {report.succeeded}/{report.requested} days "
+          f"-> {args.output}")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     report = write_report(load_lexicon(args.lexicon), None, args.json)
     print(report.format_text(), end="")
-    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     result = run_pipeline(load_config(args.config), resume=args.resume)
     _print_skipped(result.ingest_issues)
     print(result.report.format_text(), end="")
     print(f"exports under {result.paths['slangsd'].parent}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,13 +273,14 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SlangSentError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import logging
 import random
+import re
+import reprlib
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .errors import MissingTermError
+from .errors import MissingTermError, ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
 from .records import naming, read_records, value_of
 from .text import find_occurrences, tokenize
@@ -24,6 +26,10 @@ from .text import find_occurrences, tokenize
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_DOCS = 150
+
+# A tab, or a character at which str.splitlines breaks: `score --corpus`
+# writes each document as one `id<TAB>total<TAB>polarity` line.
+_ID_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,11 @@ class CorpusProvider(Protocol):
 
 def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
     """Line number, JSON object and document of each non-blank line of a
-    corpus file; every object needs string "id" and "text"."""
+    corpus file; every object needs string "id" (no tab or line break) and "text"."""
     for number, record in read_records(path):
         doc_id, text = value_of(record, "id", str, number), value_of(record, "text", str, number)
+        if _ID_BREAK.search(doc_id):
+            raise ParseError(f"'id' has a tab or line break: {reprlib.repr(doc_id)}", line=number)
         yield number, record, Document.from_text(doc_id, text)
 
 

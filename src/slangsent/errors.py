@@ -28,9 +28,5 @@ class ParseError(DataError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class NormalizationError(DataError):
-    """A term was empty after normalization."""
-
-
 class MissingTermError(DataError):
     """A document was expected to contain a query term but does not."""

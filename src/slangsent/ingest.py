@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .errors import NormalizationError, ParseError
+from .errors import DataError, ParseError
 from .records import naming, parse_record, read_lines, record_lines, value_of, write_records
 from .text import checked_term, normalize_term
 
@@ -55,11 +55,9 @@ def parse_entries(
     for number, raw in record_lines(lines):
         try:
             entry = _parse_record(raw, number)
-            try:
-                normalize_term(entry.term)
-            except NormalizationError:
+            if not normalize_term(entry.term):
                 raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing",
-                                 line=number) from None
+                                 line=number)
             entries.append(entry)
         except ParseError as exc:
             if issues is None:
@@ -138,7 +136,10 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
     """
     groups: dict[str, list[SlangEntry]] = {}
     for entry in entries:
-        groups.setdefault(normalize_term(entry.term), []).append(entry)
+        term = normalize_term(entry.term)
+        if not term:
+            raise DataError(f"term is empty after normalization: {reprlib.repr(entry.term)}")
+        groups.setdefault(term, []).append(entry)
 
     vocabulary: Vocabulary = {}
     normal: dict[str, str] = {}  # each distinct related string, normalized once
@@ -148,12 +149,9 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
         for entry in group:
             for raw in entry.related_terms:
                 if raw not in normal:
-                    try:
-                        normal[raw] = normalize_term(raw)
-                    except NormalizationError:
-                        normal[raw] = ""  # normalizes to nothing: skipped
+                    normal[raw] = normalize_term(raw)
                 related.add(normal[raw])
-        related -= {term, ""}
+        related -= {term, ""}  # "": a related string that normalizes to nothing
         dates = [e.created_date for e in group if e.created_date is not None]
         vocabulary[term] = SlangEntry(
             term=term,

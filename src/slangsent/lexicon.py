@@ -193,6 +193,8 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
     for source in sources:
         for raw_term, native in source.values.items():
             term = normalize_term(raw_term)
+            if not term:
+                raise DataError(f"term is empty after normalization: {reprlib.repr(raw_term)}")
             mapped = source.scale.apply(float(native))
             if not STRENGTH_MIN <= mapped <= STRENGTH_MAX:
                 raise DataError(f"source {reprlib.repr(source.source_id)} maps "

@@ -14,7 +14,7 @@ import reprlib
 import unicodedata
 from collections.abc import Sequence
 
-from .errors import NormalizationError, ParseError
+from .errors import ParseError
 
 # Classic ASCII emoticons: eyes+nose+mouth, reversed variants, hearts, and a
 # few fixed faces. Applied to whole whitespace-delimited chunks only.
@@ -48,22 +48,16 @@ def normalize_term(raw: str) -> str:
     """Canonical form of a dictionary term.
 
     Unicode NFC, lowercase, outer whitespace stripped, inner whitespace runs
-    collapsed to single spaces. Raises NormalizationError if nothing is left.
+    collapsed to single spaces; "" if nothing is left, for the caller to judge.
     """
-    term = " ".join(unicodedata.normalize("NFC", raw).lower().split())
-    if not term:
-        raise NormalizationError(f"term is empty after normalization: {reprlib.repr(raw)}")
-    return term
+    return " ".join(unicodedata.normalize("NFC", raw).lower().split())
 
 
 def checked_term(text: str, line: int, what: str = "term") -> str:
     """`text`, a term read from a file, which must already be normalized; an
     empty or unnormalized one is a ParseError naming the line."""
-    try:
-        if normalize_term(text) == text:
-            return text
-    except NormalizationError:
-        pass
+    if text and normalize_term(text) == text:
+        return text
     raise ParseError(f"{what} is not normalized: {reprlib.repr(text)}", line=line)
 
 

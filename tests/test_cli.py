@@ -153,9 +153,9 @@ def _seed_with_tsv(golden, tmp_path, text):
     return _seed_with(golden, tmp_path, path="bad.tsv")
 
 
-def _evaluate_with_label(tmp_path, label):
+def _evaluate_with_label(tmp_path, label, doc_id="1"):
     corpus = tmp_path / "labeled.jsonl"
-    corpus.write_text(json.dumps({"id": "1", "text": "hi", "label": label}) + "\n",
+    corpus.write_text(json.dumps({"id": doc_id, "text": "hi", "label": label}) + "\n",
                       encoding="utf-8")
     return ["evaluate", "--lexicon", str(lexicon_file(tmp_path, {"hi": 1.0})),
             "--corpus", str(corpus)]
@@ -247,6 +247,14 @@ LONG_VALUES = [
     ("emoticons-token-10000-characters",
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n" + "A" * 10_000 + "\n"),
      2, "line 4: emoticon 'AAAAAAAAAAAA...AAAAAAAAAAAAA' is not a token tokenize emits"),
+    ("extend-from-10000-characters",
+     lambda g, t: ["extend", "--from", "9" * 10_000, "--to", "2023-04-01",
+                   "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
+     "argument --from: not a YYYY-MM-DD date: '999999999999...9999999999999'"),
+    ("estimate-max-docs-10000-characters",
+     lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
+                   "--max-docs", "x" * 10_000, "--output", str(t / "out.jsonl")], 1,
+     "argument --max-docs: not a positive integer: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
 ]
 
 
@@ -410,6 +418,12 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: ["extend", "--from", "20230401", "--to", "2023-04-01",
                    "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
      "argument --from: not a YYYY-MM-DD date: '20230401'"),
+    ("score-corpus-id-with-line-break",
+     lambda g, t: _score_corpus_text(t, json.dumps({"id": "a\tb\nc", "text": "hi"}) + "\n"), 2,
+     "corpus.jsonl: line 1: 'id' has a tab or line break: 'a\\tb\\nc'"),
+    ("evaluate-corpus-id-with-line-break",
+     lambda g, t: _evaluate_with_label(t, "positive", doc_id="a\u2028b"), 2,
+     "labeled.jsonl: line 1: 'id' has a tab or line break: 'a\\u2028b'"),
     ("score-corpus-field-too-many-digits",
      lambda g, t: _score_corpus_text(t, f'{{"id": "1", "text": "hi", "n": {TOO_MANY_DIGITS}}}\n'),
      2, "corpus.jsonl: line 1: bad JSON: Exceeds the limit (4300 digits)"),

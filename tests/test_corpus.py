@@ -14,8 +14,9 @@ from slangsent.corpus import (
     FileCorpusProvider,
     document_strength,
     estimate_all,
+    load_corpus,
 )
-from slangsent.errors import MissingTermError
+from slangsent.errors import MissingTermError, ParseError
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage
 
 from .oracles import brute_document_strength, brute_estimate, brute_spans
@@ -299,3 +300,26 @@ class TestFileCorpusProvider:
                         got = provider.query(term, max_docs)
                         assert [d.id for d in got] == [str(p) for p in expected], (term, max_docs)
         assert apart > 0
+
+
+# The tab and every character str.splitlines breaks at (none is above U+2029).
+ID_BREAKS = ["\t"] + [chr(c) for c in range(0x2100) if len(f"a{chr(c)}b".splitlines()) > 1]
+
+
+class TestLoadCorpus:
+    def _write(self, tmp_path, doc_id):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"id": "ok", "text": "hi"}) + "\n"
+                        + json.dumps({"id": doc_id, "text": "hi"}) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("breaker", ID_BREAKS, ids=[hex(ord(c)) for c in ID_BREAKS])
+    def test_id_with_a_tab_or_line_break_is_an_error(self, tmp_path, breaker):
+        with pytest.raises(ParseError) as caught:
+            load_corpus(self._write(tmp_path, f"a{breaker}b"))
+        assert str(caught.value).endswith(
+            f"corpus.jsonl: line 2: 'id' has a tab or line break: {f'a{breaker}b'!r}")
+
+    @pytest.mark.parametrize("doc_id", ["a b", "a\x1fb", "a\xa0b", "a\u3000b", ""])
+    def test_id_with_other_space_is_read(self, tmp_path, doc_id):
+        assert [d.id for d in load_corpus(self._write(tmp_path, doc_id))] == ["ok", doc_id]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slangsent.errors import ParseError
+from slangsent.errors import DataError, ParseError
 from slangsent.ingest import (
     DirectoryFetcher,
     SlangEntry,
@@ -146,6 +146,11 @@ class TestBuildVocabulary:
         assert sorted(calls) == [" \t ", "A", "C", "a", "a", "b", "b"]
         assert {term: vocab[term].related_terms for term in vocab} == {"a": ("b", "c"),
                                                                       "b": ("a", "c")}
+
+    def test_entry_term_empty_after_normalization(self):
+        with pytest.raises(DataError) as caught:
+            build_vocabulary([SlangEntry(" ", ("m",), ("x",))])
+        assert str(caught.value) == "term is empty after normalization: ' '"
 
     def test_disjoint_terms_keep_count(self):
         entries = [SlangEntry(t, ("m",), ("e",)) for t in ("a", "b", "c")]

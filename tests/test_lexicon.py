@@ -141,6 +141,11 @@ class TestMergeSeedLexicons:
         with pytest.raises(DataError, match=r"source 'bad' maps 'x' \(3.0\) to 3.0, outside"):
             merge_seed_lexicons([SeedSource("bad", {"x": 3.0})])
 
+    def test_term_empty_after_normalization(self):
+        with pytest.raises(DataError) as caught:
+            merge_seed_lexicons([SeedSource("s", {" ": 1.0})])
+        assert str(caught.value) == "term is empty after normalization: ' '"
+
     def test_terms_normalized(self):
         merged = merge_seed_lexicons([SeedSource("a", {"  GREAT  ": 1.0})])
         assert "great" in merged
