@@ -10,7 +10,7 @@ import argparse
 import logging
 import reprlib
 import sys
-from datetime import date
+from collections.abc import Callable
 from pathlib import Path
 
 from .corpus import DEFAULT_MAX_DOCS, load_corpus
@@ -23,7 +23,7 @@ from .distant import (
 )
 from .errors import ConfigError, SlangSentError
 from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, parse_day, serialize_entry
-from .lexicon import load_lexicon, save_lexicon
+from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
     estimate_terms,
@@ -33,10 +33,9 @@ from .pipeline import (
     merge_seeds,
     propagate_terms,
     run_pipeline,
-    write_exports,
-    write_report,
 )
-from .records import write_json, write_records
+from .propagate import stage_report
+from .records import write_json, write_records, write_text
 from .scoring import EvalSubset, evaluate, score_text, score_tokens
 
 EXIT_OK = 0
@@ -52,17 +51,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _date_arg(text: str) -> date:
-    try:
-        return parse_day(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {reprlib.repr(text)}") from None
+def _arg(read: Callable[[str], object], what: str) -> Callable[[str], object]:
+    """An argparse type: `read(text)`, or `not <what>: <text>` on a ValueError."""
+    def parse(text: str) -> object:
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {what}: {reprlib.repr(text)}") from None
+    return parse
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {reprlib.repr(text)}")
-    return int(text)
+    if not text.isdecimal() or (value := int(text)) < 1:  # int() fails past 4,300 digits
+        raise ValueError(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary", required=True, type=Path)
     p.add_argument("--seed", required=True, type=Path)
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--max-docs", type=_positive_int, default=DEFAULT_MAX_DOCS)
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--max-docs", type=_arg(_positive_int, "a positive integer"),
+                   default=DEFAULT_MAX_DOCS)
+    p.add_argument("--sample-seed", type=_arg(int, "an integer"), default=0)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--report", type=Path)
     p.set_defaults(func=_cmd_estimate)
@@ -124,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate against a gold-labeled corpus")
     p.add_argument("--lexicon", required=True, type=Path)
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--subset", choices=[s.value for s in EvalSubset], default="all")
+    p.add_argument("--subset", type=_arg(EvalSubset, "one of 'all', 'slang'"),
+                   default=EvalSubset.ALL, metavar="{all,slang}")
     p.add_argument("--json", type=Path, help="also write the machine-readable report here")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -135,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("extend", help="fetch new entries for a date range")
-    p.add_argument("--from", dest="start", required=True, type=_date_arg)
-    p.add_argument("--to", dest="end", required=True, type=_date_arg)
+    day = _arg(parse_day, "a YYYY-MM-DD date")
+    p.add_argument("--from", dest="start", required=True, type=day)
+    p.add_argument("--to", dest="end", required=True, type=day)
     p.add_argument("--fetch-dir", required=True, type=Path,
                    help="directory of <YYYY-MM-DD>.jsonl record files")
     p.add_argument("--output", required=True, type=Path)
@@ -150,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--resume", action="store_true",
-                   help="reuse each stage file that exists, unchecked against inputs and config")
+                   help="load the stage files up to the first missing one and build the rest; "
+                        "a loaded file is not checked against inputs and config")
     p.set_defaults(func=_cmd_run)
 
     return parser
@@ -205,10 +211,12 @@ def _cmd_assemble(args) -> None:
 def _cmd_export(args) -> None:
     if not args.slangsd and not args.idiom_table:
         raise ConfigError("nothing to export: pass --slangsd and/or --idiom-table")
-    write_exports(load_lexicon(args.lexicon), args.slangsd, args.idiom_table)
+    lexicon = load_lexicon(args.lexicon)
     if args.slangsd:
+        write_text(args.slangsd, export_slangsd(lexicon))
         print(f"dictionary -> {args.slangsd}")
     if args.idiom_table:
+        write_text(args.idiom_table, export_idiom_table(lexicon))
         print(f"idiom table -> {args.idiom_table}")
 
 
@@ -225,8 +233,8 @@ def _cmd_score(args) -> None:
 def _cmd_evaluate(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     corpus = load_labeled_corpus(args.corpus)
-    report = evaluate(corpus, lexicon, EvalSubset(args.subset))
-    print(f"subset: {args.subset}")
+    report = evaluate(corpus, lexicon, args.subset)
+    print(f"subset: {args.subset.value}")
     print(report.format_table(), end="")
     if args.json:
         write_json(args.json, report.to_dict())
@@ -245,14 +253,17 @@ def _cmd_extend(args) -> None:
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     entries, report = fetch_new_entries(DirectoryFetcher(args.fetch_dir), args.start, args.end)
     write_records(args.output, map(serialize_entry, entries))
-    for failure in report.failures:
-        print(f"fetch failed for {failure.day}: {failure.error}", file=sys.stderr)
-    print(f"{len(entries)} entries from {report.succeeded}/{report.requested} days "
+    for day, reason in report.failures:
+        print(f"fetch failed for {day}: {reason}", file=sys.stderr)
+    succeeded = report.requested - len(report.failures)
+    print(f"{len(entries)} entries from {succeeded}/{report.requested} days "
           f"-> {args.output}")
 
 
 def _cmd_report(args) -> None:
-    report = write_report(load_lexicon(args.lexicon), None, args.json)
+    report = stage_report(load_lexicon(args.lexicon))
+    if args.json:
+        write_json(args.json, report.to_dict())
     print(report.format_text(), end="")
 
 

@@ -214,17 +214,10 @@ def date_range(start: date, end: date) -> list[date]:
 EntryFetcher = Callable[[date], "str | bytes | Path"]
 
 
-@dataclass(frozen=True)
-class FetchFailure:
-    day: date
-    error: str
-
-
 @dataclass
 class FetchReport:
     requested: int = 0
-    succeeded: int = 0
-    failures: list[FetchFailure] = field(default_factory=list)
+    failures: list[tuple[date, str]] = field(default_factory=list)  # (day, reason)
 
 
 def fetch_new_entries(
@@ -251,9 +244,7 @@ def fetch_new_entries(
                 text = payload.decode("utf-8") if isinstance(payload, bytes) else payload
                 entries.extend(parse_entries(io.StringIO(text, newline=None)))
         except Exception as exc:
-            report.failures.append(FetchFailure(day, str(exc)))
-            continue
-        report.succeeded += 1
+            report.failures.append((day, str(exc)))
     return entries, report
 
 

@@ -3,10 +3,12 @@
 Stages: ingest entries -> build vocabulary -> merge seed lexicons ->
 corpus-estimate the rest -> propagate over the related-word graph ->
 assemble with stage precedence (seed > corpus estimate > propagation) ->
-export. Each stage is one function here, shared by `run_pipeline` and the
-stage subcommands of the CLI. Every stage's output is persisted in the
-output directory, where a resumed run reuses it unchecked (`run_pipeline`),
-and identical configs produce byte-identical exports.
+export. Each stage is one function here, and each output file's format one
+function (`export_slangsd`, `export_idiom_table`, `StageReport.format_text`
+and `to_dict`); `run_pipeline` and the CLI's subcommands share them. Each
+stage's output is persisted in the output directory, where a resumed run
+loads the stage files before the first missing one (`run_pipeline`), and
+identical configs produce byte-identical exports.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class SeedSourceConfig:
 
 @dataclass
 class PipelineConfig:
-    """A validated run configuration; construction checks ranges and that
-    every input file exists."""
+    """A validated run configuration; construction checks ranges, that every
+    input file exists and that no output file of the run would replace one."""
 
     entry_files: list[Path]
     seed_sources: list[SeedSourceConfig]
@@ -80,7 +82,11 @@ class PipelineConfig:
             raise ConfigError(f"max_docs must be >= 1, got {reprlib.repr(self.max_docs)}")
         if not self.entry_files:
             raise ConfigError("no entry files configured")
-        _require_files([*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file])
+        inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
+        _require_files(inputs)
+        outputs = {(Path(self.output_dir) / name).resolve() for name in OUTPUT_FILES.values()}
+        if clashes := [str(path) for path in inputs if Path(path).resolve() in outputs]:
+            raise ConfigError(f"input files would be overwritten by the run: {', '.join(clashes)}")
 
 
 def _require_files(paths: Iterable[Path]) -> None:
@@ -94,7 +100,7 @@ def _reading(path: Path, what: str) -> Iterator[object]:
     """The JSON value in a config or sources file. A read error, and a field
     that breaks the field rule (`value_of`) within the block, is a ConfigError."""
     try:
-        yield json.loads(path.read_text(encoding="utf-8"))
+        yield json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read {what} file: {exc}") from None
     except ParseError as exc:
@@ -251,23 +257,6 @@ def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
     return combine(seed.restricted(vocabulary.keys()), *later)
 
 
-def write_exports(lexicon: Lexicon, slangsd: Path | None, idiom_table: Path | None) -> None:
-    if slangsd:
-        write_text(slangsd, export_slangsd(lexicon))
-    if idiom_table:
-        write_text(idiom_table, export_idiom_table(lexicon))
-
-
-def write_report(lexicon: Lexicon, text_path: Path | None, json_path: Path | None) -> StageReport:
-    """The stage/class report of a lexicon, written to whichever paths are given."""
-    report = stage_report(lexicon)
-    if text_path:
-        write_text(text_path, report.format_text())
-    if json_path:
-        write_json(json_path, report.to_dict())
-    return report
-
-
 # --- the whole run -----------------------------------------------------------
 
 # The persisted stages in build order: (name in OUTPUT_FILES, build, load).
@@ -306,8 +295,9 @@ class PipelineResult:
 def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineResult:
     """Run the full construction pipeline, persisting every stage output.
 
-    With resume=True, a stage whose output file exists is loaded instead of
-    built; the file is never compared with the current inputs or config.
+    With resume=True, the stage files are loaded up to the first one that is
+    missing; that stage and every later one are built again. A loaded file is
+    never compared with the current inputs or config.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,12 +309,16 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         if resume and paths[name].exists():
             log.info("resuming: %s from %s", name, paths[name])
             done[name] = load(paths[name])
-        else:
+        else:  # a later stage file was made from the old version of this one
+            resume = False
             done[name], built[name] = build(config, done, paths[name], issues)
 
     final = assemble(*done.values())  # vocabulary, seed, estimates, propagated
     save_lexicon(final, paths["final"])
-    write_exports(final, paths["slangsd"], paths["idiom_table"])
-    report = write_report(final, paths["report_text"], paths["report_json"])
+    write_text(paths["slangsd"], export_slangsd(final))
+    write_text(paths["idiom_table"], export_idiom_table(final))
+    report = stage_report(final)
+    write_text(paths["report_text"], report.format_text())
+    write_json(paths["report_json"], report.to_dict())
     log.info("final lexicon: %d terms -> %s", len(final), paths["slangsd"])
     return PipelineResult(final, report, paths, issues, built)

@@ -23,13 +23,15 @@ from .errors import DataError, ParseError
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of an input text file, decompressing gzip; bytes that are not
-    UTF-8 are a DataError naming the file."""
+    """The lines of a text file, gzip or not, without a byte-order mark at its
+    start; bytes that are not UTF-8 are a DataError naming the file."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
     with io.TextIOWrapper(binary, encoding="utf-8") as handle:
         try:
+            if first := handle.readline().removeprefix("\ufeff"):
+                yield first
             yield from handle
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None

@@ -200,6 +200,12 @@ UNMERGED_VOCABULARIES = [
 ]
 
 
+def _run_over_its_entries(golden):
+    """`run` whose entries file is the vocabulary file it writes."""
+    golden.with_name("entries.jsonl").rename(golden.with_name("vocabulary.jsonl"))
+    return _run_with(golden, entries=["vocabulary.jsonl"], output_dir=".")
+
+
 def _run_with_config_text(golden, text):
     golden.write_text(text, encoding="utf-8")
     return ["run", "--config", str(golden)]
@@ -255,6 +261,17 @@ LONG_VALUES = [
      lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
                    "--max-docs", "x" * 10_000, "--output", str(t / "out.jsonl")], 1,
      "argument --max-docs: not a positive integer: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ("estimate-max-docs-5000-digits",
+     lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
+                   "--max-docs", "9" * 5_000, "--output", str(t / "out.jsonl")], 1,
+     "argument --max-docs: not a positive integer: '999999999999...9999999999999'"),
+    ("estimate-sample-seed-10000-characters",
+     lambda g, t: ["estimate", "--vocabulary", "v", "--seed", "s", "--corpus", "c",
+                   "--sample-seed", "x" * 10_000, "--output", str(t / "out.jsonl")], 1,
+     "argument --sample-seed: not an integer: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ("evaluate-subset-10000-characters",
+     lambda g, t: ["evaluate", "--lexicon", "l", "--corpus", "c", "--subset", "x" * 10_000], 1,
+     "argument --subset: not one of 'all', 'slang': 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
 ]
 
 
@@ -383,6 +400,8 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: _report_on_lexicon(t, lambda data: data + b"[1]\n"), 2,
      "line 3: record is not an object"),
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
+    ("entries-named-as-an-output-file", lambda g, t: _run_over_its_entries(g), 1,
+     "fixture/vocabulary.jsonl"),
     ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a string, got 5"),
     ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1,
      "scale must be a JSON object, got 'x'"),
@@ -480,11 +499,19 @@ BAD_INPUTS = LONG_VALUES + [
     "build_argv, code, names", [case[1:] for case in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS]
 )
 def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_argv, code, names):
-    assert main(build_argv(golden, tmp_path)) == code
+    argv = build_argv(golden, tmp_path)
+    before = _file_bytes(tmp_path)
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and names in errors[0], err
+    after = _file_bytes(tmp_path)  # and each file it found is as it was
+    assert {path: after.get(path) for path in before} == before
+
+
+def _file_bytes(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 @pytest.mark.parametrize(

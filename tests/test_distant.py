@@ -55,6 +55,12 @@ class TestEmoticonSet:
         parsed = EmoticonSet.from_lines(text.splitlines())
         assert parsed.positive == {":)"} and parsed.negative == {":(", "D:"}
 
+    def test_from_file_starting_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "emoticons.txt"
+        path.write_text("\ufeff[positive]\n:)\n[negative]\n:(\n", encoding="utf-8")
+        parsed = EmoticonSet.from_file(path)
+        assert parsed.positive == {":)"} and parsed.negative == {":("}
+
     def test_from_lines_rejects_headerless_token(self):
         with pytest.raises(ParseError):
             EmoticonSet.from_lines([":)"])

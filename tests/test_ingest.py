@@ -273,7 +273,7 @@ class TestFetchNewEntries:
 
         entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
         assert len(entries) == 6
-        assert report.succeeded == 3 and not report.failures
+        assert report.requested == 3 and not report.failures
 
     def test_failure_recorded_and_run_continues(self):
         def fetcher(day):
@@ -283,8 +283,8 @@ class TestFetchNewEntries:
 
         entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
         assert len(entries) == 4
-        assert report.succeeded == 2
-        assert [f.day for f in report.failures] == [date(2020, 1, 2)]
+        assert report.requested == 3
+        assert report.failures == [(date(2020, 1, 2), "boom")]
 
     def test_empty_range(self):
         entries, report = fetch_new_entries(lambda day: "", date(2020, 1, 2), date(2020, 1, 1))
@@ -323,7 +323,7 @@ class TestDirectoryFetcher:
         entries, report = fetch_new_entries(
             DirectoryFetcher(tmp_path), date(2020, 1, 1), date(2020, 1, 1)
         )
-        assert [e.term for e in entries] == ["lol"] and report.succeeded == 1
+        assert [e.term for e in entries] == ["lol"] and not report.failures
 
     def test_missing_date_raises(self, tmp_path):
         fetcher = DirectoryFetcher(tmp_path)

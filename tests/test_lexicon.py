@@ -317,6 +317,11 @@ class TestPersistence:
         path.write_text("# comment\ngreat\t2.0\n\nbad\t-1\n", encoding="utf-8")
         assert load_seed_values(path) == {"great": 2.0, "bad": -1.0}
 
+    def test_seed_values_file_starting_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "seed.tsv"
+        path.write_text("\ufeffgreat\t2.0\nbad\t-1\n", encoding="utf-8")
+        assert load_seed_values(path) == {"great": 2.0, "bad": -1.0}
+
     def test_seed_values_bad_line(self, tmp_path):
         path = tmp_path / "seed.tsv"
         path.write_text("great\ttwo\n", encoding="utf-8")

@@ -17,6 +17,9 @@ from .fixtures import _entry, write_golden_fixture, write_synthetic_fixture
 from .reference import reference_slangsd
 
 
+STAGES = ["vocabulary", "seed", "estimates", "propagated"]  # the persisted stages, in build order
+
+
 def read_exports(out_dir):
     return {
         name: (out_dir / filename).read_bytes()
@@ -36,6 +39,12 @@ class TestLoadConfig:
         (tmp_path / "corpus.jsonl").unlink()
         with pytest.raises(ConfigError):
             load_config(config_path)
+
+    def test_config_starting_with_a_byte_order_mark(self, tmp_path):
+        config_path = write_golden_fixture(tmp_path)
+        config = load_config(config_path)
+        config_path.write_text("\ufeff" + config_path.read_text(), encoding="utf-8")
+        assert load_config(config_path) == config
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -118,15 +127,34 @@ class TestRunPipeline:
         assert result.built == {}
         assert read_exports(config.output_dir) == baseline
 
-    @pytest.mark.parametrize("stage", ["vocabulary", "seed", "estimates", "propagated"])
+    @pytest.mark.parametrize("stage", STAGES)
     def test_resume_builds_only_the_missing_stage(self, tmp_path, stage):
+        # ... and every stage after it, which was made from the missing one
         config = load_config(write_golden_fixture(tmp_path))
         run_pipeline(config)
         baseline = read_exports(config.output_dir)
         (config.output_dir / OUTPUT_FILES[stage]).unlink()
         result = run_pipeline(config, resume=True)
-        assert result.built.keys() == {stage}
+        assert list(result.built) == STAGES[STAGES.index(stage):]
         assert read_exports(config.output_dir) == baseline
+
+    @pytest.mark.parametrize("write_fixture", [
+        write_golden_fixture, lambda root: write_synthetic_fixture(root, random.Random(202)),
+    ], ids=["golden", "synthetic-202"])
+    def test_resume_after_a_rebuilt_stage_equals_a_fresh_run(self, tmp_path, write_fixture):
+        config_path = write_fixture(tmp_path / "resumed")
+        run_pipeline(load_config(config_path))
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**raw, "max_docs": 1}), encoding="utf-8")
+        config = load_config(config_path)
+        (config.output_dir / OUTPUT_FILES["estimates"]).unlink()
+        result = run_pipeline(config, resume=True)
+        assert list(result.built) == ["estimates", "propagated"]
+        fresh_path = write_fixture(tmp_path / "fresh")
+        fresh_path.write_text(json.dumps({**raw, "max_docs": 1}), encoding="utf-8")
+        fresh = load_config(fresh_path)
+        run_pipeline(fresh)
+        assert read_exports(config.output_dir) == read_exports(fresh.output_dir)
 
     def test_lenient_ingest_reports_issues(self, tmp_path):
         config_path = write_golden_fixture(tmp_path)

@@ -18,6 +18,7 @@ as json.dumps writes it."""
 from __future__ import annotations
 
 import ast
+import gzip
 import json
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 import slangsent
 from slangsent.cli import main
 from slangsent.errors import ParseError
-from slangsent.records import parse_record, write_records
+from slangsent.records import parse_record, read_lines, write_records
 
 from .fixtures import write_golden_fixture
 
@@ -582,3 +583,15 @@ def test_write_records_writes_each_record_as_json_dumps(tmp_path_factory, record
     write_records(path, records)
     expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"", []),
+    (b"\xef\xbb\xbf", []),
+    (b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n", ["a\n", "\ufeffb\n"]),
+    (gzip.compress(b"\xef\xbb\xbfa\nb"), ["a\n", "b"]),
+], ids=["empty", "mark-only", "mark-on-first-line-only", "gzip"])
+def test_read_lines_drops_a_leading_byte_order_mark(tmp_path, data, lines):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert list(read_lines(path)) == lines
