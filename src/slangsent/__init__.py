@@ -31,8 +31,8 @@ from .lexicon import (
     export_slangsd,
     load_lexicon,
     load_seed_values,
+    load_slangsd,
     merge_seed_lexicons,
-    parse_slangsd,
 )
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .propagate import SynonymGraph, build_graph, propagate

@@ -72,8 +72,8 @@ class EmoticonSet:
 
 @lru_cache(maxsize=1)
 def default_emoticons() -> EmoticonSet:
-    text = resources.files("slangsent").joinpath("data/emoticons.txt").read_text("utf-8")
-    return EmoticonSet.from_lines(text.splitlines())
+    with resources.as_file(resources.files("slangsent") / "data" / "emoticons.txt") as path:
+        return EmoticonSet.from_file(path)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class LabeledDocument:
 
 @dataclass
 class DistantReport:
-    total: int = 0
     labeled: int = 0
     discarded_conflict: int = 0
     discarded_unmarked: int = 0
@@ -102,7 +101,6 @@ def build_eval_corpus(
     labeled: list[LabeledDocument] = []
     report = DistantReport()
     for doc in documents:
-        report.total += 1
         has_positive = not emoticons.positive.isdisjoint(doc.tokens)
         has_negative = not emoticons.negative.isdisjoint(doc.tokens)
         if has_positive == has_negative:

@@ -8,7 +8,6 @@ related-word lists are the only entry content the sentiment stages trust.
 
 from __future__ import annotations
 
-import io
 import reprlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -211,7 +210,7 @@ def date_range(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range(days + 1)] if days >= 0 else []
 
 
-EntryFetcher = Callable[[date], "str | bytes | Path"]
+EntryFetcher = Callable[[date], Path]
 
 
 @dataclass
@@ -225,24 +224,19 @@ def fetch_new_entries(
 ) -> tuple[list[SlangEntry], FetchReport]:
     """Fetch and parse entry records for every day in [start, end].
 
-    The fetcher maps a day to its raw records (text or bytes) or to the
-    record file that holds them; a record error then names that file. A
-    failing day is recorded in the report and the remaining days still run;
-    output order is by date, then record order within a day. Duplicate terms
-    are left for build_vocabulary to merge.
+    The fetcher maps a day to the record file that holds its records; a
+    record error names that file. A failing day is recorded in the report
+    and the remaining days still run; output order is by date, then record
+    order within a day. Duplicate terms are left for build_vocabulary to merge.
     """
     entries: list[SlangEntry] = []
     report = FetchReport()
     for day in date_range(start, end):
         report.requested += 1
         try:
-            payload = fetcher(day)
-            if isinstance(payload, Path):
-                with naming(payload):
-                    entries.extend(parse_entries(read_lines(payload)))
-            else:  # lines as a file has them: str.splitlines also splits at U+2028
-                text = payload.decode("utf-8") if isinstance(payload, bytes) else payload
-                entries.extend(parse_entries(io.StringIO(text, newline=None)))
+            path = fetcher(day)
+            with naming(path):
+                entries.extend(parse_entries(read_lines(path)))
         except Exception as exc:
             report.failures.append((day, str(exc)))
     return entries, report

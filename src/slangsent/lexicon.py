@@ -246,30 +246,31 @@ def export_slangsd(lexicon: Lexicon) -> str:
     return "".join(f"{e.term}\t{classify(e.strength)}\n" for e in lexicon.entries())
 
 
-def parse_slangsd(stream: str | Iterable[str]) -> Lexicon:
+def load_slangsd(path: str | Path) -> Lexicon:
     """Inverse of export_slangsd up to quantization.
 
     Parsed strengths are the class values; provenance is not recoverable, so
     entries carry the distinguished stage `imported`.
     """
     entries: dict[str, LexiconEntry] = {}
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 'term<TAB>class', got {reprlib.repr(line)}", line=number)
-        term, class_text = fields
-        try:
-            cls = int(class_text)
-        except ValueError:
-            raise ParseError(f"bad class {reprlib.repr(class_text)}", line=number) from None
-        if cls not in CLASSES:
-            raise ParseError(f"class {reprlib.repr(cls)} outside -2..2", line=number)
-        checked_term(term, number)
-        if term in entries:
-            raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
-        entries[term] = LexiconEntry(term, float(cls), Stage.IMPORTED)
+    with naming(path):
+        for number, raw in enumerate(read_lines(path), start=1):
+            line = raw.rstrip("\n")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 'term<TAB>class', got {reprlib.repr(line)}",
+                                 line=number)
+            term, class_text = fields
+            try:
+                cls = int(class_text)
+            except ValueError:
+                raise ParseError(f"bad class {reprlib.repr(class_text)}", line=number) from None
+            if cls not in CLASSES:
+                raise ParseError(f"class {reprlib.repr(cls)} outside -2..2", line=number)
+            checked_term(term, number)
+            if term in entries:
+                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
+            entries[term] = LexiconEntry(term, float(cls), Stage.IMPORTED)
     return Lexicon(entries.values())
 
 

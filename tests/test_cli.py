@@ -596,10 +596,14 @@ def staged_commands(readme: str) -> list[list[str]]:
 
 class TestStageCommands:
     def test_ingest_estimate_propagate_assemble_export(self, golden, tmp_path, capsys):
+        def stdout(argv):
+            assert main(argv) == 0, argv
+            return capsys.readouterr().out
+
         fixture_dir = golden.parent
         vocab = tmp_path / "vocab.jsonl"
-        assert main(["ingest", "--input", str(fixture_dir / "entries.jsonl"),
-                     "--output", str(vocab)]) == 0
+        assert stdout(["ingest", "--input", str(fixture_dir / "entries.jsonl"),
+                       "--output", str(vocab)]) == f"20 entries -> 15 terms -> {vocab}\n"
 
         sources = tmp_path / "sources.json"
         config = json.loads(golden.read_text())
@@ -608,27 +612,31 @@ class TestStageCommands:
             for item in config["seed_lexicons"]
         ]))
         seed = tmp_path / "seed.jsonl"
-        assert main(["seed", "--sources", str(sources), "--output", str(seed)]) == 0
+        assert stdout(["seed", "--sources", str(sources), "--output", str(seed)]) == (
+            f"10 seed terms -> {seed}\n")
 
         estimates = tmp_path / "estimates.jsonl"
-        assert main(["estimate", "--vocabulary", str(vocab), "--seed", str(seed),
-                     "--corpus", str(fixture_dir / "corpus.jsonl"),
-                     "--sample-seed", "7", "--output", str(estimates),
-                     "--report", str(tmp_path / "est.json")]) == 0
+        assert stdout(["estimate", "--vocabulary", str(vocab), "--seed", str(seed),
+                       "--corpus", str(fixture_dir / "corpus.jsonl"),
+                       "--sample-seed", "7", "--output", str(estimates),
+                       "--report", str(tmp_path / "est.json")]) == (
+            f"6 estimated, 7 unlabelable, 0 failures -> {estimates}\n")
 
         propagated = tmp_path / "propagated.jsonl"
-        assert main(["propagate", "--graph-from", str(vocab), "--seeds", str(seed), str(estimates),
-                     "--output", str(propagated)]) == 0
+        assert stdout(["propagate", "--graph-from", str(vocab), "--seeds", str(seed),
+                       str(estimates), "--output", str(propagated)]) == (
+            f"5 labeled in 3 iterations, 2 unreached -> {propagated}\n")
 
         final = tmp_path / "final.jsonl"
-        assert main(["assemble", "--vocabulary", str(vocab), "--seed", str(seed),
-                     "--estimates", str(estimates), "--propagated", str(propagated),
-                     "--output", str(final)]) == 0
+        assert stdout(["assemble", "--vocabulary", str(vocab), "--seed", str(seed),
+                       "--estimates", str(estimates), "--propagated", str(propagated),
+                       "--output", str(final)]) == f"13 terms -> {final}\n"
 
         slangsd = tmp_path / "slangsd.txt"
         idioms = tmp_path / "idioms.txt"
-        assert main(["export", "--lexicon", str(final), "--slangsd", str(slangsd),
-                     "--idiom-table", str(idioms)]) == 0
+        assert stdout(["export", "--lexicon", str(final), "--slangsd", str(slangsd),
+                       "--idiom-table", str(idioms)]) == (
+            f"dictionary -> {slangsd}\nidiom table -> {idioms}\n")
 
         # staged run must equal the one-shot pipeline's exports
         from slangsent.pipeline import load_config, run_pipeline

@@ -184,12 +184,14 @@ class TestBuildEvalCorpus:
                      doc("ugh :(", id="4")]
         labeled, report = build_eval_corpus(documents, EMOTICONS)
         assert [item.document.id for item in labeled] == ["1", "4"]
-        assert report.total == 4 and report.labeled == 2
+        assert report.labeled + report.discarded_conflict + report.discarded_unmarked == 4
+        assert report.labeled == 2
         assert report.discarded_conflict == 1 and report.discarded_unmarked == 1
 
     def test_empty_stream(self):
         labeled, report = build_eval_corpus([], EMOTICONS)
-        assert labeled == [] and report.total == 0
+        assert labeled == []
+        assert report.labeled + report.discarded_conflict + report.discarded_unmarked == 0
 
     def test_no_emoticon_tokens_in_output(self):
         documents = [doc(f"w{i} :) {'D:' if i % 2 else ':D'}", id=str(i)) for i in range(10)]

@@ -266,41 +266,45 @@ class TestExtensionUrl:
         assert extension_url(date(1999, 12, 31)).endswith("?date=1999-12-31")
 
 
+def day_file(tmp_path, day, text):
+    """The record file of `day` under `tmp_path`, holding `text`."""
+    path = tmp_path / f"{day.isoformat()}.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestFetchNewEntries:
-    def test_concatenates_dates(self):
+    def test_concatenates_dates(self, tmp_path):
         def fetcher(day):
-            return record(f"w{day}") + "\n" + record(f"v{day}") + "\n"
+            return day_file(tmp_path, day, record(f"w{day}") + "\n" + record(f"v{day}") + "\n")
 
         entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
         assert len(entries) == 6
         assert report.requested == 3 and not report.failures
 
-    def test_failure_recorded_and_run_continues(self):
+    def test_failure_recorded_and_run_continues(self, tmp_path):
         def fetcher(day):
             if day == date(2020, 1, 2):
                 raise OSError("boom")
-            return record() + "\n" + record("x") + "\n"
+            return day_file(tmp_path, day, record() + "\n" + record("x") + "\n")
 
         entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
         assert len(entries) == 4
         assert report.requested == 3
         assert report.failures == [(date(2020, 1, 2), "boom")]
 
-    def test_empty_range(self):
-        entries, report = fetch_new_entries(lambda day: "", date(2020, 1, 2), date(2020, 1, 1))
+    def test_empty_range(self, tmp_path):
+        entries, report = fetch_new_entries(lambda day: day_file(tmp_path, day, ""),
+                                            date(2020, 1, 2), date(2020, 1, 1))
         assert entries == [] and report.requested == 0
 
-    def test_bytes_payload_accepted(self):
-        entries, _ = fetch_new_entries(
-            lambda day: (record() + "\n").encode("utf-8"), date(2020, 1, 1), date(2020, 1, 1)
-        )
-        assert len(entries) == 1
-
-    def test_text_payload_splits_as_a_record_file(self):
+    def test_day_file_splits_as_a_record_file(self, tmp_path):
+        # A byte-order mark, CRLF and CR line ends; U+2028 and U+0085 inside a
+        # value are no line ends.
         line = json.dumps(json.loads(record(meanings=["a\u2028b\x85c"])), ensure_ascii=False)
-        entries, report = fetch_new_entries(
-            lambda day: line + "\r\n" + line + "\r" + line, date(2020, 1, 1), date(2020, 1, 1)
-        )
+        path = tmp_path / "2020-01-01.jsonl"
+        path.write_bytes(("\ufeff" + line + "\r\n" + line + "\r" + line).encode("utf-8"))
+        entries, report = fetch_new_entries(lambda day: path, date(2020, 1, 1), date(2020, 1, 1))
         assert not report.failures
         assert [e.meanings for e in entries] == [("a\u2028b\x85c",)] * 3
 

@@ -22,9 +22,9 @@ from slangsent.lexicon import (
     export_slangsd,
     load_lexicon,
     load_seed_values,
+    load_slangsd,
     mean_strength,
     merge_seed_lexicons,
-    parse_slangsd,
     save_lexicon,
 )
 
@@ -77,9 +77,15 @@ def _lexicon_file(tmp_path, rows):
     return load_lexicon(path)
 
 
-def _slangsd_text(tmp_path, rows):
-    """parse_slangsd over one `term<TAB>class` line per (term, class) row."""
-    return parse_slangsd("".join(f"{t}\t{cls}\n" for t, cls in rows))
+def _text_file(tmp_path, text):
+    path = tmp_path / "slangsd.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _slangsd_file(tmp_path, rows):
+    """load_slangsd over a file of one `term<TAB>class` line per (term, class) row."""
+    return load_slangsd(_text_file(tmp_path, "".join(f"{t}\t{cls}\n" for t, cls in rows)))
 
 
 OK = ("ok", 1.0, "imported", [])
@@ -98,8 +104,8 @@ MALFORMED_LEXICON_ROWS = [
     ("sources-not-strings", _lexicon_file, [OK, ("lol", 1.0, "seed_lexicon", [1, 2])], 2),
     ("duplicate-term", _lexicon_file,
      [("lol", 1.0, "imported", []), OK, ("lol", 0.0, "imported", [])], 3),
-    ("slangsd-unnormalized-term", _slangsd_text, [("ok", 1), ("LoL", 1)], 2),
-    ("slangsd-duplicate-term", _slangsd_text, [("lol", 1), ("ok", 1), ("lol", -1)], 3),
+    ("slangsd-unnormalized-term", _slangsd_file, [("ok", 1), ("LoL", 1)], 2),
+    ("slangsd-duplicate-term", _slangsd_file, [("lol", 1), ("ok", 1), ("lol", -1)], 3),
 ]
 
 
@@ -186,38 +192,43 @@ class TestSlangsdFormat:
         lex = Lexicon([entry("zzz", 1.0), entry("aaa", -1.0)])
         assert export_slangsd(lex) == "aaa\t-1\nzzz\t1\n"
 
-    def test_round_trip_classes(self):
+    def test_round_trip_classes(self, tmp_path):
         lex = Lexicon([entry("lol", 1.3), entry("meh", -0.2), entry("shit hot", 2.0)])
-        parsed = parse_slangsd(export_slangsd(lex))
+        parsed = load_slangsd(_text_file(tmp_path, export_slangsd(lex)))
         assert parsed.strength("lol") == 1.0
         assert parsed.strength("meh") == 0.0
         assert parsed.strength("shit hot") == 2.0
         assert all(parsed[t].stage is Stage.IMPORTED for t in parsed)
 
-    def test_second_export_byte_identical(self):
+    def test_second_export_byte_identical(self, tmp_path):
         lex = Lexicon([entry("a", 0.6), entry("b c", -1.9), entry("d", 0.0)])
         once = export_slangsd(lex)
-        assert export_slangsd(parse_slangsd(once)) == once
+        assert export_slangsd(load_slangsd(_text_file(tmp_path, once))) == once
 
-    def test_out_of_range_class_rejected(self):
+    def test_out_of_range_class_rejected(self, tmp_path):
         with pytest.raises(ParseError) as exc:
-            parse_slangsd("lol\t7\n")
+            load_slangsd(_text_file(tmp_path, "lol\t7\n"))
         assert exc.value.line == 1
 
-    def test_wrong_field_count_rejected(self):
+    def test_wrong_field_count_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_slangsd("lol\n")
+            load_slangsd(_text_file(tmp_path, "lol\n"))
         with pytest.raises(ParseError):
-            parse_slangsd("lol\t1\textra\n")
+            load_slangsd(_text_file(tmp_path, "lol\t1\textra\n"))
 
-    def test_bad_line_number_reported(self):
+    def test_bad_line_number_reported(self, tmp_path):
         with pytest.raises(ParseError) as exc:
-            parse_slangsd("ok\t1\nbad\tx\n")
+            load_slangsd(_text_file(tmp_path, "ok\t1\nbad\tx\n"))
         assert exc.value.line == 2
 
-    def test_duplicate_term_rejected(self):
+    def test_duplicate_term_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_slangsd("lol\t1\nlol\t1\n")
+            load_slangsd(_text_file(tmp_path, "lol\t1\nlol\t1\n"))
+
+    def test_byte_order_mark_and_crlf_are_not_part_of_the_term(self, tmp_path):
+        path = tmp_path / "slangsd.txt"
+        path.write_bytes(b"\xef\xbb\xbfgood\t1\r\n")
+        assert list(load_slangsd(path)) == ["good"]
 
     @pytest.mark.parametrize("text, message", [
         ("A" * 10_000, "line 1: expected 'term<TAB>class', got 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
@@ -226,10 +237,12 @@ class TestSlangsdFormat:
         ("A" * 10_000 + "\t1", "line 1: term is not normalized: 'AAAAAAAAAAAA...AAAAAAAAAAAAA'"),
         (("a" * 10_000 + "\t1\n") * 2, "line 2: duplicate term 'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
     ], ids=["line", "class-text", "class-4000-digits", "term", "duplicate-term"])
-    def test_long_value_is_shortened(self, text, message):
+    def test_long_value_is_shortened(self, tmp_path, text, message):
+        path = _text_file(tmp_path, text)
         with pytest.raises(ParseError) as exc:
-            parse_slangsd(text)
-        assert str(exc.value).startswith(message) and len(str(exc.value)) < 200
+            load_slangsd(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+        assert len(str(exc.value)) - len(f"{path}: ") < 200
 
     @given(
         st.dictionaries(
@@ -238,12 +251,13 @@ class TestSlangsdFormat:
             max_size=8,
         )
     )
-    def test_export_parse_export_identity(self, table):
+    def test_export_parse_export_identity(self, tmp_path_factory, table):
         lex = Lexicon(
             entry(" ".join(t.split()), s) for t, s in table.items() if t.strip()
         )
         once = export_slangsd(lex)
-        assert export_slangsd(parse_slangsd(once)) == once
+        path = _text_file(tmp_path_factory.mktemp("slangsd"), once)
+        assert export_slangsd(load_slangsd(path)) == once
 
 
 class TestIdiomTable:

@@ -1,13 +1,15 @@
-"""The record format and the file writer live in slangsent.records alone.
+"""The record format, text decoding and the file writer live in
+slangsent.records alone.
 
-Any other module that serializes JSON, opens gzip or writes a file itself
-bypasses the shared format, the blank-line and gzip rules of the reader, and
-the atomic write; this test names each such call. A second guard keeps term
-normalization where outside data enters the package, a third keeps the
-scorer's matcher compiled in one place, once per lexicon, a fourth keeps
-an exception class only where some caller handles it apart from its family,
-a fifth keeps text tokenized only where raw text becomes tokens, and a sixth
-keeps the kind of a JSON scalar checked by the field rule alone.
+Any other module that serializes JSON, opens gzip, decodes text or writes a
+file itself bypasses the shared format, the gzip, byte-order-mark, line-end
+and UTF-8 rules of `read_lines`, and the atomic write; this test names each
+such call. A second guard keeps term normalization where outside data enters
+the package, a third keeps the scorer's matcher compiled in one place, once
+per lexicon, a fourth keeps an exception class only where some caller
+handles it apart from its family, a fifth keeps text tokenized only where
+raw text becomes tokens, and a sixth keeps the kind of a JSON scalar
+checked by the field rule alone.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -35,10 +37,12 @@ from .fixtures import write_golden_fixture
 
 PACKAGE = Path(slangsent.__file__).resolve().parent
 GOLDEN_FILE = Path(__file__).parent / "data" / "golden_slangsd.txt"
-FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open"}
-WRITE_METHODS = {"write_text", "write_bytes"}
-# Config and seed-source files are single JSON documents, not records.
-ALLOWED = {("pipeline.py", "json.loads")}
+FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open", "io.StringIO", "io.TextIOWrapper"}
+# Methods that write a file, or decode text or split it into lines.
+METHODS = {"write_text", "write_bytes", "read_text", "splitlines", "decode"}
+# Config and seed-source files are single JSON documents, not records: each
+# is read whole, a byte-order mark allowed, and an error in it exits 1.
+ALLOWED = {("pipeline.py", "json.loads"), ("pipeline.py", "path.read_text")}
 # The functions that turn outside data into terms; every other function
 # trusts the terms it is given.
 NORMALIZERS = {
@@ -51,11 +55,10 @@ NORMALIZERS = {
 # score_text's. Everything else reads Document.tokens, or `chunk_token` for
 # one chunk.
 TOKENIZERS = {("corpus.py", "Document.from_text"), ("scoring.py", "score_text")}
-# The kinds of a JSON scalar, and the functions that may check a value
-# against one: the field rule, and parse_slangsd, which tells a text from an
-# iterable of lines (an argument, not a JSON value).
+# The kinds of a JSON scalar, and the one function that may check a value
+# against one: the field rule.
 SCALARS = {"str", "int", "float", "bool"}
-SCALAR_CHECKS = {("records.py", "value_of"), ("lexicon.py", "parse_slangsd")}
+SCALAR_CHECKS = {("records.py", "value_of")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -86,7 +89,7 @@ def record_format_calls(source: str) -> list[tuple[int, str]]:
         method = node.func.attr if isinstance(node.func, ast.Attribute) else None
         if (
             name in FORMAT_CALLS
-            or method in WRITE_METHODS
+            or method in METHODS
             or "open" in (name, method) and _opens_for_writing(node)
         ):
             found.append((node.lineno, name))
@@ -115,8 +118,14 @@ def test_guard_sees_each_kind_of_call():
         "open(p)",
         "open(p, 'rb')",
         "json.loads(s)",
+        "io.StringIO(text, newline=None)",
+        "io.TextIOWrapper(binary, encoding='utf-8')",
+        "path.read_text('utf-8')",
+        "text.splitlines()",
+        "payload.decode('utf-8')",
     ])
-    assert [line for line, _ in record_format_calls(source)] == [1, 2, 3, 4, 5, 6, 9]
+    assert [line for line, _ in record_format_calls(source)] == [
+        1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14]
 
 
 def _scoped_nodes(source: str, wanted) -> list[tuple[int, str]]:

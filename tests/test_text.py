@@ -15,7 +15,7 @@ from slangsent.lexicon import (
     LexiconEntry,
     Stage,
     load_lexicon,
-    parse_slangsd,
+    load_slangsd,
     save_lexicon,
 )
 from slangsent.text import chunk_token, emoticon_token, find_occurrences, normalize_term, tokenize
@@ -107,11 +107,11 @@ class TestCheckedTerm:
         directory, line = tmp_path_factory.mktemp("terms"), f"{raw}\t1"
         save_lexicon(Lexicon([LexiconEntry(raw, 1.0, Stage.IMPORTED)]), directory / "lex.jsonl")
         save_vocabulary({raw: SlangEntry(raw, ("m",), ("e",))}, directory / "vocab.jsonl")
+        (directory / "slangsd.txt").write_text(line + "\n", encoding="utf-8")
         readers = {
             "lexicon": lambda: load_lexicon(directory / "lex.jsonl"),
             "vocabulary": lambda: load_vocabulary(directory / "vocab.jsonl"),
-            # A list of lines: str.splitlines would also split the text at U+2028.
-            "dictionary": lambda: parse_slangsd([line + "\n"]),
+            "dictionary": lambda: load_slangsd(directory / "slangsd.txt"),
         }
         for name, read in readers.items():
             if _normalized(raw):
@@ -120,8 +120,8 @@ class TestCheckedTerm:
             with pytest.raises(ParseError) as caught:
                 read()
             if name == "dictionary" and "\t" in raw:  # the line has three fields
-                assert str(caught.value) == (
-                    f"line 1: expected 'term<TAB>class', got {reprlib.repr(line)}")
+                assert str(caught.value) == (f"{directory / 'slangsd.txt'}: line 1: "
+                                             f"expected 'term<TAB>class', got {reprlib.repr(line)}")
             else:
                 assert str(caught.value).endswith(
                     f"line 1: term is not normalized: {reprlib.repr(raw)}"), name
