@@ -20,7 +20,7 @@ from typing import Protocol
 
 from .errors import MissingTermError, ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
-from .records import naming, read_records, value_of
+from .records import Lines, parse_record, value_of
 from .text import find_occurrences, tokenize
 
 log = logging.getLogger(__name__)
@@ -51,20 +51,20 @@ class CorpusProvider(Protocol):
     def query(self, term: str, max_docs: int) -> list[Document]: ...
 
 
-def read_documents(path: str | Path) -> Iterator[tuple[int, dict, Document]]:
-    """Line number, JSON object and document of each non-blank line of a
-    corpus file; every object needs string "id" (no tab or line break) and "text"."""
-    for number, record in read_records(path):
-        doc_id, text = value_of(record, "id", str, number), value_of(record, "text", str, number)
+def read_documents(lines: Iterable[str]) -> Iterator[tuple[dict, Document]]:
+    """JSON object and document of each line of a corpus file; every object
+    needs string "id" (no tab or line break) and "text"."""
+    for record in map(parse_record, lines):
+        doc_id, text = value_of(record, "id", str), value_of(record, "text", str)
         if _ID_BREAK.search(doc_id):
-            raise ParseError(f"'id' has a tab or line break: {reprlib.repr(doc_id)}", line=number)
-        yield number, record, Document.from_text(doc_id, text)
+            raise ParseError(f"'id' has a tab or line break: {reprlib.repr(doc_id)}")
+        yield record, Document.from_text(doc_id, text)
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file: one JSON object per line with "id" and "text"."""
-    with naming(path):
-        return [document for _, _, document in read_documents(path)]
+    with Lines(path) as lines:
+        return [document for _, document in read_documents(lines)]
 
 
 class FileCorpusProvider:

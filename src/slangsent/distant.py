@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
-from .records import naming, read_lines, value_of, write_records
+from .records import Lines, value_of, write_records
 from .text import chunk_token
 
 
@@ -25,7 +25,7 @@ from .text import chunk_token
 class EmoticonSet:
     """Positive and negative emoticon token sets. A plain record: the caller
     holds its invariants, that both sets are non-empty and disjoint.
-    `from_lines` checks them for data read from outside."""
+    `from_file` checks them for data read from outside."""
 
     positive: frozenset[str]
     negative: frozenset[str]
@@ -35,39 +35,35 @@ class EmoticonSet:
         return self.positive | self.negative
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> EmoticonSet:
+    def from_file(cls, path: str | Path) -> EmoticonSet:
         """Parse the two-section config format: `[positive]` / `[negative]`
         headers, one emoticon token per line, '#' comments ignored. Each
         token must be one `tokenize` emits verbatim, or it could never label."""
         sections: dict[str, set[str]] = {"positive": set(), "negative": set()}
         current: set[str] | None = None
-        for number, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if name not in sections:
-                    raise ParseError(f"unknown section {reprlib.repr(name)}", line=number)
-                current = sections[name]
-                continue
-            if current is None:
-                raise ParseError("emoticon before any section header", line=number)
-            if chunk_token(line) != line:
-                raise ParseError(f"emoticon {reprlib.repr(line)} is not a token tokenize emits",
-                                 line=number)
-            current.add(line)
-        positive, negative = sections["positive"], sections["negative"]
-        if not positive or not negative:
-            raise ParseError("both emoticon sets must be non-empty")
-        if positive & negative:
-            raise ParseError(f"emoticons in both sets: {reprlib.repr(sorted(positive & negative))}")
+        with Lines(path) as lines:
+            for raw in lines:
+                line = raw.strip()
+                if line.startswith("#"):
+                    continue
+                if line.startswith("[") and line.endswith("]"):
+                    name = line[1:-1].strip().lower()
+                    if name not in sections:
+                        raise ParseError(f"unknown section {reprlib.repr(name)}")
+                    current = sections[name]
+                    continue
+                if current is None:
+                    raise ParseError("emoticon before any section header")
+                if chunk_token(line) != line:
+                    raise ParseError(f"emoticon {reprlib.repr(line)} is not a token tokenize emits")
+                current.add(line)
+            positive, negative = sections["positive"], sections["negative"]
+            if not positive or not negative:
+                raise ParseError("both emoticon sets must be non-empty")
+            if positive & negative:
+                raise ParseError("emoticons in both sets: "
+                                 f"{reprlib.repr(sorted(positive & negative))}")
         return cls(positive=frozenset(positive), negative=frozenset(negative))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> EmoticonSet:
-        with naming(path):
-            return cls.from_lines(read_lines(path))
 
 
 @lru_cache(maxsize=1)
@@ -128,6 +124,6 @@ def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) 
 
 
 def load_labeled_corpus(path: str | Path) -> list[LabeledDocument]:
-    with naming(path):
-        return [LabeledDocument(document, value_of(record, "label", Polarity, number))
-                for number, record, document in read_documents(path)]
+    with Lines(path) as lines:
+        return [LabeledDocument(document, value_of(record, "label", Polarity))
+                for record, document in read_documents(lines)]

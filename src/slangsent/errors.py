@@ -21,11 +21,9 @@ class DataError(SlangSentError):
 
 class ParseError(DataError):
     """A record of an input file is malformed; `line` is its 1-based line,
-    when the record has one."""
+    when the record has one (`records.Lines` sets it)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+    line: int | None = None
 
 
 class MissingTermError(DataError):

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import DataError, ParseError
-from .records import naming, parse_record, read_lines, record_lines, value_of, write_records
+from .records import Lines, parse_record, value_of, write_records
 from .text import checked_term, normalize_term
 
 Vocabulary = dict[str, "SlangEntry"]
@@ -42,53 +42,52 @@ class SlangEntry:
 
 
 def parse_entries(
-    lines: Iterable[str], *, issues: list[ParseError] | None = None
+    path: str | Path, *, issues: list[ParseError] | None = None
 ) -> list[SlangEntry]:
-    """Parse JSON-line entry records in stream order.
+    """Parse the JSON-line entry records of a file in file order.
 
-    Without an `issues` list the first bad record raises ParseError (with its
-    line number); with one, bad records are skipped and their errors
-    appended to it. Blank lines are ignored.
+    Without an `issues` list the first bad record raises ParseError (naming
+    the file and line); with one, bad records are skipped and their errors
+    appended to it.
     """
     entries: list[SlangEntry] = []
-    for number, raw in record_lines(lines):
-        try:
-            entry = _parse_record(raw, number)
-            if not normalize_term(entry.term):
-                raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing",
-                                 line=number)
-            entries.append(entry)
-        except ParseError as exc:
-            if issues is None:
-                raise
-            issues.append(exc)
+    with Lines(path) as lines:
+        for raw in lines:
+            try:
+                entry = _parse_record(raw)
+                if not normalize_term(entry.term):
+                    raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing")
+                entries.append(entry)
+            except ParseError as exc:
+                if issues is None:
+                    raise
+                issues.append(lines.locate(exc))
     return entries
 
 
-def _parse_record(raw: str, number: int) -> SlangEntry:
+def _parse_record(raw: str) -> SlangEntry:
     """The entry of one record, its fields checked; its term is left as written."""
-    record = parse_record(raw, number)
-    term = value_of(record, "term", str, number)
-    meanings = value_of(record, "meanings", list, number)
+    record = parse_record(raw)
+    term = value_of(record, "term", str)
+    meanings = value_of(record, "meanings", list)
     if not meanings:
-        raise ParseError("entry must have at least one meaning", line=number)
-    examples = value_of(record, "examples", list, number)
+        raise ParseError("entry must have at least one meaning")
+    examples = value_of(record, "examples", list)
     if not examples:
-        raise ParseError("entry must have at least one example", line=number)
+        raise ParseError("entry must have at least one example")
 
-    related = value_of(record, "related_terms", list, number, ())
-    upvotes = value_of(record, "upvotes", int, number, 0)
-    downvotes = value_of(record, "downvotes", int, number, 0)
+    related = value_of(record, "related_terms", list, default=())
+    upvotes = value_of(record, "upvotes", int, default=0)
+    downvotes = value_of(record, "downvotes", int, default=0)
     if upvotes < 0 or downvotes < 0:
         key = "upvotes" if upvotes < 0 else "downvotes"
-        raise ParseError(f"'{key}' must be non-negative", line=number)
+        raise ParseError(f"'{key}' must be non-negative")
 
-    day = value_of(record, "created_date", str, number, None)
+    day = value_of(record, "created_date", str, default=None)
     try:
         created = None if day is None else parse_day(day)
     except ValueError:
-        raise ParseError(f"'created_date' must be YYYY-MM-DD, got {reprlib.repr(day)}",
-                         line=number) from None
+        raise ParseError(f"'created_date' must be YYYY-MM-DD, got {reprlib.repr(day)}") from None
 
     return SlangEntry(
         term=term,
@@ -175,23 +174,22 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     not the term itself), or it is a ParseError naming its line."""
     vocabulary: Vocabulary = {}
     known: set[str] = set()  # the terms and related terms checked so far
-    with naming(path):
-        for number, raw in record_lines(read_lines(path)):
-            entry = _parse_record(raw, number)
+    with Lines(path) as lines:
+        for raw in lines:
+            entry = _parse_record(raw)
             term, related = entry.term, entry.related_terms
             if term not in known:
-                known.add(checked_term(term, number))
+                known.add(checked_term(term))
             distinct = set(related)
             for text in sorted(distinct - known):
-                known.add(checked_term(text, number, "related term"))
+                known.add(checked_term(text, "related term"))
             if term in vocabulary:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}")
             if term in distinct:
-                raise ParseError(f"related terms include the term {reprlib.repr(term)}",
-                                 line=number)
+                raise ParseError(f"related terms include the term {reprlib.repr(term)}")
             if sorted(distinct) != list(related):
                 raise ParseError("related terms are not sorted and unique: "
-                                 f"{reprlib.repr(list(related))}", line=number)
+                                 f"{reprlib.repr(list(related))}")
             vocabulary[term] = entry
     return vocabulary
 
@@ -234,9 +232,7 @@ def fetch_new_entries(
     for day in date_range(start, end):
         report.requested += 1
         try:
-            path = fetcher(day)
-            with naming(path):
-                entries.extend(parse_entries(read_lines(path)))
+            entries.extend(parse_entries(fetcher(day)))
         except Exception as exc:
             report.failures.append((day, str(exc)))
     return entries, report

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DataError, ParseError
-from .records import naming, read_lines, read_records, value_of, write_records
+from .records import Lines, parse_record, value_of, write_records
 from .text import checked_term, normalize_term
 
 STRENGTH_MIN = -2.0
@@ -215,24 +215,23 @@ def load_seed_values(path: str | Path) -> dict[str, float]:
     line, '#' comments and blank lines ignored. A term given twice, or a
     value that is no finite number, is an error naming the file and the line."""
     values: dict[str, float] = {}
-    with naming(path):
-        for number, raw in enumerate(read_lines(path), start=1):
+    with Lines(path) as lines:
+        for raw in lines:
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError(f"expected 'term<TAB>value', got {reprlib.repr(line)}",
-                                 line=number)
+                raise ParseError(f"expected 'term<TAB>value', got {reprlib.repr(line)}")
             term, text = fields
             if term in values:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}")
             try:
                 values[term] = float(text)
             except ValueError:
                 values[term] = math.nan
             if not math.isfinite(values[term]):  # float() reads "nan", "inf" and "1e999" too
-                raise ParseError(f"bad strength value {reprlib.repr(text)}", line=number)
+                raise ParseError(f"bad strength value {reprlib.repr(text)}")
     return values
 
 
@@ -253,23 +252,22 @@ def load_slangsd(path: str | Path) -> Lexicon:
     entries carry the distinguished stage `imported`.
     """
     entries: dict[str, LexiconEntry] = {}
-    with naming(path):
-        for number, raw in enumerate(read_lines(path), start=1):
+    with Lines(path) as lines:
+        for raw in lines:
             line = raw.rstrip("\n")
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError(f"expected 'term<TAB>class', got {reprlib.repr(line)}",
-                                 line=number)
+                raise ParseError(f"expected 'term<TAB>class', got {reprlib.repr(line)}")
             term, class_text = fields
             try:
                 cls = int(class_text)
             except ValueError:
-                raise ParseError(f"bad class {reprlib.repr(class_text)}", line=number) from None
+                raise ParseError(f"bad class {reprlib.repr(class_text)}") from None
             if cls not in CLASSES:
-                raise ParseError(f"class {reprlib.repr(cls)} outside -2..2", line=number)
-            checked_term(term, number)
+                raise ParseError(f"class {reprlib.repr(cls)} outside -2..2")
+            checked_term(term)
             if term in entries:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}")
             entries[term] = LexiconEntry(term, float(cls), Stage.IMPORTED)
     return Lexicon(entries.values())
 
@@ -307,19 +305,18 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """The lexicon `save_lexicon` wrote. A record that breaks a LexiconEntry
     or Lexicon invariant is a ParseError naming its line."""
     entries: dict[str, LexiconEntry] = {}
-    with naming(path):
-        for number, record in read_records(path):
-            term = value_of(record, "term", str, number)
-            strength = value_of(record, "strength", float, number)
-            stage = value_of(record, "stage", Stage, number)
-            sources = value_of(record, "sources", list, number, [])
-            checked_term(term, number)
+    with Lines(path) as lines:
+        for record in map(parse_record, lines):
+            term = value_of(record, "term", str)
+            strength = value_of(record, "strength", float)
+            stage = value_of(record, "stage", Stage)
+            sources = value_of(record, "sources", list, default=[])
+            checked_term(term)
             if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
-                raise ParseError(f"strength out of range: {reprlib.repr(strength)}", line=number)
+                raise ParseError(f"strength out of range: {reprlib.repr(strength)}")
             if (stage is Stage.SEED_LEXICON) != bool(sources):
-                raise ParseError(f"sources {reprlib.repr(sources)} do not fit stage {stage.value}",
-                                 line=number)
+                raise ParseError(f"sources {reprlib.repr(sources)} do not fit stage {stage.value}")
             if term in entries:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}", line=number)
+                raise ParseError(f"duplicate term {reprlib.repr(term)}")
             entries[term] = LexiconEntry(term, strength, stage, tuple(sources))
     return Lexicon(entries.values())

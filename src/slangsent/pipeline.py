@@ -37,7 +37,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
-from .records import in_file, naming, read_lines, value_of, write_json, write_text
+from .records import value_of, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ def _reading(path: Path, what: str) -> Iterator[object]:
 
 
 def _string(raw: dict, key: str) -> str:
-    if not (value := value_of(raw, key, str, None)):
+    if not (value := value_of(raw, key, str)):
         raise ConfigError(f"'{key}' must not be empty")
     return value
 
@@ -129,7 +129,7 @@ def _range(raw: dict, key: str) -> tuple[float, float]:
     pair = raw.get(key)
     if type(pair) is not list or len(pair) != 2 or None in pair:
         raise ConfigError(f"'{key}' must be a [low, high] pair, got {reprlib.repr(pair)}")
-    return tuple(value_of({key: end}, key, float, None) for end in pair)
+    return tuple(value_of({key: end}, key, float) for end in pair)
 
 
 def _parse_scale(raw: object) -> LinearScale:
@@ -137,8 +137,8 @@ def _parse_scale(raw: object) -> LinearScale:
         return LinearScale()
     if type(raw) is not dict or "source_range" not in raw:
         _object(raw, "scale", ("factor", "offset"))
-        return LinearScale(value_of(raw, "factor", float, None, 1.0),
-                           value_of(raw, "offset", float, None, 0.0))
+        return LinearScale(value_of(raw, "factor", float, default=1.0),
+                           value_of(raw, "offset", float, default=0.0))
     _object(raw, "a scale with 'source_range'", ("source_range", "target_range"))
     ranges = [_range(raw, "source_range")]
     if raw.get("target_range") is not None:  # without one, from_ranges maps onto the strength scale
@@ -183,14 +183,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         base, sources = path.parent, raw.get("seed_lexicons")
         return PipelineConfig(
             entry_files=[base / _string({"entries": entry}, "entries")
-                         for entry in value_of(raw, "entries", list, None)],
+                         for entry in value_of(raw, "entries", list)],
             seed_sources=_parse_seed_sources([] if sources is None else sources, base,
                                              "'seed_lexicons'"),
             corpus_file=base / _string(raw, "corpus"),
             output_dir=base / _string(raw, "output_dir"),
-            max_docs=value_of(raw, "max_docs", int, None, DEFAULT_MAX_DOCS),
-            sample_seed=value_of(raw, "sample_seed", int, None, 0),
-            strict=value_of(raw, "strict", bool, None, True),
+            max_docs=value_of(raw, "max_docs", int, default=DEFAULT_MAX_DOCS),
+            sample_seed=value_of(raw, "sample_seed", int, default=0),
+            strict=value_of(raw, "strict", bool, default=True),
         )
 
 
@@ -205,11 +205,7 @@ def ingest_entries(
     records are skipped and appended to it. Each error names its file."""
     entries = []
     for entry_file in entry_files:
-        skipped = None if issues is None else []
-        with naming(entry_file):
-            entries.extend(parse_entries(read_lines(entry_file), issues=skipped))
-        if skipped:
-            issues.extend(in_file(issue, entry_file) for issue in skipped)
+        entries.extend(parse_entries(entry_file, issues=issues))
     vocabulary = build_vocabulary(entries)
     save_vocabulary(vocabulary, output)
     log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))

@@ -1,8 +1,9 @@
-"""Record files: one JSON object per line, UTF-8, LF, keys sorted. Readers
-accept gzip, skip blank lines and name the file and line of a malformed
-record, and take every field through `value_of`, the one field rule, which
-the config and sources readers use too. Every output file is written beside
-its target and renamed over it, atomically."""
+"""Input and output files. Every input file is read through `Lines`, which
+takes gzip, skips blank lines and is where a file's errors get their file
+and line. Record files hold one JSON object per line, UTF-8, LF, keys
+sorted; readers take every field through `value_of`, the one field rule,
+which the config and sources readers use too. Every output file is written
+beside its target and renamed over it, atomically."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import secrets
 import sys
 import zlib
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 
@@ -39,26 +39,41 @@ def read_lines(path: str | Path) -> Iterator[str]:
             raise DataError(f"{path}: not a complete gzip file: {exc}") from None
 
 
-def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """1-based number and text of each non-blank line."""
-    return ((number, raw) for number, raw in enumerate(lines, start=1) if raw.strip())
+class Lines:
+    """The non-blank lines of the file at `path`, as `read_lines` decodes
+    them, line ends kept. `number` is the 1-based number of the line last
+    handed out, blank lines counted, and None once the file has been read.
+    As a context manager it closes the file on exit and puts the file and
+    line in front of a ParseError raised inside the block."""
 
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.number: int | None = None
+        self._source = read_lines(path)
 
-def in_file(error: ParseError, path: str | Path) -> ParseError:
-    """`error`, its message now starting with the file it came from."""
-    error.args = (f"{path}: {error}",)
-    return error
+    def __iter__(self) -> Iterator[str]:
+        for self.number, raw in enumerate(self._source, start=1):
+            if raw.strip():
+                yield raw
+        self.number = None
 
+    def __enter__(self) -> Lines:
+        return self
 
-@contextmanager
-def naming(path: str | Path) -> Iterator[None]:
-    """Name `path` in a ParseError raised inside the block. Only the outermost
-    reader of a file uses it, so no message names its file twice."""
-    try:
-        yield
-    except ParseError as exc:
-        in_file(exc, path)
-        raise
+    def __exit__(self, kind, error, traceback) -> None:
+        # Closed here, not when the collector finds it: a traceback that is
+        # kept would otherwise keep the file open.
+        self._source.close()
+        if isinstance(error, ParseError):
+            self.locate(error)
+
+    def locate(self, error: ParseError) -> ParseError:
+        """`error`, its message now starting with `<path>: line N: `, or
+        `<path>: ` when no line is being read."""
+        error.line = self.number
+        where = "" if self.number is None else f"line {self.number}: "
+        error.args = (f"{self.path}: {where}{error}",)
+        return error
 
 
 # One decoder and one encoder for every record. raw_decode runs the scanner
@@ -69,8 +84,8 @@ _decode = json.JSONDecoder().raw_decode
 _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
-def parse_record(raw: str, number: int) -> dict:
-    """The JSON object on one line, or a ParseError naming the line."""
+def parse_record(raw: str) -> dict:
+    """The JSON object on one line, or a ParseError."""
     try:
         record, end = _decode(raw)
         # JSON's whitespace only: json.loads calls anything else extra data.
@@ -84,9 +99,9 @@ def parse_record(raw: str, number: int) -> dict:
     try:
         record = json.loads(raw)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}", line=number) from None
+        raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(record, dict):
-        raise ParseError("record is not an object", line=number)
+        raise ParseError("record is not an object")
     return record
 
 
@@ -97,11 +112,11 @@ _FLOAT_MAX = sys.float_info.max
 _BY_VALUE: dict[type, dict[str, Enum]] = {}  # each Enum kind's members by value, on first use
 
 
-def value_of(record: dict, key: str, kind: type, line: int | None, default: object = REQUIRED):
+def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
     """`record[key]` checked to be a `kind`: str, int, float (finite), bool,
     list (of strings), or an Enum of strings, whose member it returns. An
     absent or null field takes `default`; without one, or of another kind, it
-    is a ParseError naming the line (when there is one) and the key."""
+    is a ParseError naming the key."""
     value = record.get(key)
     # Types match exactly, as json.loads makes them: a bool is no number, and
     # a float field takes an int that a float can hold, as a float.
@@ -119,16 +134,10 @@ def value_of(record: dict, key: str, kind: type, line: int | None, default: obje
         return float(value)
     elif value is None:
         if default is REQUIRED:
-            raise ParseError(f"missing field '{key}'", line=line)
+            raise ParseError(f"missing field '{key}'")
         return default
     name = _KIND_NAMES.get(kind) or "one of " + ", ".join(repr(m.value) for m in kind)
-    raise ParseError(f"'{key}' must be {name}, got {reprlib.repr(value)}", line=line)
-
-
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Line number and JSON object of each non-blank line of a record file."""
-    for number, raw in record_lines(read_lines(path)):
-        yield number, parse_record(raw, number)
+    raise ParseError(f"'{key}' must be {name}, got {reprlib.repr(value)}")
 
 
 def _write(path: str | Path, chunks: Iterable[str]) -> None:

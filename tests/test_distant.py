@@ -41,18 +41,25 @@ def swapped(emoticons):
     return EmoticonSet(positive=emoticons.negative, negative=emoticons.positive)
 
 
+def emoticons_from(tmp_path, *lines):
+    """The emoticon set `EmoticonSet.from_file` reads from a file of `lines`."""
+    path = tmp_path / "emoticons.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return EmoticonSet.from_file(path)
+
+
 class TestEmoticonSet:
-    def test_rejects_overlap(self):
+    def test_rejects_overlap(self, tmp_path):
         with pytest.raises(ParseError):
-            EmoticonSet.from_lines(["[positive]", ":)", "[negative]", ":)", ":("])
+            emoticons_from(tmp_path, "[positive]", ":)", "[negative]", ":)", ":(")
 
-    def test_rejects_empty_side(self):
+    def test_rejects_empty_side(self, tmp_path):
         with pytest.raises(ParseError):
-            EmoticonSet.from_lines(["[positive]", "[negative]", ":("])
+            emoticons_from(tmp_path, "[positive]", "[negative]", ":(")
 
-    def test_from_lines(self):
-        text = "# comment\n[positive]\n:)\n\n[negative]\n:(\nD:\n"
-        parsed = EmoticonSet.from_lines(text.splitlines())
+    def test_from_lines(self, tmp_path):
+        parsed = emoticons_from(tmp_path, "# comment", "[positive]", ":)", "", "[negative]", ":(",
+                                "D:")
         assert parsed.positive == {":)"} and parsed.negative == {":(", "D:"}
 
     def test_from_file_starting_with_a_byte_order_mark(self, tmp_path):
@@ -61,18 +68,18 @@ class TestEmoticonSet:
         parsed = EmoticonSet.from_file(path)
         assert parsed.positive == {":)"} and parsed.negative == {":("}
 
-    def test_from_lines_rejects_headerless_token(self):
+    def test_from_lines_rejects_headerless_token(self, tmp_path):
         with pytest.raises(ParseError):
-            EmoticonSet.from_lines([":)"])
+            emoticons_from(tmp_path, ":)")
 
-    def test_from_lines_rejects_unknown_section(self):
+    def test_from_lines_rejects_unknown_section(self, tmp_path):
         with pytest.raises(ParseError):
-            EmoticonSet.from_lines(["[meh]", ":|"])
+            emoticons_from(tmp_path, "[meh]", ":|")
 
     @pytest.mark.parametrize("token", ["Lol", ": )", ":)."])
-    def test_from_lines_rejects_a_token_the_tokenizer_never_emits(self, token):
+    def test_from_lines_rejects_a_token_the_tokenizer_never_emits(self, tmp_path, token):
         with pytest.raises(ParseError) as exc:
-            EmoticonSet.from_lines(["[positive]", ":)", token, "[negative]", ":("])
+            emoticons_from(tmp_path, "[positive]", ":)", token, "[negative]", ":(")
         assert exc.value.line == 3
 
     def test_default_set_is_tokenizable(self):

@@ -22,7 +22,7 @@ from slangsent.ingest import (
     save_vocabulary,
     serialize_entry,
 )
-from slangsent.records import read_lines, write_records
+from slangsent.records import write_records
 
 
 def record(term="lol", **overrides):
@@ -38,68 +38,77 @@ def record(term="lol", **overrides):
     return json.dumps(base)
 
 
+def entries_from(tmp_path, lines, **options):
+    """`parse_entries` of a file holding `lines`."""
+    path = tmp_path / "entries.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return parse_entries(path, **options)
+
+
 class TestParseEntries:
-    def test_happy_path(self):
-        entries = parse_entries([record()])
+    def test_happy_path(self, tmp_path):
+        entries = entries_from(tmp_path, [record()])
         assert entries[0].term == "lol"
         assert entries[0].net_votes == 8
 
-    def test_missing_examples_rejected(self):
+    def test_missing_examples_rejected(self, tmp_path):
         line = json.dumps({"term": "x", "meanings": ["m"], "upvotes": 0, "downvotes": 0})
         with pytest.raises(ParseError) as exc:
-            parse_entries([line])
+            entries_from(tmp_path, [line])
         assert exc.value.line == 1
 
-    def test_empty_examples_rejected(self):
+    def test_empty_examples_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_entries([record(examples=[])])
+            entries_from(tmp_path, [record(examples=[])])
 
-    def test_related_terms_optional(self):
+    def test_related_terms_optional(self, tmp_path):
         line = json.dumps(
             {"term": "x", "meanings": ["m"], "examples": ["e"], "upvotes": 0, "downvotes": 0}
         )
-        assert parse_entries([line])[0].related_terms == ()
+        assert entries_from(tmp_path, [line])[0].related_terms == ()
 
-    def test_negative_votes_rejected(self):
+    def test_negative_votes_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_entries([record(upvotes=-1)])
+            entries_from(tmp_path, [record(upvotes=-1)])
 
-    def test_created_date_parsed(self):
-        entries = parse_entries([record(created_date="2016-07-14")])
+    def test_created_date_parsed(self, tmp_path):
+        entries = entries_from(tmp_path, [record(created_date="2016-07-14")])
         assert entries[0].created_date == date(2016, 7, 14)
 
-    def test_bad_date_rejected(self):
+    def test_bad_date_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_entries([record(created_date="not a date")])
+            entries_from(tmp_path, [record(created_date="not a date")])
 
-    def test_null_counts_as_absent(self):
-        entry = parse_entries([record(related_terms=None, upvotes=None, created_date=None)])[0]
+    def test_null_counts_as_absent(self, tmp_path):
+        entry = entries_from(
+            tmp_path, [record(related_terms=None, upvotes=None, created_date=None)])[0]
         assert (entry.related_terms, entry.upvotes, entry.created_date) == ((), 0, None)
 
 
-    def test_bad_json_line_number(self):
+    def test_bad_json_line_number(self, tmp_path):
         with pytest.raises(ParseError) as exc:
-            parse_entries([record(), "{oops"])
+            entries_from(tmp_path, [record(), "{oops"])
         assert exc.value.line == 2
 
-    def test_lenient_mode_skips_and_reports(self):
+    def test_lenient_mode_skips_and_reports(self, tmp_path):
         issues = []
-        entries = parse_entries([record("a"), "{oops", record("b")], issues=issues)
+        entries = entries_from(tmp_path, [record("a"), "{oops", record("b")], issues=issues)
         assert [e.term for e in entries] == ["a", "b"]
         assert len(issues) == 1 and issues[0].line == 2
 
-    def test_blank_lines_ignored(self):
-        assert len(parse_entries([record(), "", "  "])) == 1
+    def test_blank_lines_ignored(self, tmp_path):
+        assert len(entries_from(tmp_path, [record(), "", "  "])) == 1
 
     def test_serialize_round_trip(self, tmp_path):
-        entries = parse_entries(
+        entries = entries_from(
+            tmp_path,
             [
                 record("lol", related_terms=["rofl", "lmao"], created_date="2015-01-02"),
                 record("shit hot", upvotes=0, downvotes=0),
             ]
         )
         write_records(tmp_path / "entries.jsonl", map(serialize_entry, entries))
-        assert parse_entries(read_lines(tmp_path / "entries.jsonl")) == entries
+        assert parse_entries(tmp_path / "entries.jsonl") == entries
 
 
 class TestParseDay:
@@ -208,7 +217,7 @@ class TestLoadVocabulary:
         path = tmp_path_factory.mktemp("vocabulary") / "vocab.jsonl"
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
-        assert loaded == build_vocabulary(parse_entries(read_lines(path))) == vocab
+        assert loaded == build_vocabulary(parse_entries(path)) == vocab
         assert list(loaded) == sorted(vocab)
 
     @pytest.mark.parametrize("records, message", [
@@ -244,12 +253,12 @@ class TestGzipTransparency:
         path = tmp_path / "entries.jsonl.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write(record() + "\n")
-        assert len(parse_entries(read_lines(path))) == 1
+        assert len(parse_entries(path)) == 1
 
     def test_reads_plain_records(self, tmp_path):
         path = tmp_path / "entries.jsonl"
         path.write_text(record() + "\n", encoding="utf-8")
-        assert len(parse_entries(read_lines(path))) == 1
+        assert len(parse_entries(path)) == 1
 
 
 class TestExtensionUrl:

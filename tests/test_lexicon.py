@@ -225,6 +225,15 @@ class TestSlangsdFormat:
         with pytest.raises(ParseError):
             load_slangsd(_text_file(tmp_path, "lol\t1\nlol\t1\n"))
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        assert list(load_slangsd(_text_file(tmp_path, "lol\t1\n\n"))) == ["lol"]
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = _text_file(tmp_path, "\n \nlol\t1\nlol\t2\n")
+        with pytest.raises(ParseError) as exc:
+            load_slangsd(path)
+        assert str(exc.value) == f"{path}: line 4: duplicate term 'lol'"
+
     def test_byte_order_mark_and_crlf_are_not_part_of_the_term(self, tmp_path):
         path = tmp_path / "slangsd.txt"
         path.write_bytes(b"\xef\xbb\xbfgood\t1\r\n")

@@ -1,10 +1,11 @@
 """The record format, text decoding and the file writer live in
 slangsent.records alone.
 
-Any other module that serializes JSON, opens gzip, decodes text or writes a
-file itself bypasses the shared format, the gzip, byte-order-mark, line-end
-and UTF-8 rules of `read_lines`, and the atomic write; this test names each
-such call. A second guard keeps term normalization where outside data enters
+Any other module that serializes JSON, opens gzip, decodes text, reads
+lines or writes a file itself bypasses the shared format, the gzip,
+byte-order-mark, line-end and UTF-8 rules of `read_lines`, the line numbers,
+blank-line rule and error locations of `Lines`, and the atomic write; this
+test names each such call. A second guard keeps term normalization where outside data enters
 the package, a third keeps the scorer's matcher compiled in one place, once
 per lexicon, a fourth keeps an exception class only where some caller
 handles it apart from its family, a fifth keeps text tokenized only where
@@ -29,8 +30,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import slangsent
+from slangsent import records
 from slangsent.cli import main
+from slangsent.corpus import load_corpus
+from slangsent.distant import EmoticonSet, load_labeled_corpus
 from slangsent.errors import ParseError
+from slangsent.ingest import load_vocabulary, parse_entries
+from slangsent.lexicon import load_lexicon, load_seed_values, load_slangsd
 from slangsent.records import parse_record, read_lines, write_records
 
 from .fixtures import write_golden_fixture
@@ -40,6 +46,8 @@ GOLDEN_FILE = Path(__file__).parent / "data" / "golden_slangsd.txt"
 FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open", "io.StringIO", "io.TextIOWrapper"}
 # Methods that write a file, or decode text or split it into lines.
 METHODS = {"write_text", "write_bytes", "read_text", "splitlines", "decode"}
+# Every reader takes its lines from `records.Lines`, never from the decoder under it.
+LINE_SOURCES = {"read_lines"}
 # Config and seed-source files are single JSON documents, not records: each
 # is read whole, a byte-order mark allowed, and an error in it exits 1.
 ALLOWED = {("pipeline.py", "json.loads"), ("pipeline.py", "path.read_text")}
@@ -90,6 +98,7 @@ def record_format_calls(source: str) -> list[tuple[int, str]]:
         if (
             name in FORMAT_CALLS
             or method in METHODS
+            or {name, method} & LINE_SOURCES
             or "open" in (name, method) and _opens_for_writing(node)
         ):
             found.append((node.lineno, name))
@@ -123,9 +132,11 @@ def test_guard_sees_each_kind_of_call():
         "path.read_text('utf-8')",
         "text.splitlines()",
         "payload.decode('utf-8')",
+        "read_lines(path)",
+        "records.read_lines(path)",
     ])
     assert [line for line, _ in record_format_calls(source)] == [
-        1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14]
+        1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16]
 
 
 def _scoped_nodes(source: str, wanted) -> list[tuple[int, str]]:
@@ -528,20 +539,20 @@ def test_each_config_field_follows_the_one_rule(tmp_path, capsys, place, key, va
         assert output.read_bytes() == GOLDEN_FILE.read_bytes()
 
 
-def reference_parse(raw: str, number: int) -> dict:
+def reference_parse(raw: str) -> dict:
     """parse_record as one json.loads per line."""
     try:
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", line=number) from None
+        raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(record, dict):
-        raise ParseError("record is not an object", line=number)
+        raise ParseError("record is not an object")
     return record
 
 
 def _outcome(parse, raw: str) -> tuple[str, str]:
     try:
-        return "record", repr(parse(raw, 3))  # repr: NaN is not equal to itself
+        return "record", repr(parse(raw))  # repr: NaN is not equal to itself
     except ParseError as exc:
         return "error", str(exc)
 
@@ -604,3 +615,36 @@ def test_read_lines_drops_a_leading_byte_order_mark(tmp_path, data, lines):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     assert list(read_lines(path)) == lines
+
+
+# reader: a file it fails on at line 1, with a line after that one, so the
+# reader stops while the file is open.
+FAILING_READS = {
+    "load_lexicon": (load_lexicon, "{oops\n{}\n"),
+    "load_vocabulary": (load_vocabulary, "{oops\n{}\n"),
+    "parse_entries": (parse_entries, "{oops\n{}\n"),
+    "load_seed_values": (load_seed_values, "a\tb\tc\nlol\t1\n"),
+    "load_slangsd": (load_slangsd, "lol\nlol\t1\n"),
+    "load_corpus": (load_corpus, "{oops\n{}\n"),
+    "load_labeled_corpus": (load_labeled_corpus, "{oops\n{}\n"),
+    "EmoticonSet.from_file": (EmoticonSet.from_file, ":)\n[positive]\n"),
+}
+
+
+@pytest.mark.parametrize("reader, text", FAILING_READS.values(), ids=FAILING_READS)
+def test_a_failing_reader_closes_its_file(tmp_path, monkeypatch, reader, text):
+    """A reader's file is closed when the reader raises, not when the
+    collector finds it: the kept error's traceback holds the reader's frame."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(records, "open", recording_open, raising=False)
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        reader(path)
+    assert caught.value.line == 1 and opened
+    assert [handle.closed for handle in opened] == [True] * len(opened)
