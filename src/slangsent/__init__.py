@@ -13,7 +13,6 @@ from .corpus import CorpusProvider, Document, FileCorpusProvider, estimate_all, 
 from .distant import LabeledDocument, load_labeled_corpus
 from .errors import ConfigError, DataError, SlangSentError
 from .ingest import (
-    EntryFetcher,
     SlangEntry,
     build_vocabulary,
     extension_url,

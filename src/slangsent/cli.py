@@ -22,7 +22,7 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, SlangSentError
-from .ingest import DirectoryFetcher, fetch_new_entries, load_vocabulary, parse_day, serialize_entry
+from .ingest import date_range, fetch_new_entries, load_vocabulary, parse_day, serialize_entry
 from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -138,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emoticons", type=Path, help="emoticon set file (default: built-in)")
     p.set_defaults(func=_cmd_label)
 
-    p = sub.add_parser("extend", help="fetch new entries for a date range")
+    p = sub.add_parser("extend", help="collect the new entries of each day in a date range")
     day = _arg(parse_day, "a YYYY-MM-DD date")
     p.add_argument("--from", dest="start", required=True, type=day)
     p.add_argument("--to", dest="end", required=True, type=day)
     p.add_argument("--fetch-dir", required=True, type=Path,
-                   help="directory of <YYYY-MM-DD>.jsonl record files")
+                   help="directory of <YYYY-MM-DD>.jsonl(.gz) day files; a bad day is reported")
     p.add_argument("--output", required=True, type=Path)
     p.set_defaults(func=_cmd_extend)
 
@@ -251,12 +251,12 @@ def _cmd_label(args) -> None:
 def _cmd_extend(args) -> None:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
-    entries, report = fetch_new_entries(DirectoryFetcher(args.fetch_dir), args.start, args.end)
+    entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
     write_records(args.output, map(serialize_entry, entries))
-    for day, reason in report.failures:
+    for day, reason in failures:
         print(f"fetch failed for {day}: {reason}", file=sys.stderr)
-    succeeded = report.requested - len(report.failures)
-    print(f"{len(entries)} entries from {succeeded}/{report.requested} days "
+    requested = len(date_range(args.start, args.end))
+    print(f"{len(entries)} entries from {requested - len(failures)}/{requested} days "
           f"-> {args.output}")
 
 

@@ -9,8 +9,8 @@ related-word lists are the only entry content the sentiment stages trust.
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -208,46 +208,28 @@ def date_range(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range(days + 1)] if days >= 0 else []
 
 
-EntryFetcher = Callable[[date], Path]
-
-
-@dataclass
-class FetchReport:
-    requested: int = 0
-    failures: list[tuple[date, str]] = field(default_factory=list)  # (day, reason)
-
-
 def fetch_new_entries(
-    fetcher: EntryFetcher, start: date, end: date
-) -> tuple[list[SlangEntry], FetchReport]:
-    """Fetch and parse entry records for every day in [start, end].
+    directory: str | Path, start: date, end: date
+) -> tuple[list[SlangEntry], list[tuple[date, str]]]:
+    """Parse the entry records of every day in [start, end] and the (day,
+    reason) of each day that failed.
 
-    The fetcher maps a day to the record file that holds its records; a
-    record error names that file. A failing day is recorded in the report
-    and the remaining days still run; output order is by date, then record
-    order within a day. Duplicate terms are left for build_vocabulary to merge.
+    A day's records are in <directory>/<YYYY-MM-DD>.jsonl, or .jsonl.gz when
+    there is no .jsonl. A missing, unreadable or malformed day file is a
+    failure of that day and the remaining days still run; any other error
+    raises. Output order is by date, then record order within a day.
+    Duplicate terms are left for build_vocabulary to merge.
     """
     entries: list[SlangEntry] = []
-    report = FetchReport()
+    failures: list[tuple[date, str]] = []
     for day in date_range(start, end):
-        report.requested += 1
         try:
-            entries.extend(parse_entries(fetcher(day)))
-        except Exception as exc:
-            report.failures.append((day, str(exc)))
-    return entries, report
-
-
-class DirectoryFetcher:
-    """EntryFetcher over local files: the record file for a day is
-    <directory>/<YYYY-MM-DD>.jsonl (optionally .jsonl.gz)."""
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-
-    def __call__(self, day: date) -> Path:
-        for name in (f"{day.isoformat()}.jsonl", f"{day.isoformat()}.jsonl.gz"):
-            candidate = self.directory / name
-            if candidate.exists():
-                return candidate
-        raise FileNotFoundError(f"no record file for {day} under {self.directory}")
+            path = Path(directory, f"{day}.jsonl")
+            if not path.exists():
+                path = path.with_name(f"{path.name}.gz")
+            if not path.exists():
+                raise FileNotFoundError(f"no record file for {day} under {directory}")
+            entries.extend(parse_entries(path))
+        except (DataError, OSError) as exc:
+            failures.append((day, str(exc)))
+    return entries, failures

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slangsent import ingest
 from slangsent.errors import DataError, ParseError
 from slangsent.ingest import (
-    DirectoryFetcher,
     SlangEntry,
     build_vocabulary,
     date_range,
@@ -284,28 +284,28 @@ def day_file(tmp_path, day, text):
 
 class TestFetchNewEntries:
     def test_concatenates_dates(self, tmp_path):
-        def fetcher(day):
-            return day_file(tmp_path, day, record(f"w{day}") + "\n" + record(f"v{day}") + "\n")
-
-        entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
-        assert len(entries) == 6
-        assert report.requested == 3 and not report.failures
+        for day in date_range(date(2020, 1, 1), date(2020, 1, 3)):
+            day_file(tmp_path, day, record(f"w{day}") + "\n" + record(f"v{day}") + "\n")
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 3))
+        assert [e.term for e in entries] == [
+            f"{w}{day}" for day in ("2020-01-01", "2020-01-02", "2020-01-03") for w in "wv"]
+        assert not failures
 
     def test_failure_recorded_and_run_continues(self, tmp_path):
-        def fetcher(day):
-            if day == date(2020, 1, 2):
-                raise OSError("boom")
-            return day_file(tmp_path, day, record() + "\n" + record("x") + "\n")
-
-        entries, report = fetch_new_entries(fetcher, date(2020, 1, 1), date(2020, 1, 3))
+        for day in date_range(date(2020, 1, 1), date(2020, 1, 3)):
+            day_file(tmp_path, day, record() + "\n" + record("x") + "\n")
+        unreadable = tmp_path / "2020-01-02.jsonl"
+        unreadable.unlink()
+        unreadable.mkdir()  # an OSError when read
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 3))
         assert len(entries) == 4
-        assert report.requested == 3
-        assert report.failures == [(date(2020, 1, 2), "boom")]
+        [(day, reason)] = failures
+        assert day == date(2020, 1, 2) and str(unreadable) in reason
 
     def test_empty_range(self, tmp_path):
-        entries, report = fetch_new_entries(lambda day: day_file(tmp_path, day, ""),
-                                            date(2020, 1, 2), date(2020, 1, 1))
-        assert entries == [] and report.requested == 0
+        day_file(tmp_path, date(2020, 1, 1), record() + "\n")
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 2), date(2020, 1, 1))
+        assert entries == [] and failures == []
 
     def test_day_file_splits_as_a_record_file(self, tmp_path):
         # A byte-order mark, CRLF and CR line ends; U+2028 and U+0085 inside a
@@ -313,32 +313,44 @@ class TestFetchNewEntries:
         line = json.dumps(json.loads(record(meanings=["a\u2028b\x85c"])), ensure_ascii=False)
         path = tmp_path / "2020-01-01.jsonl"
         path.write_bytes(("\ufeff" + line + "\r\n" + line + "\r" + line).encode("utf-8"))
-        entries, report = fetch_new_entries(lambda day: path, date(2020, 1, 1), date(2020, 1, 1))
-        assert not report.failures
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 1))
+        assert not failures
         assert [e.meanings for e in entries] == [("a\u2028b\x85c",)] * 3
 
     def test_date_range_inclusive(self):
         days = date_range(date(2020, 2, 27), date(2020, 3, 1))
         assert days == [date(2020, 2, 27), date(2020, 2, 28), date(2020, 2, 29), date(2020, 3, 1)]
 
-
-class TestDirectoryFetcher:
-    def test_fetches_by_date(self, tmp_path):
-        (tmp_path / "2020-01-01.jsonl").write_text(record() + "\n", encoding="utf-8")
-        fetcher = DirectoryFetcher(tmp_path)
-        payload = fetcher(date(2020, 1, 1))
-        assert payload == tmp_path / "2020-01-01.jsonl"
-        assert json.loads(payload.read_text(encoding="utf-8"))["term"] == "lol"
-
-    def test_fetches_gzip_file(self, tmp_path):
+    def test_reads_gzip_day_file(self, tmp_path):
         path = tmp_path / "2020-01-01.jsonl.gz"
         path.write_bytes(gzip.compress((record() + "\n").encode("utf-8")))
-        entries, report = fetch_new_entries(
-            DirectoryFetcher(tmp_path), date(2020, 1, 1), date(2020, 1, 1)
-        )
-        assert [e.term for e in entries] == ["lol"] and not report.failures
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 1))
+        assert [e.term for e in entries] == ["lol"] and not failures
 
-    def test_missing_date_raises(self, tmp_path):
-        fetcher = DirectoryFetcher(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            fetcher(date(2020, 1, 1))
+    def test_plain_day_file_comes_before_gzip(self, tmp_path):
+        day_file(tmp_path, date(2020, 1, 1), record("plain") + "\n")
+        gz = tmp_path / "2020-01-01.jsonl.gz"
+        gz.write_bytes(gzip.compress((record("gz") + "\n").encode("utf-8")))
+        entries, failures = fetch_new_entries(str(tmp_path), date(2020, 1, 1), date(2020, 1, 1))
+        assert [e.term for e in entries] == ["plain"] and not failures
+
+    def test_missing_day_is_a_reported_failure(self, tmp_path):
+        entries, failures = fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 1))
+        assert entries == []
+        assert failures == [(date(2020, 1, 1), f"no record file for 2020-01-01 under {tmp_path}")]
+
+    def test_bug_while_parsing_a_day_raises(self, tmp_path, monkeypatch):
+        # Only a missing, unreadable or malformed day is a failure of that
+        # day: an error of the code reading it is not passed off as one.
+        day_file(tmp_path, date(2020, 1, 1), record() + "\n")
+        day_file(tmp_path, date(2020, 1, 2), record("boom") + "\n")
+        parse = ingest._parse_record
+
+        def failing(raw):
+            if "boom" in raw:
+                raise RuntimeError("a bug")
+            return parse(raw)
+
+        monkeypatch.setattr(ingest, "_parse_record", failing)
+        with pytest.raises(RuntimeError, match="a bug"):
+            fetch_new_entries(tmp_path, date(2020, 1, 1), date(2020, 1, 2))

@@ -9,8 +9,10 @@ test names each such call. A second guard keeps term normalization where outside
 the package, a third keeps the scorer's matcher compiled in one place, once
 per lexicon, a fourth keeps an exception class only where some caller
 handles it apart from its family, a fifth keeps text tokenized only where
-raw text becomes tokens, and a sixth keeps the kind of a JSON scalar
-checked by the field rule alone.
+raw text becomes tokens, a sixth keeps the kind of a JSON scalar checked by
+the field rule alone, and a seventh keeps every `except` clause naming what
+it handles, so that a bug raises instead of passing as a failure of the
+input.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -67,6 +69,10 @@ TOKENIZERS = {("corpus.py", "Document.from_text"), ("scoring.py", "score_text")}
 # against one: the field rule.
 SCALARS = {"str", "int", "float", "bool"}
 SCALAR_CHECKS = {("records.py", "value_of")}
+# The only handlers that may catch every exception: estimation records a
+# failing provider as a failure of its term, until that boundary goes,
+# and the writer removes its temporary file and raises again.
+BROAD_EXCEPTS = {("corpus.py", "estimate_all"), ("records.py", "_write")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -162,6 +168,49 @@ def _refers_to(node: ast.AST, name: str) -> bool:
         isinstance(node, ast.Name) and node.id == name
         or isinstance(node, ast.Attribute) and node.attr == name
     )
+
+
+def _catches_everything(node: ast.AST) -> bool:
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    kinds = [] if node.type is None else getattr(node.type, "elts", [node.type])
+    return not kinds or any(_name(kind) in {"Exception", "BaseException"} for kind in kinds)
+
+
+def broad_excepts(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every bare `except` in `source`, and of every `except`
+    that names Exception or BaseException, alone or in a tuple."""
+    return _scoped_nodes(source, _catches_everything)
+
+
+def test_every_except_names_what_it_handles():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in broad_excepts(path.read_text(encoding="utf-8"))
+        if (path.name, scope) not in BROAD_EXCEPTS
+    ]
+    assert offenders == []
+
+
+def test_except_guard_sees_each_broad_form():
+    source = "\n".join([
+        "def fetch_new_entries(fetcher, start, end):",
+        "    for day in date_range(start, end):",
+        "        try:",
+        "            entries.extend(parse_entries(fetcher(day)))",
+        "        except Exception as exc:",
+        "            failures.append((day, str(exc)))",
+        "try: run()",
+        "except: pass",
+        "try: run()",
+        "except (OSError, builtins.BaseException): pass",
+        "try: run()",
+        "except (DataError, OSError): pass",
+        "try: run()",
+        "except ExceptionGroup: pass",
+    ])
+    assert broad_excepts(source) == [(5, "fetch_new_entries"), (8, ""), (10, "")]
 
 
 def normalize_term_uses(source: str) -> list[tuple[int, str]]:
