@@ -22,7 +22,7 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, SlangSentError
-from .ingest import date_range, fetch_new_entries, load_vocabulary, parse_day, serialize_entry
+from .ingest import date_range, entry_row, fetch_new_entries, load_vocabulary, parse_day
 from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -35,7 +35,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .propagate import stage_report
-from .records import write_json, write_records, write_text
+from .records import write_json, write_lines, write_text
 from .scoring import EvalSubset, evaluate, score_text, score_tokens
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def _cmd_extend(args) -> None:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
-    write_records(args.output, map(serialize_entry, entries))
+    write_lines(args.output, map(entry_row, entries))
     for day, reason in failures:
         print(f"fetch failed for {day}: {reason}", file=sys.stderr)
     requested = len(date_range(args.start, args.end))

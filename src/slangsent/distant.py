@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import Document, read_documents
 from .errors import ParseError
 from .lexicon import Polarity
-from .records import Lines, value_of, write_records
+from .records import Lines, json_string, value_of, write_lines
 from .text import chunk_token
 
 
@@ -117,8 +117,9 @@ def build_eval_corpus(
 
 
 def save_labeled_corpus(documents: Iterable[LabeledDocument], path: str | Path) -> None:
-    write_records(path, (
-        {"id": item.document.id, "label": item.gold.value, "text": item.document.text}
+    write_lines(path, (
+        f'{{"id": {json_string(item.document.id)}, "label": "{item.gold.value}", '
+        f'"text": {json_string(item.document.text)}}}\n'
         for item in documents
     ))
 

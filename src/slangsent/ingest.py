@@ -15,7 +15,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import DataError, ParseError
-from .records import Lines, parse_record, value_of, write_records
+from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
 from .text import checked_term, normalize_term
 
 Vocabulary = dict[str, "SlangEntry"]
@@ -109,18 +109,15 @@ def parse_day(text: str) -> date:
     return day
 
 
-def serialize_entry(entry: SlangEntry) -> dict[str, object]:
-    record: dict[str, object] = {
-        "term": entry.term,
-        "meanings": list(entry.meanings),
-        "examples": list(entry.examples),
-        "related_terms": list(entry.related_terms),
-        "upvotes": entry.upvotes,
-        "downvotes": entry.downvotes,
-    }
-    if entry.created_date is not None:
-        record["created_date"] = entry.created_date.isoformat()
-    return record
+def entry_row(entry: SlangEntry) -> str:
+    """The record line of `entry`, which `parse_entries` reads back as it."""
+    day = "" if entry.created_date is None else f'"created_date": "{entry.created_date}", '
+    return (
+        f'{{{day}"downvotes": {entry.downvotes}, "examples": {json_strings(entry.examples)}, '
+        f'"meanings": {json_strings(entry.meanings)}, '
+        f'"related_terms": {json_strings(entry.related_terms)}, '
+        f'"term": {json_string(entry.term)}, "upvotes": {entry.upvotes}}}\n'
+    )
 
 
 def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
@@ -164,7 +161,7 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    write_records(path, (serialize_entry(vocabulary[term]) for term in sorted(vocabulary)))
+    write_lines(path, (entry_row(vocabulary[term]) for term in sorted(vocabulary)))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DataError, ParseError
-from .records import Lines, parse_record, value_of, write_records
+from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
 from .text import checked_term, normalize_term
 
 STRENGTH_MIN = -2.0
@@ -58,6 +58,8 @@ def mean_strength(values: Sequence[float]) -> float:
     never leaves that range). Both matter: averaging chains must stay
     bounded and order-free, exactly.
     """
+    if len(values) == 1:  # what the clamp below would give, -0.0 included
+        return float(values[0])
     mean = math.fsum(values) / len(values)
     return float(min(max(values), max(min(values), mean)))
 
@@ -290,13 +292,9 @@ def export_idiom_table(lexicon: Lexicon) -> str:
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     """Write a lexicon as sorted JSON lines, keeping exact strengths, stages
     and sources (unlike the quantized exported dictionary)."""
-    write_records(path, (
-        {
-            "term": entry.term,
-            "strength": entry.strength,
-            "stage": entry.stage.value,
-            "sources": list(entry.sources),
-        }
+    write_lines(path, (
+        f'{{"sources": {json_strings(entry.sources)}, "stage": "{entry.stage.value}", '
+        f'"strength": {entry.strength!r}, "term": {json_string(entry.term)}}}\n'
         for entry in lexicon.entries()
     ))
 

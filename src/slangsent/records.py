@@ -1,9 +1,13 @@
 """Input and output files. Every input file is read through `Lines`, which
 takes gzip, skips blank lines and is where a file's errors get their file
-and line. Record files hold one JSON object per line, UTF-8, LF, keys
-sorted; readers take every field through `value_of`, the one field rule,
-which the config and sources readers use too. Every output file is written
-beside its target and renamed over it, atomically."""
+and line. Record files hold one JSON object per line, UTF-8, LF: each line
+the bytes json.dumps(record, ensure_ascii=False, sort_keys=True) writes.
+Readers take every field through `value_of`, the one field rule, which the
+config and sources readers use too. String escaping (`json_string`,
+`json_strings`) and the writer live here; each record file's row shape is
+one f-string beside that file's reader, and a property in
+tests/test_records.py pins its bytes to json.dumps'. Every output file is
+written beside its target and renamed over it, atomically."""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import gzip
 import io
 import json
 import os
+import re
 import reprlib
 import secrets
 import sys
@@ -76,12 +81,18 @@ class Lines:
         return error
 
 
-# One decoder and one encoder for every record. raw_decode runs the scanner
-# json.loads runs, without the checks and whitespace matching json.loads
-# wraps around it; the encoder is the one json.dumps builds again on every
-# call with these arguments, so the bytes are the same.
+# One decoder for every record. raw_decode runs the scanner json.loads runs,
+# without the checks and whitespace matching json.loads wraps around it.
 _decode = json.JSONDecoder().raw_decode
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+# A str as json.dumps(..., ensure_ascii=False) writes it: quoted, with `"`,
+# `\` and the control characters escaped.
+json_string = json.encoder.encode_basestring
+
+
+def json_strings(items: Iterable[str]) -> str:
+    """A list of strings as json.dumps(..., ensure_ascii=False) writes it."""
+    return f"[{', '.join(map(json_string, items))}]"
 
 
 def parse_record(raw: str) -> dict:
@@ -110,13 +121,16 @@ _KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
                bool: "true or false", list: "a list of strings"}
 _FLOAT_MAX = sys.float_info.max
 _BY_VALUE: dict[type, dict[str, Enum]] = {}  # each Enum kind's members by value, on first use
+# A code point JSON can escape but UTF-8 cannot encode, so no file can hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
     """`record[key]` checked to be a `kind`: str, int, float (finite), bool,
     list (of strings), or an Enum of strings, whose member it returns. An
     absent or null field takes `default`; without one, or of another kind, it
-    is a ParseError naming the key."""
+    is a ParseError naming the key. So is a string, or a list item, holding a
+    lone surrogate (U+D800 to U+DFFF), which no output file could hold."""
     value = record.get(key)
     # Types match exactly, as json.loads makes them: a bool is no number, and
     # a float field takes an int that a float can hold, as a float.
@@ -124,7 +138,12 @@ def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
         if kind is float:
             if -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN and the infinities are not
                 return value
-        elif kind is not list or all(type(item) is str for item in value):
+        elif kind is str or kind is list and all(type(item) is str for item in value):
+            text = value if kind is str else "".join(value)
+            if text.isascii() or not _SURROGATE.search(text):  # ASCII pays no search
+                return value
+            raise ParseError(f"'{key}' holds a lone surrogate: {reprlib.repr(value)}")
+        elif kind is not list:
             return value
     elif type(value) is str and kind not in _KIND_NAMES:
         members = _BY_VALUE.get(kind) or _BY_VALUE.setdefault(kind, {m.value: m for m in kind})
@@ -140,13 +159,16 @@ def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
     raise ParseError(f"'{key}' must be {name}, got {reprlib.repr(value)}")
 
 
-def _write(path: str | Path, chunks: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines`, each with its line end, to a temporary file beside
+    `path` and rename it over `path`. The lines are taken one at a time, so a
+    record file's rows are never all in memory at once."""
     path = Path(path)
     # Not mkstemp: its files are private (0600); open(..., "x") applies the umask.
     temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
+            handle.writelines(lines)
         os.replace(temporary, path)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
@@ -155,12 +177,8 @@ def _write(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    _write(path, (_encode(r) + "\n" for r in records))
-
-
 def write_text(path: str | Path, text: str) -> None:
-    _write(path, [text])
+    write_lines(path, [text])
 
 
 def write_json(path: str | Path, payload: object) -> None:

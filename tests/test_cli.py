@@ -87,6 +87,12 @@ def _label_with_emoticons(tmp_path, text):
             "--emoticons", str(tmp_path / "emoticons.txt")]
 
 
+def _label_record(tmp_path, record):
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["label", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--output", str(tmp_path / "labeled.jsonl")]
+
+
 def _latin1_input(tmp_path, command, option, record, *rest):
     """`command` reading a JSON file whose "é" is one Latin-1 byte, which is
     not UTF-8."""
@@ -486,6 +492,21 @@ BAD_INPUTS = LONG_VALUES + [
      "bad.tsv: line 1: bad strength value 'nan'"),
     ("seed-tsv-inf", lambda g, t: _seed_with_tsv(g, t, "# scale\ngood\t1\nbad\t-inf\n"), 2,
      "bad.tsv: line 3: bad strength value '-inf'"),
+    # A lone surrogate reads as JSON, but no UTF-8 output file could hold it.
+    ("entries-term-lone-surrogate", lambda g, t: _ingest_record(t, term="ab\ud800"), 2,
+     "entries.jsonl: line 1: 'term' holds a lone surrogate: 'ab\\ud800'"),
+    ("entries-meanings-item-lone-surrogate",
+     lambda g, t: _ingest_record(t, meanings=["m", "n\udfff"]), 2,
+     "entries.jsonl: line 1: 'meanings' holds a lone surrogate: ['m', 'n\\udfff']"),
+    ("label-corpus-id-lone-surrogate",
+     lambda g, t: _label_record(t, {"id": "d\ud800", "text": "hi :)"}), 2,
+     "corpus.jsonl: line 1: 'id' holds a lone surrogate: 'd\\ud800'"),
+    ("label-corpus-text-lone-surrogate",
+     lambda g, t: _label_record(t, {"id": "1", "text": "hi \udc00 :)"}), 2,
+     "corpus.jsonl: line 1: 'text' holds a lone surrogate: 'hi \\udc00 :)'"),
+    ("export-lexicon-term-lone-surrogate",
+     lambda g, t: _export_lexicon(t, lambda data: data.replace(b'"lol"', b'"lo\\ud800l"')), 2,
+     "lex.jsonl: line 1: 'term' holds a lone surrogate: 'lo\\ud800l'"),
 ] + [
     (f"{command}-vocabulary-{case}",
      lambda g, t, command=command, records=records: _unmerged_vocabulary(t, command, *records),
@@ -529,6 +550,11 @@ def _report_on_lexicon(tmp_path, transform):
     path = lexicon_file(tmp_path, {"lol": 1.0, "meh": -1.0})
     path.write_bytes(transform(path.read_bytes()))
     return ["report", "--lexicon", str(path)]
+
+
+def _export_lexicon(tmp_path, transform):
+    return ["export", *_report_on_lexicon(tmp_path, transform)[1:],
+            "--slangsd", str(tmp_path / "slangsd.txt")]
 
 
 # (id, argv builder): record-file variants every reader accepts.
@@ -833,6 +859,19 @@ class TestExtendCommand:
                     if "line 1" in record.getMessage()]
         assert reports == [f"fetch failed for 2023-04-01: {day}: line 1: "
                            f"'term' must be a string, got 5"]
+
+    def test_lone_surrogate_fails_its_day(self, tmp_path, capsys):
+        # A bad day file is a reported failure of its day, not an error line.
+        day = tmp_path / "2023-04-01.jsonl"
+        day.write_text(json.dumps({"term": "ab\ud800", "meanings": ["m"], "examples": ["e"]})
+                       + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
+                     "--fetch-dir", str(tmp_path), "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"fetch failed for 2023-04-01: {day}: line 1: "
+                                "'term' holds a lone surrogate: 'ab\\ud800'\n")
+        assert "0 entries from 0/1 days" in captured.out and out.read_bytes() == b""
 
     def test_bad_date_is_usage_error(self, tmp_path, capsys):
         assert main(["extend", "--from", "yesterday", "--to", "2023-04-02",

@@ -14,15 +14,14 @@ from slangsent.ingest import (
     SlangEntry,
     build_vocabulary,
     date_range,
+    entry_row,
     extension_url,
     fetch_new_entries,
     load_vocabulary,
     parse_day,
     parse_entries,
     save_vocabulary,
-    serialize_entry,
 )
-from slangsent.records import write_records
 
 
 def record(term="lol", **overrides):
@@ -107,7 +106,7 @@ class TestParseEntries:
                 record("shit hot", upvotes=0, downvotes=0),
             ]
         )
-        write_records(tmp_path / "entries.jsonl", map(serialize_entry, entries))
+        (tmp_path / "entries.jsonl").write_text("".join(map(entry_row, entries)), encoding="utf-8")
         assert parse_entries(tmp_path / "entries.jsonl") == entries
 
 

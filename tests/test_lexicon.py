@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slangsent.errors import DataError, ParseError
@@ -60,6 +60,14 @@ class TestStrengthHelpers:
         mean = mean_strength(values)
         assert type(mean) is float and min(values) <= mean <= max(values)
         assert mean_strength(data.draw(st.permutations(values))) == mean
+
+    @given(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308])
+           | st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    def test_mean_strength_of_one_value_is_that_value(self, x):
+        mean = mean_strength([x])
+        assert type(mean) is float and mean == x
+        assert math.copysign(1.0, mean) == math.copysign(1.0, x)
 
     def test_polarity_from_value(self):
         assert Polarity.from_value(0.1) is Polarity.POSITIVE

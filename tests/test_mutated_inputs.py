@@ -71,9 +71,10 @@ READERS = {
 # What the damage inserts: a JSON null, a number too large for a float, an
 # integer too long for int(), nesting too deep for the decoder, a byte-order
 # mark, a character some line splitters take for a line end, a NUL, a lone
-# surrogate, and the words that name a stage.
+# surrogate as a JSON string and bare, which inside a string keeps the JSON
+# valid, and the words that name a stage.
 TOKENS = [b"null", b"1e999", b"9" * 5000, b"[" * 3000, "\ufeff".encode(), "\u2028".encode(),
-          b"\x00", b'"\\ud800"', *(stage.value.encode() for stage in Stage)]
+          b"\x00", b'"\\ud800"', b"\\ud800", *(stage.value.encode() for stage in Stage)]
 
 DAMAGE = st.one_of(
     st.tuples(st.just("delete"), st.integers(1, 64)),
@@ -132,6 +133,8 @@ def fixture_dir(tmp_path_factory) -> Path:
 @example(file_and_command=("days/2023-04-01.jsonl", "extend"),
          damage=("insert", b"9" * 5000), at=10)
 @example(file_and_command=("sources.json", "seed"), damage=("insert", b"9" * 5000), at=1)
+@example(file_and_command=("entries.jsonl", "run"), damage=("insert", b"\\ud800"),
+         at=json.dumps(GOLDEN_ENTRIES[0], sort_keys=True).index('"term": "') + 9)  # into its term
 def test_damaged_input_never_ends_in_a_traceback(fixture_dir, file_and_command, damage, at):
     name, command = file_and_command
     with tempfile.TemporaryDirectory() as scratch:

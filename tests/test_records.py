@@ -1,8 +1,10 @@
-"""The record format, text decoding and the file writer live in
-slangsent.records alone.
+"""The record format, text decoding, string escaping and the file writer live
+in slangsent.records alone; each record file's row shape sits beside that
+file's reader.
 
-Any other module that serializes JSON, opens gzip, decodes text, reads
-lines or writes a file itself bypasses the shared format, the gzip,
+Any other module that serializes JSON, escapes a JSON string, opens gzip,
+decodes text, reads lines or writes a file itself bypasses the shared
+format, the gzip,
 byte-order-mark, line-end and UTF-8 rules of `read_lines`, the line numbers,
 blank-line rule and error locations of `Lines`, and the atomic write; this
 test names each such call. A second guard keeps term normalization where outside data enters
@@ -17,14 +19,16 @@ input.
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
 `seed --sources` files. Two properties pin the record codec to the json
-module: each line reads as json.loads reads it, and each record is written
-as json.dumps writes it."""
+module: each line reads as json.loads reads it, and each row of the three
+row writers (`save_lexicon`, `save_vocabulary` through `entry_row`, and
+`save_labeled_corpus`) is written as json.dumps writes it."""
 
 from __future__ import annotations
 
 import ast
 import gzip
 import json
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -34,18 +38,29 @@ from hypothesis import strategies as st
 import slangsent
 from slangsent import records
 from slangsent.cli import main
-from slangsent.corpus import load_corpus
-from slangsent.distant import EmoticonSet, load_labeled_corpus
+from slangsent.corpus import Document, load_corpus
+from slangsent.distant import EmoticonSet, LabeledDocument, load_labeled_corpus, save_labeled_corpus
 from slangsent.errors import ParseError
-from slangsent.ingest import load_vocabulary, parse_entries
-from slangsent.lexicon import load_lexicon, load_seed_values, load_slangsd
-from slangsent.records import parse_record, read_lines, write_records
+from slangsent.ingest import SlangEntry, load_vocabulary, parse_entries, save_vocabulary
+from slangsent.lexicon import (
+    Lexicon,
+    LexiconEntry,
+    Polarity,
+    Stage,
+    load_lexicon,
+    load_seed_values,
+    load_slangsd,
+    save_lexicon,
+)
+from slangsent.records import parse_record, read_lines
 
 from .fixtures import write_golden_fixture
 
 PACKAGE = Path(slangsent.__file__).resolve().parent
 GOLDEN_FILE = Path(__file__).parent / "data" / "golden_slangsd.txt"
 FORMAT_CALLS = {"json.dumps", "json.loads", "gzip.open", "io.StringIO", "io.TextIOWrapper"}
+# The JSON string escaping the row writers share, named by records.py alone.
+CODEC_NAMES = {"json.encoder", "encode_basestring"}
 # Methods that write a file, or decode text or split it into lines.
 METHODS = {"write_text", "write_bytes", "read_text", "splitlines", "decode"}
 # Every reader takes its lines from `records.Lines`, never from the decoder under it.
@@ -72,7 +87,7 @@ SCALAR_CHECKS = {("records.py", "value_of")}
 # The only handlers that may catch every exception: estimation records a
 # failing provider as a failure of its term, until that boundary goes,
 # and the writer removes its temporary file and raises again.
-BROAD_EXCEPTS = {("corpus.py", "estimate_all"), ("records.py", "_write")}
+BROAD_EXCEPTS = {("corpus.py", "estimate_all"), ("records.py", "write_lines")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -93,10 +108,28 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return bool(set(mode.value) & set("wax+"))
 
 
-def record_format_calls(source: str) -> list[tuple[int, str]]:
-    """(line, call) of every call in `source` that only records.py may make."""
+def _codec_name(node: ast.AST) -> str | None:
+    """The name in CODEC_NAMES that `node` refers to or imports, if any."""
+    if isinstance(node, ast.alias):
+        name = node.name
+    elif isinstance(node, ast.ImportFrom):
+        name = node.module
+    elif isinstance(node, ast.Attribute):
+        name = ast.unparse(node) if node.attr == "encoder" else node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in CODEC_NAMES else None
+
+
+def record_format_uses(source: str) -> list[tuple[int, str]]:
+    """(line, call or name) of every call in `source` that only records.py may
+    make, and of every use of a name in CODEC_NAMES."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if (codec := _codec_name(node)) is not None:
+            found.append((node.lineno, codec))
         if not isinstance(node, ast.Call):
             continue
         name = ast.unparse(node.func)
@@ -116,7 +149,7 @@ def test_only_records_module_knows_the_file_format():
         f"{path.name}:{line}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "records.py"
-        for line, name in record_format_calls(path.read_text(encoding="utf-8"))
+        for line, name in record_format_uses(path.read_text(encoding="utf-8"))
         if (path.name, name) not in ALLOWED
     ]
     assert offenders == []
@@ -140,9 +173,15 @@ def test_guard_sees_each_kind_of_call():
         "payload.decode('utf-8')",
         "read_lines(path)",
         "records.read_lines(path)",
+        "import json.encoder",
+        "from json.encoder import encode_basestring as escape",
+        "escape = encoder.encode_basestring",
+        "json.encoder.c_encode_basestring(s)",
+        "json_string(s)",
+        "json.encoding",
     ])
-    assert [line for line, _ in record_format_calls(source)] == [
-        1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16]
+    assert sorted(line for line, _ in record_format_uses(source)) == [
+        1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 18, 19, 20]
 
 
 def _scoped_nodes(source: str, wanted) -> list[tuple[int, str]]:
@@ -636,22 +675,70 @@ def test_parse_record_reads_each_line_as_json_loads(raw):
     assert _outcome(parse_record, raw) == _outcome(reference_parse, raw)
 
 
-VALUES = (
-    st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-    | st.lists(st.text(), max_size=3)
-)
+# The row writers' strings: quotes, backslashes, control characters, what
+# some line splitters take for a line end, non-ASCII and astral characters.
+ROW_TEXT = st.text(st.sampled_from([
+    '"', "\\", "\x00", "\x1f", "\t", "\n", "\x7f", "\u2028", "\u2029", "\x85", "é", "漢",
+    "\U0001f600", "a", " ",
+]), max_size=8) | st.text(max_size=8)
+STRENGTHS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-07, 2.0, -2.0]) | st.floats(-2.0, 2.0)
+SOURCES = st.lists(ROW_TEXT, max_size=3) | st.lists(st.sampled_from(["a", "é"]), min_size=100,
+                                                     max_size=100)
+LEXICONS = st.lists(st.builds(
+    LexiconEntry, ROW_TEXT, STRENGTHS, st.sampled_from(Stage), SOURCES.map(tuple),
+), max_size=4).map(Lexicon)
+VOTES = st.sampled_from([0, 10**30]) | st.integers(0, 10**6)
+VOCABULARIES = st.lists(st.builds(
+    SlangEntry, ROW_TEXT, SOURCES.map(tuple), SOURCES.map(tuple), SOURCES.map(tuple), VOTES,
+    VOTES, st.none() | st.dates(),
+), max_size=4).map(lambda entries: {entry.term: entry for entry in entries})
+LABELED = st.lists(st.builds(
+    LabeledDocument, st.builds(Document, ROW_TEXT, ROW_TEXT, st.just(())),
+    st.sampled_from([Polarity.POSITIVE, Polarity.NEGATIVE]),
+), max_size=4)
 
 
-@given(st.lists(st.dictionaries(st.text(), VALUES, max_size=5), max_size=4))
-@example([{"q": 'say "hi"', "b": "back\\slash", "c": "\x00\x1f\t\n\x7f"}])
-@example([{"text": "é ü 漢字 \U0001f600", "sep": "a\u2028b\u2029c\x85"}])
-@example([{"z": -0.0, "tiny": 5e-324, "whole": 1.0, "big": 1e16, "n": 10**30, "m": -7}])
-@example([{"t": True, "f": False, "none": None, "list": ["a", "\u2028"]}, {}])
-def test_write_records_writes_each_record_as_json_dumps(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("records") / "out.jsonl"
-    write_records(path, records)
-    expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
-    assert path.read_bytes() == expected.encode("utf-8")
+def _dumped(rows) -> bytes:
+    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in rows).encode()
+
+
+@given(LEXICONS, VOCABULARIES, LABELED)
+@example(Lexicon([LexiconEntry('say "hi"', -0.0, Stage.SEED_LEXICON,
+                               ("back\\slash", "\x00\x1f\t\n\x7f"))]),
+         {'say "hi"': SlangEntry('say "hi"', ("back\\slash",), ("\x00\x1f\t\n\x7f",),
+                                 upvotes=10**30)},
+         [LabeledDocument(Document('say "hi"', "back\\slash \x00\x1f\t\n\x7f", ()),
+                          Polarity.NEGATIVE)])
+@example(Lexicon([LexiconEntry("é ü 漢字 \U0001f600", 5e-324, Stage.IMPORTED),
+                  LexiconEntry("a\u2028b\u2029c\x85", 1.0, Stage.PROPAGATION)]),
+         {"é ü 漢字 \U0001f600": SlangEntry("é ü 漢字 \U0001f600", ("a\u2028b\u2029c\x85",),
+                                            ("x",))},
+         [LabeledDocument(Document("é ü 漢字 \U0001f600", "a\u2028b\u2029c\x85", ()),
+                          Polarity.POSITIVE)])
+@example(Lexicon([LexiconEntry("t", 1e-07, Stage.SEED_LEXICON, ("a", "\u2028")),
+                  LexiconEntry("u", -2.0, Stage.CORPUS_ESTIMATE)]),
+         {"t": SlangEntry("t", ("a",), ("\u2028",), ("a", "\u2028"), 0, 7, date(999, 12, 31))},
+         [])
+@example(Lexicon(), {}, [])
+def test_row_writers_write_each_row_as_json_dumps(tmp_path_factory, lexicon, vocabulary, labeled):
+    root = tmp_path_factory.mktemp("rows")
+    save_lexicon(lexicon, root / "lexicon.jsonl")
+    assert (root / "lexicon.jsonl").read_bytes() == _dumped(
+        {"term": e.term, "strength": e.strength, "stage": e.stage.value, "sources": list(e.sources)}
+        for e in lexicon.entries()
+    )
+    save_vocabulary(vocabulary, root / "vocabulary.jsonl")
+    assert (root / "vocabulary.jsonl").read_bytes() == _dumped(
+        {"term": e.term, "meanings": list(e.meanings), "examples": list(e.examples),
+         "related_terms": list(e.related_terms), "upvotes": e.upvotes, "downvotes": e.downvotes,
+         **({} if e.created_date is None else {"created_date": e.created_date.isoformat()})}
+        for e in map(vocabulary.get, sorted(vocabulary))
+    )
+    save_labeled_corpus(labeled, root / "labeled.jsonl")
+    assert (root / "labeled.jsonl").read_bytes() == _dumped(
+        {"id": item.document.id, "label": item.gold.value, "text": item.document.text}
+        for item in labeled
+    )
 
 
 @pytest.mark.parametrize("data, lines", [
