@@ -9,7 +9,7 @@ The package exports the API that README's Library section lists; every
 other name stays importable from its submodule.
 """
 
-from .corpus import CorpusProvider, Document, FileCorpusProvider, estimate_all, load_corpus
+from .corpus import Document, FileCorpusProvider, estimate_all, load_corpus
 from .distant import LabeledDocument, load_labeled_corpus
 from .errors import ConfigError, DataError, SlangSentError
 from .ingest import (

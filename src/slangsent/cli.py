@@ -21,7 +21,7 @@ from .distant import (
     load_labeled_corpus,
     save_labeled_corpus,
 )
-from .errors import ConfigError, SlangSentError
+from .errors import ConfigError, DataError, SlangSentError
 from .ingest import date_range, entry_row, fetch_new_entries, load_vocabulary, parse_day
 from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", required=True, type=day)
     p.add_argument("--to", dest="end", required=True, type=day)
     p.add_argument("--fetch-dir", required=True, type=Path,
-                   help="directory of <YYYY-MM-DD>.jsonl(.gz) day files; a bad day is reported")
+                   help="directory of <YYYY-MM-DD>.jsonl(.gz) day files; a bad day is "
+                        "reported, and with no day read --output is left as it was (exit 2)")
     p.add_argument("--output", required=True, type=Path)
     p.set_defaults(func=_cmd_extend)
 
@@ -188,10 +189,8 @@ def _cmd_estimate(args) -> None:
         write_json(args.report, {
             "estimated": report.estimated,
             "unlabelable": report.unlabelable,
-            "failures": [{"term": t, "error": e} for t, e in report.failures],
         })
-    print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable, "
-          f"{len(report.failures)} failures -> {args.output}")
+    print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable -> {args.output}")
 
 
 def _cmd_propagate(args) -> None:
@@ -251,11 +250,15 @@ def _cmd_label(args) -> None:
 def _cmd_extend(args) -> None:
     if not args.fetch_dir.is_dir():
         raise ConfigError(f"not a directory: {args.fetch_dir}")
+    if args.start > args.end:
+        raise ConfigError(f"--from {args.start} is after --to {args.end}")
     entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
-    write_lines(args.output, map(entry_row, entries))
     for day, reason in failures:
         print(f"fetch failed for {day}: {reason}", file=sys.stderr)
     requested = len(date_range(args.start, args.end))
+    if len(failures) == requested:
+        raise DataError(f"no requested day could be read; {args.output} is left as it was")
+    write_lines(args.output, map(entry_row, entries))
     print(f"{len(entries)} entries from {requested - len(failures)}/{requested} days "
           f"-> {args.output}")
 

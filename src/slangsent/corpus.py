@@ -8,7 +8,6 @@ the term is the mean over up to `max_docs` documents that contain it.
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 import reprlib
@@ -16,14 +15,12 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import ClassVar
 
-from .errors import MissingTermError, ParseError
+from .errors import ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
 from .records import Lines, parse_record, value_of
 from .text import find_occurrences, tokenize
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MAX_DOCS = 150
 
@@ -43,12 +40,6 @@ class Document:
     @classmethod
     def from_text(cls, id: str, text: str) -> Document:
         return cls(id=id, text=text, tokens=tuple(tokenize(text)))
-
-
-class CorpusProvider(Protocol):
-    """Provider boundary: retrieve documents containing a term."""
-
-    def query(self, term: str, max_docs: int) -> list[Document]: ...
 
 
 def read_documents(lines: Iterable[str]) -> Iterator[tuple[dict, Document]]:
@@ -121,7 +112,7 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
     """
     spans = find_occurrences(doc.tokens, term)
     if not spans:
-        raise MissingTermError(f"term {term!r} not in document {doc.id!r}")
+        raise ValueError(f"term {term!r} not in document {doc.id!r}")
     get = seed.get
     best_gap: int | None = None
     best_values: list[float] = []
@@ -147,12 +138,14 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
 class EstimationReport:
     estimated: int = 0
     unlabelable: list[str] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    # No term fails: an error leaves `estimate_all`. `perfbench/spans.py`
+    # still reads this for `corpus.failures` (ROADMAP item 8).
+    failures: ClassVar[tuple[()]] = ()
 
 
 def estimate_all(
     vocabulary: Iterable[str],
-    provider: CorpusProvider,
+    provider: FileCorpusProvider,
     seed: Lexicon,
     max_docs: int = DEFAULT_MAX_DOCS,
 ) -> tuple[Lexicon, EstimationReport]:
@@ -160,10 +153,10 @@ def estimate_all(
 
     A term's estimate is the mean evidence of the documents the provider
     returns for it; a term no document contains is unlabelable and falls
-    through to the propagation stage. Seed entries are never touched. A
-    provider that raises, or returns a document without the term, fails that
-    term only: the failure is recorded in the report and the run continues.
-    The delta is assembled in sorted term order, so results are deterministic.
+    through to the propagation stage. Seed entries are never touched. Any
+    object with `query` serves as the provider; an error it or the evidence
+    step raises leaves this function. The delta is assembled in sorted term
+    order, so results are deterministic.
     """
     if max_docs < 1:
         raise ValueError(f"max_docs must be >= 1, got {max_docs}")
@@ -172,20 +165,8 @@ def estimate_all(
     for term in sorted(set(vocabulary)):
         if term in seed:
             continue
-        failure = None
-        try:
-            documents = provider.query(term, max_docs)
-        except Exception as exc:
-            failure = f"provider failed for {term!r}: {exc}"
-        else:
-            try:
-                values = [document_strength(doc, term, seed) for doc in documents]
-            except MissingTermError as exc:
-                failure = f"provider broke its contract for {term!r}: {exc}"
-        if failure:
-            report.failures.append((term, failure))
-            log.warning("estimation failed: %s", failure)
-        elif not values:
+        values = [document_strength(doc, term, seed) for doc in provider.query(term, max_docs)]
+        if not values:
             report.unlabelable.append(term)
         else:
             entries.append(LexiconEntry(term, mean_strength(values), Stage.CORPUS_ESTIMATE))

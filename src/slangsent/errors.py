@@ -24,7 +24,3 @@ class ParseError(DataError):
     when the record has one (`records.Lines` sets it)."""
 
     line: int | None = None
-
-
-class MissingTermError(DataError):
-    """A document was expected to contain a query term but does not."""

@@ -231,8 +231,8 @@ def estimate_terms(
     provider = FileCorpusProvider(corpus_file, sample_seed=sample_seed)
     estimates, report = estimate_all(vocabulary, provider, seed, max_docs=max_docs)
     save_lexicon(estimates, output)
-    log.info("corpus estimates: %d labeled, %d unlabelable, %d failures",
-             report.estimated, len(report.unlabelable), len(report.failures))
+    log.info("corpus estimates: %d labeled, %d unlabelable",
+             report.estimated, len(report.unlabelable))
     return estimates, report
 
 

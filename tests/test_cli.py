@@ -212,6 +212,13 @@ def _run_over_its_entries(golden):
     return _run_with(golden, entries=["vocabulary.jsonl"], output_dir=".")
 
 
+def _extend_over_prior_output(tmp_path, start, end):
+    (tmp_path / "days").mkdir()
+    (tmp_path / "out.jsonl").write_bytes(b"keep me\n")
+    return ["extend", "--from", start, "--to", end, "--fetch-dir", str(tmp_path / "days"),
+            "--output", str(tmp_path / "out.jsonl")]
+
+
 def _run_with_config_text(golden, text):
     golden.write_text(text, encoding="utf-8")
     return ["run", "--config", str(golden)]
@@ -443,6 +450,13 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: ["extend", "--from", "20230401", "--to", "2023-04-01",
                    "--fetch-dir", str(t), "--output", str(t / "out.jsonl")], 1,
      "argument --from: not a YYYY-MM-DD date: '20230401'"),
+    # Neither case touches an earlier output.
+    ("extend-no-day-read",
+     lambda g, t: _extend_over_prior_output(t, "2023-04-01", "2023-04-02"), 2,
+     "no requested day could be read"),
+    ("extend-from-after-to",
+     lambda g, t: _extend_over_prior_output(t, "2023-04-03", "2023-04-01"), 1,
+     "--from 2023-04-03 is after --to 2023-04-01"),
     ("score-corpus-id-with-line-break",
      lambda g, t: _score_corpus_text(t, json.dumps({"id": "a\tb\nc", "text": "hi"}) + "\n"), 2,
      "corpus.jsonl: line 1: 'id' has a tab or line break: 'a\\tb\\nc'"),
@@ -582,6 +596,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(golden)]) == 0
         assert main(["run", "--config", str(golden), "--resume"]) == 0
 
+    def test_retrieval_error_stops_the_run(self, golden, monkeypatch):
+        # A bug in retrieval raises; it must not pass as a term left to propagation.
+        query = FileCorpusProvider.query
+
+        def broken_query(self, term, max_docs):
+            if term.startswith("s"):
+                raise AttributeError("broken query")
+            return query(self, term, max_docs)
+
+        monkeypatch.setattr("slangsent.corpus.FileCorpusProvider.query", broken_query)
+        with pytest.raises(AttributeError, match="^broken query$"):
+            main(["run", "--config", str(golden)])
+
 
 def _lenient_ingest(golden, tmp_path):
     entry_files = [str(golden.parent / name) for name in ("e1.jsonl", "e2.jsonl")]
@@ -646,7 +673,7 @@ class TestStageCommands:
                        "--corpus", str(fixture_dir / "corpus.jsonl"),
                        "--sample-seed", "7", "--output", str(estimates),
                        "--report", str(tmp_path / "est.json")]) == (
-            f"6 estimated, 7 unlabelable, 0 failures -> {estimates}\n")
+            f"6 estimated, 7 unlabelable -> {estimates}\n")
 
         propagated = tmp_path / "propagated.jsonl"
         assert stdout(["propagate", "--graph-from", str(vocab), "--seeds", str(seed),
@@ -841,7 +868,7 @@ class TestExtendCommand:
 
     def test_fetch_failure_is_reported_once(self, tmp_path, capsys, caplog):
         assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
-                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 0
+                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 2
         reports = [line for line in capsys.readouterr().err.splitlines() if "2023-04-01" in line]
         reports += [record.getMessage() for record in caplog.records
                     if "2023-04-01" in record.getMessage()]
@@ -853,7 +880,7 @@ class TestExtendCommand:
         day.write_text(json.dumps({"term": 5, "meanings": ["m"], "examples": ["e"]}) + "\n",
                        encoding="utf-8")
         assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
-                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 0
+                     "--fetch-dir", str(tmp_path), "--output", str(tmp_path / "out.jsonl")]) == 2
         reports = [line for line in capsys.readouterr().err.splitlines() if "line 1" in line]
         reports += [record.getMessage() for record in caplog.records
                     if "line 1" in record.getMessage()]
@@ -861,17 +888,20 @@ class TestExtendCommand:
                            f"'term' must be a string, got 5"]
 
     def test_lone_surrogate_fails_its_day(self, tmp_path, capsys):
-        # A bad day file is a reported failure of its day, not an error line.
+        # A bad day file is a reported failure of its day; with no day read,
+        # one error line follows and no output is written.
         day = tmp_path / "2023-04-01.jsonl"
         day.write_text(json.dumps({"term": "ab\ud800", "meanings": ["m"], "examples": ["e"]})
                        + "\n", encoding="utf-8")
         out = tmp_path / "out.jsonl"
         assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",
-                     "--fetch-dir", str(tmp_path), "--output", str(out)]) == 0
+                     "--fetch-dir", str(tmp_path), "--output", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"fetch failed for 2023-04-01: {day}: line 1: "
-                                "'term' holds a lone surrogate: 'ab\\ud800'\n")
-        assert "0 entries from 0/1 days" in captured.out and out.read_bytes() == b""
+                                "'term' holds a lone surrogate: 'ab\\ud800'\n"
+                                f"data error: no requested day could be read; {out} is left "
+                                "as it was\n")
+        assert captured.out == "" and not out.exists()
 
     def test_bad_date_is_usage_error(self, tmp_path, capsys):
         assert main(["extend", "--from", "yesterday", "--to", "2023-04-02",

@@ -16,7 +16,7 @@ from slangsent.corpus import (
     estimate_all,
     load_corpus,
 )
-from slangsent.errors import MissingTermError, ParseError
+from slangsent.errors import ParseError
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage
 
 from .oracles import brute_document_strength, brute_estimate, brute_spans
@@ -93,7 +93,7 @@ class TestDocumentStrength:
         assert document_strength(doc("battery", "shit", "hot", "excellent"), "shit hot", seed) == 2.0
 
     def test_missing_term_raises(self):
-        with pytest.raises(MissingTermError):
+        with pytest.raises(ValueError, match="term 'lol' not in document 'd'"):
             document_strength(doc("a", "b"), "lol", seed_lexicon({"a": 1.0}))
 
     def test_matches_brute_force_on_random_docs(self):
@@ -149,10 +149,9 @@ class TestDocumentStrength:
 
 
 def estimate_strength(term, provider, seed, max_docs=DEFAULT_MAX_DOCS):
-    """The strength `estimate_all` gives one term that does not fail, or None
-    when the term is unlabelable."""
-    delta, report = estimate_all([term], provider, seed, max_docs)
-    assert not report.failures
+    """The strength `estimate_all` gives one term, or None when the term is
+    unlabelable."""
+    delta, _ = estimate_all([term], provider, seed, max_docs)
     return delta[term].strength if term in delta else None
 
 
@@ -187,19 +186,17 @@ class TestEstimateStrength:
             rng.shuffle(documents)
             assert estimate_strength("lol", ListProvider(documents), seed) == base
 
-    def test_provider_failure_wrapped(self):
-        _, report = estimate_all(["lol"], ListProvider([], fail=True), seed_lexicon({"a": 1.0}))
-        assert report.failures == [("lol", "provider failed for 'lol': provider down")]
+    def test_provider_failure_raises(self):
+        with pytest.raises(OSError, match="^provider down$"):
+            estimate_all(["lol"], ListProvider([], fail=True), seed_lexicon({"a": 1.0}))
 
-    def test_contract_violation_wrapped(self):
+    def test_contract_violation_raises(self):
         class BadProvider:
             def query(self, term, max_docs):
                 return [doc("no", "match", id="bad")]
 
-        _, report = estimate_all(["lol"], BadProvider(), seed_lexicon({"a": 1.0}))
-        assert report.failures == [
-            ("lol", "provider broke its contract for 'lol': term 'lol' not in document 'bad'")
-        ]
+        with pytest.raises(ValueError, match="^term 'lol' not in document 'bad'$"):
+            estimate_all(["lol"], BadProvider(), seed_lexicon({"a": 1.0}))
 
     def test_max_docs_validated(self):
         with pytest.raises(ValueError):
@@ -218,7 +215,7 @@ class TestEstimateAll:
         delta, report = estimate_all(["zzz"], ListProvider([]), seed_lexicon({"a": 1.0}))
         assert len(delta) == 0 and report.unlabelable == ["zzz"]
 
-    def test_failures_recorded_and_run_continues(self):
+    def test_failure_stops_the_run(self):
         class FlakyProvider:
             def query(self, term, max_docs):
                 if term == "bad":
@@ -226,9 +223,8 @@ class TestEstimateAll:
                 return [doc("great", term)]
 
         seed = seed_lexicon({"great": 2.0})
-        delta, report = estimate_all(["bad", "ok"], FlakyProvider(), seed)
-        assert sorted(delta) == ["ok"]
-        assert len(report.failures) == 1 and report.failures[0][0] == "bad"
+        with pytest.raises(OSError, match="^boom$"):
+            estimate_all(["bad", "ok"], FlakyProvider(), seed)
 
     def test_delta_stage_and_oracle_value(self):
         # term co-occurring only with +2 words must come out at +2

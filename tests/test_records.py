@@ -84,10 +84,9 @@ TOKENIZERS = {("corpus.py", "Document.from_text"), ("scoring.py", "score_text")}
 # against one: the field rule.
 SCALARS = {"str", "int", "float", "bool"}
 SCALAR_CHECKS = {("records.py", "value_of")}
-# The only handlers that may catch every exception: estimation records a
-# failing provider as a failure of its term, until that boundary goes,
-# and the writer removes its temporary file and raises again.
-BROAD_EXCEPTS = {("corpus.py", "estimate_all"), ("records.py", "write_lines")}
+# The only handler that may catch every exception: the writer removes its
+# temporary file and raises again.
+BROAD_EXCEPTS = {("records.py", "write_lines")}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
