@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .errors import ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
@@ -29,8 +29,7 @@ DEFAULT_MAX_DOCS = 150
 _ID_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A short text with its derived token sequence."""
 
     id: str

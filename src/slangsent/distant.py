@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Document, read_documents
 from .errors import ParseError
@@ -72,8 +73,9 @@ def default_emoticons() -> EmoticonSet:
         return EmoticonSet.from_file(path)
 
 
-@dataclass(frozen=True)
-class LabeledDocument:
+class LabeledDocument(NamedTuple):
+    """A document, its emoticons stripped, and the label they gave it."""
+
     document: Document
     gold: Polarity
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import reprlib
 from collections.abc import Iterable
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, ParseError
 from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
@@ -23,8 +23,7 @@ Vocabulary = dict[str, "SlangEntry"]
 EXTENSION_URL_BASE = "http://www.urbandictionary.com/yesterday.php"
 
 
-@dataclass(frozen=True)
-class SlangEntry:
+class SlangEntry(NamedTuple):
     """One crowdsourced dictionary record. The caller holds its invariants: a
     term that normalizes, some meanings and examples, and votes >= 0."""
 

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, ParseError
 from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
@@ -74,8 +75,7 @@ def classify(strength: float) -> int:
     return -magnitude if strength < 0 else magnitude
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     """One labeled term. The caller holds its invariants: `term` is normalized,
     `strength` lies in [-2, +2], and `sources` (the contributing seed lexicons)
     is non-empty exactly when `stage` is seed_lexicon."""

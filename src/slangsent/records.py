@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import json.scanner
 import os
 import re
 import reprlib
@@ -81,9 +82,10 @@ class Lines:
         return error
 
 
-# One decoder for every record. raw_decode runs the scanner json.loads runs,
-# without the checks and whitespace matching json.loads wraps around it.
-_decode = json.JSONDecoder().raw_decode
+# One scanner for every record: the one json.loads runs, called at index 0
+# without the Python frames and whitespace matching json.loads wraps around it.
+# It raises StopIteration when no JSON value starts there.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 # A str as json.dumps(..., ensure_ascii=False) writes it: quoted, with `"`,
 # `\` and the control characters escaped.
@@ -98,11 +100,11 @@ def json_strings(items: Iterable[str]) -> str:
 def parse_record(raw: str) -> dict:
     """The JSON object on one line, or a ParseError."""
     try:
-        record, end = _decode(raw)
+        record, end = _scan(raw, 0)
         # JSON's whitespace only: json.loads calls anything else extra data.
         if type(record) is dict and not raw[end:].strip(" \t\n\r"):
             return record
-    except (ValueError, RecursionError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     # Not one object alone on the line, or not at its start (leading
     # whitespace, a BOM): json.loads words the error as before. Too deep a
@@ -130,7 +132,9 @@ def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
     list (of strings), or an Enum of strings, whose member it returns. An
     absent or null field takes `default`; without one, or of another kind, it
     is a ParseError naming the key. So is a string, or a list item, holding a
-    lone surrogate (U+D800 to U+DFFF), which no output file could hold."""
+    lone surrogate (U+D800 to U+DFFF), which no output file could hold.
+    A list's items are checked by joining them: the join fails on an item
+    that is no str, and json.loads makes no str subclass."""
     value = record.get(key)
     # Types match exactly, as json.loads makes them: a bool is no number, and
     # a float field takes an int that a float can hold, as a float.
@@ -138,12 +142,16 @@ def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
         if kind is float:
             if -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN and the infinities are not
                 return value
-        elif kind is str or kind is list and all(type(item) is str for item in value):
-            text = value if kind is str else "".join(value)
-            if text.isascii() or not _SURROGATE.search(text):  # ASCII pays no search
-                return value
-            raise ParseError(f"'{key}' holds a lone surrogate: {reprlib.repr(value)}")
-        elif kind is not list:
+        elif kind is str or kind is list:
+            try:
+                text = value if kind is str else "".join(value)
+            except TypeError:  # a list item that is no str: the kind error below
+                pass
+            else:
+                if text.isascii() or not _SURROGATE.search(text):  # ASCII pays no search
+                    return value
+                raise ParseError(f"'{key}' holds a lone surrogate: {reprlib.repr(value)}")
+        else:
             return value
     elif type(value) is str and kind not in _KIND_NAMES:
         members = _BY_VALUE.get(kind) or _BY_VALUE.setdefault(kind, {m.value: m for m in kind})

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from slangsent import pipeline
 from slangsent.cli import main
 from slangsent.corpus import FileCorpusProvider, estimate_all
 from slangsent.ingest import load_vocabulary
@@ -923,14 +924,16 @@ class TestReportCommand:
 def test_each_call_sets_its_own_log_level(tmp_path, capsys, first, second):
     # Effective levels, not captured records: pytest's own handlers on the
     # root logger would make the package log whatever level a call asked for.
+    # The package's logger and the one module logger, pipeline's: a name
+    # with no logger behind it would only check a placeholder.
     lex = lexicon_file(tmp_path, {"a": 2.0})
-    package = logging.getLogger("slangsent")
+    package, module = logging.getLogger("slangsent"), logging.getLogger("slangsent.pipeline")
+    assert pipeline.log is module
     saved = package.level
     try:
         for flags in (first, second):
             assert main([*flags, "report", "--lexicon", str(lex)]) == 0
             want = logging.INFO if flags else logging.WARNING
-            assert [logging.getLogger(f"slangsent.{name}").getEffectiveLevel()
-                    for name in ("pipeline", "corpus")] == [want, want]
+            assert [package.getEffectiveLevel(), module.getEffectiveLevel()] == [want, want]
     finally:
         package.setLevel(saved)

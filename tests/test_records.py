@@ -21,7 +21,8 @@ the CLI for every typed field of every record reader, and of the config and
 `seed --sources` files. Two properties pin the record codec to the json
 module: each line reads as json.loads reads it, and each row of the three
 row writers (`save_lexicon`, `save_vocabulary` through `entry_row`, and
-`save_labeled_corpus`) is written as json.dumps writes it."""
+`save_labeled_corpus`) is written as json.dumps writes it. The four record
+types the readers make stay immutable and hash by value."""
 
 from __future__ import annotations
 
@@ -508,7 +509,7 @@ WRONG = {
     "an integer": [1.5, True, "1"],
     "a finite number": ["1.0", True, float("nan"), float("inf")],
     "true or false": ["true", 1],
-    "a list of strings": ["m", [1]],
+    "a list of strings": ["m", [1], [None], ["a", 2], [["a"]], [{"a": 1}]],
     STAGES: [5, ["b"], "nope", "Imported"],
     LABELS: [5, ["positive"], "meh", "Positive"],
 }
@@ -670,6 +671,7 @@ LINES = st.lists(FRAGMENTS, max_size=12).map("".join) | st.text(max_size=20) | s
 @example('{"a": NaN}')
 @example("[")
 @example("{}\x0c")
+@example("x")
 def test_parse_record_reads_each_line_as_json_loads(raw):
     assert _outcome(parse_record, raw) == _outcome(reference_parse, raw)
 
@@ -783,3 +785,30 @@ def test_a_failing_reader_closes_its_file(tmp_path, monkeypatch, reader, text):
         reader(path)
     assert caught.value.line == 1 and opened
     assert [handle.closed for handle in opened] == [True] * len(opened)
+
+
+# The record types the readers make, each with its field names; `make` gives
+# a new record equal to the last.
+RECORD_TYPES = [
+    pytest.param(lambda: LexiconEntry("a", 1.0, Stage.SEED_LEXICON, ("s",)),
+                 ("term", "strength", "stage", "sources"), id="LexiconEntry"),
+    pytest.param(lambda: SlangEntry("a", ("m",), ("x",), ("b",), 2, 1, date(2020, 1, 2)),
+                 ("term", "meanings", "examples", "related_terms", "upvotes", "downvotes",
+                  "created_date"), id="SlangEntry"),
+    pytest.param(lambda: Document("1", "so good", ("so", "good")), ("id", "text", "tokens"),
+                 id="Document"),
+    pytest.param(lambda: LabeledDocument(Document("1", "so good", ("so", "good")),
+                                         Polarity.POSITIVE),
+                 ("document", "gold"), id="LabeledDocument"),
+]
+
+
+@pytest.mark.parametrize("make, fields", RECORD_TYPES)
+def test_records_are_immutable_and_hash_by_value(make, fields):
+    record, twin = make(), make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(twin, field))
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin)
+    assert record == tuple(getattr(twin, field) for field in fields)
