@@ -7,6 +7,7 @@ only by raising; `main` maps a ConfigError to 1 and a data or OS error to 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import reprlib
 import sys
@@ -32,6 +33,7 @@ from .pipeline import (
     load_seed_sources,
     merge_seeds,
     propagate_terms,
+    refuse_overwrite,
     run_pipeline,
 )
 from .propagate import stage_report
@@ -163,16 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_skipped(issues) -> None:
-    for issue in issues:
-        print(f"skipped: {issue}", file=sys.stderr)
+def _print_skipped(report) -> None:
+    for error in report.skipped:
+        print(f"skipped: {error}", file=sys.stderr)
 
 
 def _cmd_ingest(args) -> None:
-    issues = None if args.strict else []
-    vocabulary, count = ingest_entries(args.input, args.output, issues=issues)
-    _print_skipped(issues or ())
-    print(f"{count} entries -> {len(vocabulary)} terms -> {args.output}")
+    vocabulary, report = ingest_entries(args.input, args.output, strict=args.strict)
+    _print_skipped(report)
+    print(f"{report.entries} entries -> {len(vocabulary)} terms -> {args.output}")
 
 
 def _cmd_seed(args) -> None:
@@ -186,10 +187,7 @@ def _cmd_estimate(args) -> None:
         max_docs=args.max_docs, sample_seed=args.sample_seed,
     )
     if args.report:
-        write_json(args.report, {
-            "estimated": report.estimated,
-            "unlabelable": report.unlabelable,
-        })
+        write_json(args.report, dataclasses.asdict(report))
     print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable -> {args.output}")
 
 
@@ -272,9 +270,23 @@ def _cmd_report(args) -> None:
 
 def _cmd_run(args) -> None:
     result = run_pipeline(load_config(args.config), resume=args.resume)
-    _print_skipped(result.ingest_issues)
+    if "vocabulary" in result.built:
+        _print_skipped(result.built["vocabulary"])
     print(result.report.format_text(), end="")
     print(f"exports under {result.paths['slangsd'].parent}")
+
+
+# The options that name a file a command writes. Every other path option names
+# a file or directory it reads.
+_OUTPUT_OPTIONS = ("output", "slangsd", "idiom_table", "json", "report")
+
+
+def _refuse_overwrite(args) -> None:
+    options = vars(args)
+    outputs = [options[key] for key in _OUTPUT_OPTIONS if options.get(key)]
+    inputs = [path for key, value in options.items() if key not in _OUTPUT_OPTIONS
+              for path in (value if type(value) is list else [value]) if isinstance(path, Path)]
+    refuse_overwrite(inputs, outputs, f"the {args.command} command")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
+        _refuse_overwrite(args)
         args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

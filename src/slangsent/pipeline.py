@@ -84,9 +84,16 @@ class PipelineConfig:
             raise ConfigError("no entry files configured")
         inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
         _require_files(inputs)
-        outputs = {(Path(self.output_dir) / name).resolve() for name in OUTPUT_FILES.values()}
-        if clashes := [str(path) for path in inputs if Path(path).resolve() in outputs]:
-            raise ConfigError(f"input files would be overwritten by the run: {', '.join(clashes)}")
+        refuse_overwrite(inputs, (Path(self.output_dir) / name for name in OUTPUT_FILES.values()),
+                         "the run")
+
+
+def refuse_overwrite(inputs: Iterable[Path], outputs: Iterable[Path], writer: str) -> None:
+    """Raise a ConfigError naming each input file that is one of the
+    `outputs` that `writer` would write."""
+    written = {Path(path).resolve() for path in outputs}
+    if clashes := [str(path) for path in inputs if Path(path).resolve() in written]:
+        raise ConfigError(f"input files would be overwritten by {writer}: {', '.join(clashes)}")
 
 
 def _require_files(paths: Iterable[Path]) -> None:
@@ -197,19 +204,26 @@ def load_config(path: str | Path) -> PipelineConfig:
 # --- stages: each computes its output and persists it ------------------------
 
 
+@dataclass
+class IngestReport:
+    entries: int  # the records read, the skipped ones not counted
+    skipped: list[ParseError]  # each names its file and line
+
+
 def ingest_entries(
-    entry_files: Iterable[Path], output: Path, *, issues: list[ParseError] | None = None
-) -> tuple[Vocabulary, int]:
-    """Parse entry files into a vocabulary; returns it with the entry count.
-    Without an `issues` list the first bad record raises; with one, bad
-    records are skipped and appended to it. Each error names its file."""
+    entry_files: Iterable[Path], output: Path, *, strict: bool = True
+) -> tuple[Vocabulary, IngestReport]:
+    """Parse entry files into a vocabulary; returns it with the ingest report.
+    When `strict`, the first bad record raises; otherwise each bad record is
+    skipped and its error listed in the report."""
+    skipped = None if strict else []
     entries = []
     for entry_file in entry_files:
-        entries.extend(parse_entries(entry_file, issues=issues))
+        entries.extend(parse_entries(entry_file, issues=skipped))
     vocabulary = build_vocabulary(entries)
     save_vocabulary(vocabulary, output)
     log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
-    return vocabulary, len(entries)
+    return vocabulary, IngestReport(len(entries), skipped or [])
 
 
 def merge_seeds(sources: Iterable[SeedSourceConfig], output: Path) -> Lexicon:
@@ -256,24 +270,23 @@ def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
 # --- the whole run -----------------------------------------------------------
 
 # The persisted stages in build order: (name in OUTPUT_FILES, build, load).
-# `build(config, done, path, issues)` makes a stage from the config and the
+# `build(config, done, path)` makes a stage from the config and the
 # stages `done` before it, saves it to `path` and returns (value, report). Rows
 # look this module's functions up when they run, so a patched name takes effect.
 _STAGES = (
     ("vocabulary",
-     lambda config, done, path, issues: ingest_entries(
-         config.entry_files, path, issues=None if config.strict else issues),
+     lambda config, done, path: ingest_entries(config.entry_files, path, strict=config.strict),
      lambda path: load_vocabulary(path)),
     ("seed",
-     lambda config, done, path, issues: (merge_seeds(config.seed_sources, path), None),
+     lambda config, done, path: (merge_seeds(config.seed_sources, path), None),
      lambda path: load_lexicon(path)),
     ("estimates",
-     lambda config, done, path, issues: estimate_terms(
+     lambda config, done, path: estimate_terms(
          done["vocabulary"], done["seed"], config.corpus_file, path,
          max_docs=config.max_docs, sample_seed=config.sample_seed),
      lambda path: load_lexicon(path)),
     ("propagated",
-     lambda config, done, path, issues: propagate_terms(
+     lambda config, done, path: propagate_terms(
          done["vocabulary"], (done["seed"], done["estimates"]), path),
      lambda path: load_lexicon(path)),
 )
@@ -281,11 +294,14 @@ _STAGES = (
 
 @dataclass
 class PipelineResult:
+    """What `run_pipeline` made: the final lexicon, its stage report, each
+    output file's path by `OUTPUT_FILES` name, and the report of each stage
+    built (not loaded) in this run by name, ingest's `IngestReport` included."""
+
     final: Lexicon
     report: StageReport
     paths: dict[str, Path]
-    ingest_issues: list[ParseError]
-    built: dict[str, object]  # the report of each stage built in this run, by name
+    built: dict[str, object]
 
 
 def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineResult:
@@ -298,7 +314,6 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
-    issues: list[ParseError] = []
     done: dict[str, object] = {}
     built: dict[str, object] = {}
     for name, build, load in _STAGES:
@@ -307,7 +322,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
             done[name] = load(paths[name])
         else:  # a later stage file was made from the old version of this one
             resume = False
-            done[name], built[name] = build(config, done, paths[name], issues)
+            done[name], built[name] = build(config, done, paths[name])
 
     final = assemble(*done.values())  # vocabulary, seed, estimates, propagated
     save_lexicon(final, paths["final"])
@@ -317,4 +332,4 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     write_text(paths["report_text"], report.format_text())
     write_json(paths["report_json"], report.to_dict())
     log.info("final lexicon: %d terms -> %s", len(final), paths["slangsd"])
-    return PipelineResult(final, report, paths, issues, built)
+    return PipelineResult(final, report, paths, built)

@@ -213,6 +213,15 @@ def _run_over_its_entries(golden):
     return _run_with(golden, entries=["vocabulary.jsonl"], output_dir=".")
 
 
+def _writing_over(argv, input_option, output_option):
+    """`argv` with `output_option` naming the file that `input_option` names."""
+    path = argv[argv.index(input_option) + 1]
+    if output_option not in argv:
+        return [*argv, output_option, path]
+    at = argv.index(output_option) + 1
+    return [*argv[:at], path, *argv[at + 1:]]
+
+
 def _extend_over_prior_output(tmp_path, start, end):
     (tmp_path / "days").mkdir()
     (tmp_path / "out.jsonl").write_bytes(b"keep me\n")
@@ -416,6 +425,19 @@ BAD_INPUTS = LONG_VALUES + [
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
     ("entries-named-as-an-output-file", lambda g, t: _run_over_its_entries(g), 1,
      "fixture/vocabulary.jsonl"),
+    ("ingest-output-is-its-input",
+     lambda g, t: _writing_over(_ingest_record(t), "--input", "--output"), 1,
+     "input files would be overwritten by the ingest command: "),
+    ("label-output-is-its-corpus",
+     lambda g, t: _writing_over(_label_record(t, {"id": "1", "text": "hi :)"}),
+                                "--corpus", "--output"), 1,
+     "input files would be overwritten by the label command: "),
+    ("evaluate-json-is-its-corpus",
+     lambda g, t: _writing_over(_evaluate_with_label(t, "positive"), "--corpus", "--json"), 1,
+     "input files would be overwritten by the evaluate command: "),
+    ("export-slangsd-is-its-lexicon",
+     lambda g, t: _writing_over(_export_lexicon(t, lambda data: data), "--lexicon", "--slangsd"),
+     1, "input files would be overwritten by the export command: "),
     ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a string, got 5"),
     ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1,
      "scale must be a JSON object, got 'x'"),
@@ -621,18 +643,40 @@ def _lenient_run(golden, tmp_path):
     return _run_with(golden, entries=["entries.jsonl", "e1.jsonl", "e2.jsonl"], strict=False)
 
 
-@pytest.mark.parametrize("build_argv", [_lenient_ingest, _lenient_run], ids=["ingest", "run"])
-def test_lenient_skip_is_reported_once_with_its_file(golden, tmp_path, capsys, caplog,
-                                                     build_argv):
+def _write_entry_files_with_bad_records(golden):
+    """`e1.jsonl` and `e2.jsonl` beside the config, each a good record and,
+    on line 2, a bad one."""
     good = json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]})
     for name in ("e1.jsonl", "e2.jsonl"):
         (golden.parent / name).write_text(f"{good}\n{{broken\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("build_argv", [_lenient_ingest, _lenient_run], ids=["ingest", "run"])
+def test_lenient_skip_is_reported_once_with_its_file(golden, tmp_path, capsys, caplog,
+                                                     build_argv):
+    _write_entry_files_with_bad_records(golden)
     assert main(build_argv(golden, tmp_path)) == 0
     reports = [line for line in capsys.readouterr().err.splitlines() if "line 2" in line]
     reports += [record.getMessage() for record in caplog.records if "line 2" in record.getMessage()]
     assert len(reports) == 2, reports
     assert reports[0].startswith(f"skipped: {golden.parent / 'e1.jsonl'}: line 2: bad JSON")
     assert reports[1].startswith(f"skipped: {golden.parent / 'e2.jsonl'}: line 2: bad JSON")
+
+
+def test_lenient_run_reports_skips_only_when_it_builds_the_vocabulary(golden, tmp_path, capsys):
+    _write_entry_files_with_bad_records(golden)
+    argv = _lenient_run(golden, tmp_path)
+
+    def skipped(argv):
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("skipped: ")]
+
+    fresh = skipped(argv)
+    assert len(fresh) == 2, fresh
+    assert skipped([*argv, "--resume"]) == []
+    (golden.parent / "out" / "vocabulary.jsonl").unlink()
+    assert skipped([*argv, "--resume"]) == fresh
 
 
 def staged_commands(readme: str) -> list[list[str]]:
@@ -675,6 +719,9 @@ class TestStageCommands:
                        "--sample-seed", "7", "--output", str(estimates),
                        "--report", str(tmp_path / "est.json")]) == (
             f"6 estimated, 7 unlabelable -> {estimates}\n")
+        unlabelable = ["based", "ghosted", "mid", "pog", "ratio", "w", "yeet"]
+        assert (tmp_path / "est.json").read_text(encoding="utf-8") == json.dumps(
+            {"estimated": 6, "unlabelable": unlabelable}, indent=2, sort_keys=True) + "\n"
 
         propagated = tmp_path / "propagated.jsonl"
         assert stdout(["propagate", "--graph-from", str(vocab), "--seeds", str(seed),

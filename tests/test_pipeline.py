@@ -166,8 +166,9 @@ class TestRunPipeline:
         raw["strict"] = False
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         result = run_pipeline(load_config(config_path))
-        assert len(result.ingest_issues) == 1
-        assert str(result.ingest_issues[0]).startswith(f"{entries_path}: line ")
+        skipped = result.built["vocabulary"].skipped
+        assert len(skipped) == 1
+        assert str(skipped[0]).startswith(f"{entries_path}: line ")
         assert len(result.final) == 13
 
     def test_synthetic_fixture_stage_additivity(self, tmp_path):

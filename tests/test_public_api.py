@@ -10,6 +10,7 @@ from types import ModuleType
 import slangsent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def documented_names(readme: str) -> set[str]:
@@ -49,3 +50,10 @@ def test_guard_reads_the_library_block_only():
     package.exported, package._private, package.sub = 1, 2, ModuleType("pkg.sub")
     package.__version__ = "0"
     assert public_names(package) == {"exported"}
+
+
+def test_version_equals_the_project_version():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    project = PYPROJECT.read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert slangsent.__version__ == version
