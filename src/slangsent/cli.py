@@ -177,7 +177,9 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_seed(args) -> None:
-    lexicon = merge_seeds(load_seed_sources(args.sources), args.output)
+    sources = load_seed_sources(args.sources)
+    refuse_overwrite((source.path for source in sources), [args.output], "the seed command")
+    lexicon = merge_seeds(sources, args.output)
     print(f"{len(lexicon)} seed terms -> {args.output}")
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import reprlib
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import DataError, ParseError
 from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
@@ -86,48 +86,38 @@ class LexiconEntry(NamedTuple):
     sources: tuple[str, ...] = ()
 
 
-class Lexicon:
-    """Immutable mapping from normalized term to LexiconEntry; one entry per term."""
+class Lexicon(dict[str, LexiconEntry]):
+    """Read-only dict from normalized term to LexiconEntry; one entry per term.
+    Every mutator raises TypeError, so a Lexicon never changes once built."""
 
-    __slots__ = ("_entries", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __init__(self, entries: Iterable[LexiconEntry] = ()):
-        self._entries = {entry.term: entry for entry in entries}
+        super().__init__({entry.term: entry for entry in entries})
 
-    def __contains__(self, term: object) -> bool:
-        return term in self._entries
+    def _read_only(self, *args, **kwargs) -> NoReturn:
+        raise TypeError("a Lexicon is read-only")
 
-    def __getitem__(self, term: str) -> LexiconEntry:
-        return self._entries[term]
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
-    def get(self, term: str, default: LexiconEntry | None = None) -> LexiconEntry | None:
-        return self._entries.get(term, default)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return self._entries == other._entries
+    def __reduce__(self) -> tuple:
+        return type(self), (tuple(self.values()),)
 
     def __repr__(self) -> str:
         return f"Lexicon({len(self)} terms)"
 
     def strength(self, term: str) -> float:
-        return self._entries[term].strength
+        return self[term].strength
 
     def entries(self) -> list[LexiconEntry]:
         """Entries in term-sorted order (the canonical order everywhere)."""
-        return [self._entries[t] for t in sorted(self._entries)]
+        return [self[t] for t in sorted(self)]
 
     def restricted(self, terms: Iterable[str]) -> Lexicon:
         """The sub-lexicon covering only the given terms."""
         keep = set(terms)
-        return Lexicon(e for t, e in self._entries.items() if t in keep)
+        return Lexicon(e for t, e in self.items() if t in keep)
 
 
 def combine(*lexicons: Lexicon) -> Lexicon:

@@ -9,7 +9,7 @@ three pipeline stages stay additive.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, KeysView
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .ingest import Vocabulary
@@ -18,38 +18,27 @@ from .lexicon import CLASSES, Lexicon, LexiconEntry, Stage, classify, mean_stren
 _BAR_WIDTH = 40  # characters in the stage report's bar for its most frequent class
 
 
-class SynonymGraph:
-    """Undirected graph over vocabulary terms. A plain record: the caller
-    holds its invariants, that no edge is a self-loop and both ends of every
-    edge are nodes. `build_graph` drops every other edge."""
+class SynonymGraph(dict[str, set[str]]):
+    """Undirected graph over vocabulary terms: a dict from node to its set of
+    neighbours. A plain record: the caller holds its invariants, that no edge
+    is a self-loop and both ends of every edge are nodes. `build_graph` drops
+    every other edge."""
 
-    __slots__ = ("_adjacency",)
+    __slots__ = ()
 
     def __init__(
         self,
         nodes: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ):
-        self._adjacency: dict[str, set[str]] = {node: set() for node in nodes}
+        adjacency: dict[str, set[str]] = {node: set() for node in nodes}
         for a, b in edges:
-            self._adjacency[a].add(b)
-            self._adjacency[b].add(a)
-
-    @property
-    def nodes(self) -> KeysView[str]:
-        return self._adjacency.keys()
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._adjacency
-
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
-    def neighbors(self, node: str) -> set[str]:
-        return self._adjacency[node]
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        super().__init__(adjacency)
 
     def edge_count(self) -> int:
-        return sum(map(len, self._adjacency.values())) // 2
+        return sum(map(len, self.values())) // 2
 
 
 def build_graph(vocabulary: Vocabulary) -> SynonymGraph:
@@ -98,12 +87,12 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
             iterations += 1
             fresh: dict[str, float] = {}
             for node in frontier:
-                for candidate in graph.neighbors(node):
+                for candidate in graph[node]:
                     if candidate in labeled or candidate in fresh:
                         continue
                     values = [
                         labeled[neighbor]
-                        for neighbor in graph.neighbors(candidate)
+                        for neighbor in graph[candidate]
                         if neighbor in labeled
                     ]
                     fresh[candidate] = mean_strength(values)
@@ -114,7 +103,9 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
 
     delta = Lexicon(LexiconEntry(term, value, Stage.PROPAGATION)
                     for term, value in labeled.items() if term not in seed_nodes)
-    unreached = frozenset(graph.nodes - labeled.keys())
+    # Not `graph.keys() - labeled.keys()`: CPython presizes that set only for the
+    # keys of an exact dict; on this subclass it grows by resizing and peaks higher.
+    unreached = frozenset(node for node in graph if node not in labeled)
     return PropagationResult(labeled=delta, iterations=iterations, unreached=unreached)
 
 
@@ -151,7 +142,7 @@ class StageReport:
 def stage_report(final: Lexicon) -> StageReport:
     by_stage = {stage: 0 for stage in Stage}
     by_class = {cls: 0 for cls in CLASSES}
-    for entry in final.entries():
+    for entry in final.values():
         by_stage[entry.stage] += 1
         by_class[classify(entry.strength)] += 1
     return StageReport(total=len(final), by_stage=by_stage, by_class=by_class)

@@ -438,6 +438,9 @@ BAD_INPUTS = LONG_VALUES + [
     ("export-slangsd-is-its-lexicon",
      lambda g, t: _writing_over(_export_lexicon(t, lambda data: data), "--lexicon", "--slangsd"),
      1, "input files would be overwritten by the export command: "),
+    ("seed-output-is-a-listed-source",
+     lambda g, t: [*_seed_with(g, t)[:-1], str(g.parent / "seed_core.tsv")], 1,
+     "input files would be overwritten by the seed command: "),
     ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a string, got 5"),
     ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1,
      "scale must be a JSON object, got 'x'"),

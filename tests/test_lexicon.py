@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -374,3 +376,34 @@ class TestCombine:
         lex = Lexicon([entry("a", 1.0), entry("b", -1.0)])
         sub = lex.restricted(["b", "zzz"])
         assert sorted(sub) == ["b"]
+
+
+class TestReadOnlyLexicon:
+    LEX = Lexicon([entry("a", 1.0, Stage.SEED_LEXICON, ("s",)), entry("b", -0.5)])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda lex: lex.__setitem__("c", entry("c", 1.0)),
+        lambda lex: lex.__delitem__("a"),
+        lambda lex: lex.__ior__({"c": entry("c", 1.0)}),
+        lambda lex: lex.clear(),
+        lambda lex: lex.pop("a"),
+        lambda lex: lex.popitem(),
+        lambda lex: lex.setdefault("c", entry("c", 1.0)),
+        lambda lex: lex.update(c=entry("c", 1.0)),
+    ], ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"])
+    def test_mutator_raises_and_changes_nothing(self, mutate):
+        lex = Lexicon(self.LEX.values())
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(lex)
+        assert lex == self.LEX and list(lex) == ["a", "b"]
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda lex: pickle.loads(pickle.dumps(lex)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_duplicate_is_an_equal_lexicon(self, duplicate):
+        twin = duplicate(self.LEX)
+        assert type(twin) is Lexicon and twin is not self.LEX
+        assert twin == self.LEX and twin.entries() == self.LEX.entries()
+
+    def test_equals_a_dict_with_the_same_items(self):
+        assert self.LEX == {e.term: e for e in self.LEX.values()}

@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slangsent.ingest
+import slangsent.lexicon
+import slangsent.records
+from slangsent.cli import main
 from slangsent.errors import ConfigError
 from slangsent.lexicon import LinearScale, Stage, load_lexicon
 from slangsent.pipeline import OUTPUT_FILES, load_config, run_pipeline
@@ -182,6 +186,62 @@ class TestRunPipeline:
             assert stage_sets[stage], f"stage {stage} unexpectedly empty"
         total = sum(len(stage_sets[s]) for s in Stage)
         assert total == len(result.final)
+
+
+# --- a run interrupted partway through a write -------------------------------
+
+
+class Interrupted(BaseException):
+    """Stands in for a kill or a Ctrl-C partway through a write."""
+
+
+def _interrupting(k, calls):
+    """`records.write_lines`, except that its k-th call raises Interrupted
+    after half its rows. `calls` collects the path of every call."""
+    write_lines = slangsent.records.write_lines
+
+    def interrupting_write_lines(path, lines):
+        calls.append(path)
+        if len(calls) != k:
+            return write_lines(path, lines)
+        rows = list(lines)
+
+        def cut_short():
+            yield from rows[:len(rows) // 2]
+            raise Interrupted(path)
+
+        write_lines(path, cut_short())
+
+    return interrupting_write_lines
+
+
+def _run_with_writes(monkeypatch, config_path, k):
+    """`run` with the k-th write interrupted (none when k is 0); returns the
+    paths written to, in order."""
+    calls = []
+    with monkeypatch.context() as patch:
+        # each module that calls write_lines looks it up in its own namespace
+        for module in (slangsent.ingest, slangsent.lexicon, slangsent.records):
+            patch.setattr(module, "write_lines", _interrupting(k, calls))
+        assert main(["run", "--config", str(config_path)]) == 0
+    return calls
+
+
+GOLDEN_RUN_WRITES = 9  # vocabulary, four lexicons, four exports
+
+
+@pytest.mark.parametrize("k", range(1, GOLDEN_RUN_WRITES + 1))
+def test_resume_after_an_interrupted_write_equals_a_fresh_run(tmp_path, monkeypatch, capsys, k):
+    fresh = write_golden_fixture(tmp_path / "fresh")
+    assert len(_run_with_writes(monkeypatch, fresh, 0)) == GOLDEN_RUN_WRITES
+    interrupted = write_golden_fixture(tmp_path / "interrupted")
+    with pytest.raises(Interrupted):
+        _run_with_writes(monkeypatch, interrupted, k)
+    assert main(["run", "--config", str(interrupted), "--resume"]) == 0
+    out, fresh_out = interrupted.parent / "out", fresh.parent / "out"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh_out.iterdir()}
+    assert not list(interrupted.parent.rglob("*.tmp"))
 
 
 # --- the pipeline against the independent reference on drawn fixtures -------
