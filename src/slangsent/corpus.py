@@ -68,32 +68,30 @@ class FileCorpusProvider:
     def __init__(self, path: str | Path, *, sample_seed: int = 0):
         self._documents = load_corpus(path)
         self._sample_seed = sample_seed
-        # A posting set is made only for a token not seen before; `query`
-        # reads the index with `get`, which adds no key.
-        self._index: dict[str, set[int]] = defaultdict(set)
+        # Token -> positions of the documents holding it, appended in file
+        # order, so ascending; `query` reads it with `get`, which adds no key.
+        self._index: dict[str, list[int]] = defaultdict(list)
         for position, doc in enumerate(self._documents):
             for token in set(doc.tokens):
-                self._index[token].add(position)
+                self._index[token].append(position)
 
     def __len__(self) -> int:
         return len(self._documents)
 
     def query(self, term: str, max_docs: int) -> list[Document]:
-        words = term.split(" ")
-        candidates: set[int] | None = None
-        for word in words:
-            positions = self._index.get(word)
-            if positions is None:
-                return []
-            candidates = positions if candidates is None else candidates & positions
-        matching = sorted(candidates or ())
+        postings = [self._index.get(word) for word in term.split(" ")]
+        if None in postings:
+            return []
+        matching = min(postings, key=len)
         # The index holds the documents of each token, so a one-word term's
-        # candidates all match; a phrase's words may lie apart.
-        if len(words) > 1:
+        # postings all match; a phrase's words may lie apart.
+        if len(postings) > 1:
+            common = set(matching).intersection(*postings)
             matching = [
                 position
                 for position in matching
-                if find_occurrences(self._documents[position].tokens, term)
+                if position in common
+                and find_occurrences(self._documents[position].tokens, term)
             ]
         if len(matching) > max_docs:
             rng = random.Random(f"{self._sample_seed}:{term}")

@@ -18,10 +18,11 @@ from .lexicon import CLASSES, Lexicon, LexiconEntry, Stage, classify, mean_stren
 _BAR_WIDTH = 40  # characters in the stage report's bar for its most frequent class
 
 
-class SynonymGraph(dict[str, set[str]]):
-    """Undirected graph over vocabulary terms: a dict from node to its set of
-    neighbours. A plain record: the caller holds its invariants, that no edge
-    is a self-loop and both ends of every edge are nodes. `build_graph` drops
+class SynonymGraph(dict[str, tuple[str, ...]]):
+    """Undirected graph over vocabulary terms: a dict from node to the tuple
+    of its neighbours, each listed once; their order carries no meaning. A
+    plain record: the caller holds its invariants, that no edge is a
+    self-loop and both ends of every edge are nodes. `build_graph` drops
     every other edge."""
 
     __slots__ = ()
@@ -31,10 +32,12 @@ class SynonymGraph(dict[str, set[str]]):
         nodes: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ):
-        adjacency: dict[str, set[str]] = {node: set() for node in nodes}
+        adjacency = {node: [] for node in nodes}
         for a, b in edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        for node, neighbours in adjacency.items():
+            adjacency[node] = tuple(dict.fromkeys(neighbours))
         super().__init__(adjacency)
 
     def edge_count(self) -> int:
@@ -48,11 +51,8 @@ def build_graph(vocabulary: Vocabulary) -> SynonymGraph:
     other, but only if both ends are vocabulary terms. Related terms pointing
     outside the vocabulary produce nothing.
     """
-    edges = []
-    for term, entry in vocabulary.items():
-        for related in entry.related_terms:
-            if related != term and related in vocabulary:
-                edges.append((term, related))
+    edges = ((term, related) for term, entry in vocabulary.items()
+             for related in entry.related_terms if related != term and related in vocabulary)
     return SynonymGraph(vocabulary.keys(), edges)
 
 

@@ -39,13 +39,12 @@ class PhraseMatcher:
     """
 
     def __init__(self, lexicon: Lexicon):
-        self._strengths = {term: lexicon.strength(term) for term in lexicon}
+        self._strengths = {term: entry.strength for term, entry in lexicon.items()}
         # First word of each multi-word term -> the most words any term
         # starting with that word has.
         self._widths: dict[str, int] = {}
-        for term in self._strengths:
-            words = term.split(" ")
-            if len(words) > 1 and len(words) > self._widths.get(words[0], 0):
+        for words in (term.split(" ") for term in self._strengths if " " in term):
+            if len(words) > self._widths.get(words[0], 0):
                 self._widths[words[0]] = len(words)
 
     def match(self, tokens: Sequence[str]) -> list[Match]:

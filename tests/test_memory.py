@@ -1,0 +1,87 @@
+"""Memory guards for the two structures that grow with the inputs: the
+related-word graph keeps a tuple of neighbours per node, and the corpus
+index an ascending list of document positions per token.
+
+Each bound lies halfway between the bytes the former containers (a set per
+node, a set per token) kept and the bytes the compact ones keep, measured
+with `tracemalloc` on CPython 3.11 for these generated inputs.
+"""
+
+from __future__ import annotations
+
+import json
+import tracemalloc
+
+from slangsent.corpus import FileCorpusProvider, load_corpus
+from slangsent.ingest import SlangEntry, build_vocabulary
+from slangsent.propagate import build_graph
+
+NODES = 2000
+CHAIN = 3  # each term lists the next three, so most nodes have six neighbours
+DOCS = 2000
+WORDS = 500
+TOKENS_PER_DOC = 8
+
+GRAPH_BYTES_PER_NODE = 461  # sets: 809; tuples: 114
+INDEX_BYTES_PER_POSTING = 44  # sets: 75; lists: 14
+
+
+def retained(build):
+    """What `build()` returns and the bytes still allocated once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def chained_vocabulary():
+    # Every term also lists itself (dropped by `build_vocabulary`) and the
+    # one before it, so each edge to the next term is listed from both ends
+    # and must be kept once.
+    terms = [f"t{i}" for i in range(NODES)]
+    return build_vocabulary(
+        SlangEntry(term, ("m",), ("e",), related_terms=tuple(terms[max(i - 1, 0):i + CHAIN + 1]))
+        for i, term in enumerate(terms)
+    )
+
+
+def chained_corpus(path):
+    # Document i holds a run of consecutive words starting at word i, one of
+    # them twice, so every word's postings are long and a token repeats.
+    lines = []
+    for i in range(DOCS):
+        words = [f"w{(i + k) % WORDS}" for k in range(TOKENS_PER_DOC)]
+        lines.append(json.dumps({"id": str(i), "text": " ".join(words + words[:1])}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def graph_bytes_per_node():
+    vocabulary = chained_vocabulary()
+    graph, size = retained(lambda: build_graph(vocabulary))
+    return graph, size / len(graph)
+
+
+def index_bytes_per_posting(path):
+    load_corpus(path)  # fill the token cache, so neither measurement grows it
+    documents, documents_size = retained(lambda: load_corpus(path))
+    postings = sum(len(set(document.tokens)) for document in documents)
+    del documents
+    _, provider_size = retained(lambda: FileCorpusProvider(path))
+    return (provider_size - documents_size) / postings
+
+
+def test_graph_keeps_a_tuple_of_distinct_neighbours_per_node():
+    graph, per_node = graph_bytes_per_node()
+    # The last three terms list two, one and no terms after them: 6 fewer.
+    assert len(graph) == NODES and graph.edge_count() == NODES * CHAIN - 6
+    for neighbours in graph.values():
+        assert type(neighbours) is tuple and len(set(neighbours)) == len(neighbours)
+    assert per_node < GRAPH_BYTES_PER_NODE
+
+
+def test_corpus_index_keeps_few_bytes_per_posting(tmp_path):
+    assert index_bytes_per_posting(chained_corpus(tmp_path / "corpus.jsonl")) < INDEX_BYTES_PER_POSTING

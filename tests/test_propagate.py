@@ -29,18 +29,18 @@ class TestSynonymGraph:
     def test_rejects_self_loop(self):
         graph = build_graph({"a": vocab_entry("a", ["a"])})
         assert len(graph) == 1 and graph.edge_count() == 0
-        assert graph["a"] == set()
+        assert graph["a"] == ()
 
     def test_rejects_unknown_endpoint(self):
         graph = build_graph({"a": vocab_entry("a", ["b"])})
         assert len(graph) == 1 and graph.edge_count() == 0
-        assert "b" not in graph and graph["a"] == set()
+        assert "b" not in graph and graph["a"] == ()
 
     def test_edges_undirected_and_deduplicated(self):
         graph = SynonymGraph(["a", "b"], [("a", "b"), ("b", "a")])
         assert graph.edge_count() == 1
-        assert graph["a"] == {"b"}
-        assert graph["b"] == {"a"}
+        assert graph["a"] == ("b",)
+        assert graph["b"] == ("a",)
 
 
 class TestBuildGraph:
@@ -48,7 +48,7 @@ class TestBuildGraph:
         vocab = build_vocabulary([vocab_entry("a", ["b"]), vocab_entry("b")])
         graph = build_graph(vocab)
         assert graph.edge_count() == 1
-        assert graph["a"] == {"b"} and graph["b"] == {"a"}
+        assert graph["a"] == ("b",) and graph["b"] == ("a",)
 
     def test_unknown_related_term_ignored(self):
         vocab = build_vocabulary([vocab_entry("a", ["zzz"])])
