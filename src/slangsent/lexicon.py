@@ -90,8 +90,6 @@ class Lexicon(dict[str, LexiconEntry]):
     """Read-only dict from normalized term to LexiconEntry; one entry per term.
     Every mutator raises TypeError, so a Lexicon never changes once built."""
 
-    __slots__ = ("__weakref__",)
-
     def __init__(self, entries: Iterable[LexiconEntry] = ()):
         super().__init__({entry.term: entry for entry in entries})
 

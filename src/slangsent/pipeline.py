@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import reprlib
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -89,9 +90,11 @@ class PipelineConfig:
 
 
 def refuse_overwrite(inputs: Iterable[Path], outputs: Iterable[Path], writer: str) -> None:
-    """Raise a ConfigError naming each input file that is one of the
-    `outputs` that `writer` would write."""
-    written = {Path(path).resolve() for path in outputs}
+    """Raise a ConfigError naming each file that two of `writer`'s `outputs`
+    name, or else each input file that is one of the `outputs`."""
+    written = Counter(Path(path).resolve() for path in outputs)
+    if twice := [str(path) for path, count in written.items() if count > 1]:
+        raise ConfigError(f"{writer} would write one file twice: {', '.join(twice)}")
     if clashes := [str(path) for path in inputs if Path(path).resolve() in written]:
         raise ConfigError(f"input files would be overwritten by {writer}: {', '.join(clashes)}")
 

@@ -9,7 +9,6 @@ and negative classes.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -68,19 +67,14 @@ class PhraseMatcher:
         return matches
 
 
-# The last lexicon compiled, held weakly so that it can be freed, and its matcher.
-_compiled: tuple[weakref.ref, PhraseMatcher] | None = None
-
-
 def _compiled_matcher(lexicon: Lexicon) -> PhraseMatcher:
-    """The lexicon's matcher, built once while that Lexicon object lives; a
-    Lexicon never changes after construction. The entry is read once, so a
-    thread replacing it cannot hand this caller another lexicon's matcher."""
-    global _compiled
-    compiled = _compiled
-    if compiled is None or compiled[0]() is not lexicon:
-        compiled = _compiled = (weakref.ref(lexicon), PhraseMatcher(lexicon))
-    return compiled[1]
+    """The lexicon's matcher, built on first use and kept on that Lexicon
+    object; a Lexicon never changes after construction, so it never goes stale."""
+    try:
+        return lexicon._matcher
+    except AttributeError:
+        matcher = lexicon._matcher = PhraseMatcher(lexicon)
+        return matcher
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,14 @@ BAD_INPUTS = LONG_VALUES + [
     ("seed-output-is-a-listed-source",
      lambda g, t: [*_seed_with(g, t)[:-1], str(g.parent / "seed_core.tsv")], 1,
      "input files would be overwritten by the seed command: "),
+    ("estimate-report-is-its-output",
+     lambda g, t: _writing_over(_unmerged_vocabulary(t, "estimate", {"term": "lit"}),
+                                "--output", "--report"), 1,
+     "the estimate command would write one file twice: "),
+    ("export-slangsd-is-its-idiom-table",
+     lambda g, t: _writing_over(_export_lexicon(t, lambda data: data), "--slangsd",
+                                "--idiom-table"), 1,
+     "the export command would write one file twice: "),
     ("corpus-number", lambda g, t: _run_with(g, corpus=5), 1, "'corpus' must be a string, got 5"),
     ("scale-string", lambda g, t: _run_with_source(g, scale="x"), 1,
      "scale must be a JSON object, got 'x'"),
@@ -567,8 +575,7 @@ def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_arg
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and names in errors[0], err
-    after = _file_bytes(tmp_path)  # and each file it found is as it was
-    assert {path: after.get(path) for path in before} == before
+    assert _file_bytes(tmp_path) == before  # no file written, changed or created
 
 
 def _file_bytes(root):

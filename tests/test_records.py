@@ -12,9 +12,10 @@ the package, a third keeps the scorer's matcher compiled in one place, once
 per lexicon, a fourth keeps an exception class only where some caller
 handles it apart from its family, a fifth keeps text tokenized only where
 raw text becomes tokens, a sixth keeps the kind of a JSON scalar checked by
-the field rule alone, and a seventh keeps every `except` clause naming what
+the field rule alone, a seventh keeps every `except` clause naming what
 it handles, so that a bug raises instead of passing as a failure of the
-input.
+input, and an eighth keeps the package free of `global` statements, so no
+call rebinds state that another call reads.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -303,6 +304,34 @@ def test_matcher_guard_sees_calls_only():
         "kind: type = PhraseMatcher",
     ])
     assert phrase_matcher_builds(source) == [(2, "score"), (3, "")]
+
+
+def global_statements(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every `global` statement in `source`."""
+    return _scoped_nodes(source, lambda node: isinstance(node, ast.Global))
+
+
+def test_no_global_statements():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in global_statements(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_global_guard_names_each_scope():
+    source = "\n".join([
+        "_compiled = None",
+        "def _compiled_matcher(lexicon):",
+        "    global _compiled",
+        "class Cache:",
+        "    def reset(self):",
+        "        global _compiled, _hits",
+        "global _hits",
+        "global_count = globals()",
+    ])
+    assert global_statements(source) == [(3, "_compiled_matcher"), (6, "Cache.reset"), (7, "")]
 
 
 def tokenize_calls(source: str) -> list[tuple[int, str]]:

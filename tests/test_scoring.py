@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import random
 import weakref
@@ -125,6 +126,21 @@ class TestCompileOnce:
         other = lexicon({"shit hot": 2.0, "shit": -2.0})
         assert score_text("shit", other).total == -2.0
         assert len(builds) == 2
+
+    def test_each_lexicon_keeps_its_own_matcher(self, builds):
+        first, second = lexicon({"lit": 1.0}), lexicon({"lit": 1.0})
+        assert first == second and first is not second
+        for _ in range(50):
+            assert score_text("so lit", first).total == 1.0
+            assert score_text("so lit", second).total == 1.0
+        assert len(builds) == 2 and builds[0] is first and builds[1] is second
+
+    def test_a_copy_builds_its_own_matcher(self, builds):
+        lex = lexicon({"lit": 1.0})
+        score_text("lit", lex)
+        duplicate = copy.copy(lex)
+        assert score_text("lit", duplicate).total == 1.0
+        assert len(builds) == 2 and builds[1] is duplicate
 
     def test_evaluate_and_score_tokens_reuse_the_matcher(self, builds):
         lex = lexicon({"lit": 1.0})
