@@ -85,8 +85,10 @@ class PipelineConfig:
             raise ConfigError("no entry files configured")
         inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
         _require_files(inputs)
-        refuse_overwrite(inputs, (Path(self.output_dir) / name for name in OUTPUT_FILES.values()),
-                         "the run")
+        output_dir = Path(self.output_dir)
+        if any(path.is_file() for path in (output_dir, *output_dir.parents)):
+            raise ConfigError(f"'output_dir' is not a directory: {output_dir}")
+        refuse_overwrite(inputs, (output_dir / name for name in OUTPUT_FILES.values()), "the run")
 
 
 def refuse_overwrite(inputs: Iterable[Path], outputs: Iterable[Path], writer: str) -> None:
@@ -272,28 +274,6 @@ def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
 
 # --- the whole run -----------------------------------------------------------
 
-# The persisted stages in build order: (name in OUTPUT_FILES, build, load).
-# `build(config, done, path)` makes a stage from the config and the
-# stages `done` before it, saves it to `path` and returns (value, report). Rows
-# look this module's functions up when they run, so a patched name takes effect.
-_STAGES = (
-    ("vocabulary",
-     lambda config, done, path: ingest_entries(config.entry_files, path, strict=config.strict),
-     lambda path: load_vocabulary(path)),
-    ("seed",
-     lambda config, done, path: (merge_seeds(config.seed_sources, path), None),
-     lambda path: load_lexicon(path)),
-    ("estimates",
-     lambda config, done, path: estimate_terms(
-         done["vocabulary"], done["seed"], config.corpus_file, path,
-         max_docs=config.max_docs, sample_seed=config.sample_seed),
-     lambda path: load_lexicon(path)),
-    ("propagated",
-     lambda config, done, path: propagate_terms(
-         done["vocabulary"], (done["seed"], done["estimates"]), path),
-     lambda path: load_lexicon(path)),
-)
-
 
 @dataclass
 class PipelineResult:
@@ -317,17 +297,32 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
-    done: dict[str, object] = {}
     built: dict[str, object] = {}
-    for name, build, load in _STAGES:
-        if resume and paths[name].exists():
-            log.info("resuming: %s from %s", name, paths[name])
-            done[name] = load(paths[name])
-        else:  # a later stage file was made from the old version of this one
-            resume = False
-            done[name], built[name] = build(config, done, paths[name])
 
-    final = assemble(*done.values())  # vocabulary, seed, estimates, propagated
+    def stage(name: str, load, build):
+        """Load stage `name`'s file while resuming, or else save `build(path)`'s
+        value and keep its report; once a stage is built, so is every later one
+        (its file was made from the old version of this one)."""
+        if resume and not built and paths[name].exists():
+            log.info("resuming: %s from %s", name, paths[name])
+            return load(paths[name])
+        if resume:
+            log.info("building: %s (%s)", name,
+                     "an earlier stage was built" if built else "no stage file")
+        value, built[name] = build(paths[name])
+        return value
+
+    vocabulary = stage("vocabulary", load_vocabulary, lambda path: ingest_entries(
+        config.entry_files, path, strict=config.strict))
+    seed = stage("seed", load_lexicon,
+                 lambda path: (merge_seeds(config.seed_sources, path), None))
+    estimates = stage("estimates", load_lexicon, lambda path: estimate_terms(
+        vocabulary, seed, config.corpus_file, path,
+        max_docs=config.max_docs, sample_seed=config.sample_seed))
+    propagated = stage("propagated", load_lexicon,
+                       lambda path: propagate_terms(vocabulary, (seed, estimates), path))
+
+    final = assemble(vocabulary, seed, estimates, propagated)
     save_lexicon(final, paths["final"])
     write_text(paths["slangsd"], export_slangsd(final))
     write_text(paths["idiom_table"], export_idiom_table(final))

@@ -425,6 +425,11 @@ BAD_INPUTS = LONG_VALUES + [
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
     ("entries-named-as-an-output-file", lambda g, t: _run_over_its_entries(g), 1,
      "fixture/vocabulary.jsonl"),
+    ("config-output_dir-is-a-file", lambda g, t: _run_with(g, output_dir="seed_core.tsv"), 1,
+     "'output_dir' is not a directory: "),
+    ("config-output_dir-under-a-file",
+     lambda g, t: _run_with(g, output_dir="seed_core.tsv/out"), 1,
+     "'output_dir' is not a directory: "),
     ("ingest-output-is-its-input",
      lambda g, t: _writing_over(_ingest_record(t), "--input", "--output"), 1,
      "input files would be overwritten by the ingest command: "),

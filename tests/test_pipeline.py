@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from .reference import reference_slangsd
 
 
 STAGES = ["vocabulary", "seed", "estimates", "propagated"]  # the persisted stages, in build order
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_exports(out_dir):
@@ -29,6 +32,12 @@ def read_exports(out_dir):
         name: (out_dir / filename).read_bytes()
         for name, filename in OUTPUT_FILES.items()
     }
+
+
+def walk_messages(caplog):
+    """The `resuming:` and `building:` lines logged, in order."""
+    return [record.getMessage() for record in caplog.records
+            if record.getMessage().startswith(("resuming:", "building:"))]
 
 
 class TestLoadConfig:
@@ -80,6 +89,20 @@ class TestLoadConfig:
         config = load_config(write_golden_fixture(tmp_path))
         assert config.corpus_file.parent == tmp_path
 
+    def test_readme_config_example_loads(self, tmp_path):
+        cli = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+        block = re.search(r"^`config\.json`.*?^```json\n(.*?)^```", cli,
+                          re.MULTILINE | re.DOTALL).group(1)
+        raw = json.loads(block)
+        for name in [*raw["entries"], *(s["path"] for s in raw["seed_lexicons"]), raw["corpus"]]:
+            (tmp_path / name).touch()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(block, encoding="utf-8")
+        config = load_config(config_path)
+        assert config.max_docs == 150
+        assert config.sample_seed == 7
+        assert config.seed_sources[1].scale == LinearScale.from_ranges((-5, 5))
+
 
 class TestRunPipeline:
     def test_stage_precedence_and_disjointness(self, tmp_path):
@@ -122,24 +145,37 @@ class TestRunPipeline:
         run_pipeline(config, resume=True)
         assert read_exports(config.output_dir) == baseline
 
-    def test_resume_reuses_persisted_stage_output(self, tmp_path):
+    def test_resume_reuses_persisted_stage_output(self, tmp_path, caplog):
         config = load_config(write_golden_fixture(tmp_path))
         run_pipeline(config)
         baseline = read_exports(config.output_dir)
+        caplog.set_level(logging.INFO, logger="slangsent.pipeline")
+        caplog.clear()
         result = run_pipeline(config, resume=True)
         # no stage was built: each was loaded
         assert result.built == {}
+        assert walk_messages(caplog) == [
+            f"resuming: {name} from {config.output_dir / OUTPUT_FILES[name]}" for name in STAGES]
         assert read_exports(config.output_dir) == baseline
 
     @pytest.mark.parametrize("stage", STAGES)
-    def test_resume_builds_only_the_missing_stage(self, tmp_path, stage):
+    def test_resume_builds_only_the_missing_stage(self, tmp_path, caplog, stage):
         # ... and every stage after it, which was made from the missing one
         config = load_config(write_golden_fixture(tmp_path))
         run_pipeline(config)
         baseline = read_exports(config.output_dir)
         (config.output_dir / OUTPUT_FILES[stage]).unlink()
+        caplog.set_level(logging.INFO, logger="slangsent.pipeline")
+        caplog.clear()
         result = run_pipeline(config, resume=True)
-        assert list(result.built) == STAGES[STAGES.index(stage):]
+        missing = STAGES.index(stage)
+        assert list(result.built) == STAGES[missing:]
+        assert walk_messages(caplog) == [
+            *(f"resuming: {name} from {config.output_dir / OUTPUT_FILES[name]}"
+              for name in STAGES[:missing]),
+            f"building: {stage} (no stage file)",
+            *(f"building: {name} (an earlier stage was built)" for name in STAGES[missing + 1:]),
+        ]
         assert read_exports(config.output_dir) == baseline
 
     @pytest.mark.parametrize("write_fixture", [
