@@ -38,7 +38,7 @@ class Document(NamedTuple):
 
     @classmethod
     def from_text(cls, id: str, text: str) -> Document:
-        return cls(id=id, text=text, tokens=tuple(tokenize(text)))
+        return cls(id, text, tuple(tokenize(text)))
 
 
 def read_documents(lines: Iterable[str]) -> Iterator[tuple[dict, Document]]:

@@ -88,15 +88,8 @@ def _parse_record(raw: str) -> SlangEntry:
     except ValueError:
         raise ParseError(f"'created_date' must be YYYY-MM-DD, got {reprlib.repr(day)}") from None
 
-    return SlangEntry(
-        term=term,
-        meanings=tuple(meanings),
-        examples=tuple(examples),
-        related_terms=tuple(related),
-        upvotes=upvotes,
-        downvotes=downvotes,
-        created_date=created,
-    )
+    return SlangEntry(term, tuple(meanings), tuple(examples), tuple(related),
+                      upvotes, downvotes, created)
 
 
 def parse_day(text: str) -> date:
@@ -122,11 +115,13 @@ def entry_row(entry: SlangEntry) -> str:
 def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
     """Merge entries into one record per normalized term.
 
-    Meanings and examples are concatenated with the better-voted entry's
-    items first (descending net votes, ties keep input order); votes are
-    summed; related terms are normalized, deduplicated, sorted, and never
-    include the term itself. Terms pointing outside the vocabulary are kept:
-    graph construction decides what to do with them.
+    A term with one record keeps that record's meanings, examples, votes and
+    date as they are. For a term with several, meanings and examples are
+    concatenated with the better-voted record's items first (descending net
+    votes, ties keep input order), votes are summed and the earliest date is
+    kept. Every term's related terms are normalized, deduplicated, sorted, and
+    never include the term itself. Terms pointing outside the vocabulary are
+    kept: graph construction decides what to do with them.
     """
     groups: dict[str, list[SlangEntry]] = {}
     for entry in entries:
@@ -138,7 +133,6 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
     vocabulary: Vocabulary = {}
     normal: dict[str, str] = {}  # each distinct related string, normalized once
     for term, group in groups.items():
-        ranked = sorted(group, key=lambda e: e.net_votes, reverse=True)
         related: set[str] = set()
         for entry in group:
             for raw in entry.related_terms:
@@ -146,15 +140,22 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
                     normal[raw] = normalize_term(raw)
                 related.add(normal[raw])
         related -= {term, ""}  # "": a related string that normalizes to nothing
+        related_terms = tuple(sorted(related))
+        if len(group) == 1:
+            [entry] = group
+            vocabulary[term] = SlangEntry(term, entry.meanings, entry.examples, related_terms,
+                                          entry.upvotes, entry.downvotes, entry.created_date)
+            continue
+        ranked = sorted(group, key=lambda e: e.net_votes, reverse=True)
         dates = [e.created_date for e in group if e.created_date is not None]
         vocabulary[term] = SlangEntry(
-            term=term,
-            meanings=tuple(m for e in ranked for m in e.meanings),
-            examples=tuple(x for e in ranked for x in e.examples),
-            related_terms=tuple(sorted(related)),
-            upvotes=sum(e.upvotes for e in group),
-            downvotes=sum(e.downvotes for e in group),
-            created_date=min(dates) if dates else None,
+            term,
+            tuple(m for e in ranked for m in e.meanings),
+            tuple(x for e in ranked for x in e.examples),
+            related_terms,
+            sum(e.upvotes for e in group),
+            sum(e.downvotes for e in group),
+            min(dates) if dates else None,
         )
     return vocabulary
 

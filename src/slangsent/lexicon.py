@@ -171,13 +171,14 @@ class SeedSource:
 def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
     """Merge external seed lexicons into one strength lexicon.
 
-    Each source's native values are scale-mapped onto [-2, +2]; a term found
-    in several sources gets the arithmetic mean of its per-source values.
-    Terms are normalized first; if normalization makes two of one source's
-    terms collide, that source contributes their mean as its single value.
-    The result is independent of source order: contributions are keyed and
-    summed per sorted source id, with math.fsum making the mean exact with
-    respect to ordering.
+    Each source's native values are scale-mapped onto [-2, +2]. Terms are
+    normalized first; if normalization makes two of one source's terms
+    collide, that source contributes their mean as its single value. A term
+    found in one source takes that source's value, and the entries of one
+    source share one `(source_id,)` tuple. A term found in several sources
+    gets the arithmetic mean of its per-source values. The result is
+    independent of source order: contributions are keyed and summed per sorted
+    source id, with math.fsum making the mean exact with respect to ordering.
     """
     per_source: dict[str, dict[str, list[float]]] = {}
     for source in sources:
@@ -192,10 +193,16 @@ def merge_seed_lexicons(sources: Iterable[SeedSource]) -> Lexicon:
                                 f"outside [{STRENGTH_MIN}, {STRENGTH_MAX}]")
             per_source.setdefault(term, {}).setdefault(source.source_id, []).append(mapped)
 
+    alone: dict[str, tuple[str]] = {}  # the one `(source_id,)` of each source's own terms
     entries = []
     for term, by_source in per_source.items():
-        source_ids = tuple(sorted(by_source))
-        strength = mean_strength([mean_strength(by_source[sid]) for sid in source_ids])
+        if len(by_source) == 1:
+            [(source_id, values)] = by_source.items()
+            source_ids = alone.setdefault(source_id, (source_id,))
+            strength = mean_strength(values)
+        else:
+            source_ids = tuple(sorted(by_source))
+            strength = mean_strength([mean_strength(by_source[sid]) for sid in source_ids])
         entries.append(LexiconEntry(term, strength, Stage.SEED_LEXICON, source_ids))
     return Lexicon(entries)
 

@@ -8,6 +8,7 @@ second, independent path to the same numbers.
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from fractions import Fraction
@@ -105,6 +106,79 @@ def brute_propagate(nodes, edges, seed_values):
     propagated = {node: v for node, v in labels.items() if node not in seed_nodes}
     unreached = set(adjacency) - set(labels)
     return propagated, iterations, unreached
+
+
+# --- vocabulary and seed merging ---------------------------------------------
+
+
+def brute_term(raw):
+    """A term's canonical form: NFC, lowercase, whitespace runs collapsed to
+    one space and stripped at both ends."""
+    return " ".join(unicodedata.normalize("NFC", raw).lower().split())
+
+
+def brute_vocabulary(records):
+    """One merged (term, meanings, examples, related_terms, upvotes,
+    downvotes, created_date) per canonical term, from records holding those
+    seven fields.
+
+    Every term merges all its records the same way: meanings and examples
+    of better-voted records first (net votes descending, ties in input
+    order), votes summed, the earliest known date, and the related terms
+    canonical, distinct, sorted, never empty and never the term itself."""
+    groups = {}
+    for record in records:
+        groups.setdefault(brute_term(record[0]), []).append(record)
+    vocabulary = {}
+    for term, group in groups.items():
+        nets = [record[4] - record[5] for record in group]
+        ranked = []
+        for net in range(max(nets), min(nets) - 1, -1):
+            for record in group:
+                if record[4] - record[5] == net:
+                    ranked.append(record)
+        meanings, examples = [], []
+        for record in ranked:
+            meanings += record[1]
+            examples += record[2]
+        related = set()
+        for record in group:
+            for raw in record[3]:
+                related.add(brute_term(raw))
+        related.discard(term)
+        related.discard("")
+        dates = [record[6] for record in group if record[6] is not None]
+        vocabulary[term] = (
+            term, tuple(meanings), tuple(examples), tuple(sorted(related)),
+            sum(record[4] for record in group), sum(record[5] for record in group),
+            min(dates) if dates else None,
+        )
+    return vocabulary
+
+
+def brute_mean(values):
+    """The correctly rounded sum over the count, kept within the values'
+    own range."""
+    mean = math.fsum(values) / len(values)
+    return float(min(max(values), max(min(values), mean)))
+
+
+def brute_seed_merge(sources):
+    """{term: (strength, source ids)} of (source id, {raw term: native},
+    factor, offset) sources: each native value maps to factor * native +
+    offset; a source's values for one canonical term are averaged first, and
+    the term's strength is the mean of those per-source means, taken over
+    the ids in sorted order, which are also its source ids."""
+    contributions = {}
+    for source_id, values, factor, offset in sources:
+        for raw, native in values.items():
+            per_source = contributions.setdefault(brute_term(raw), {})
+            per_source.setdefault(source_id, []).append(factor * float(native) + offset)
+    merged = {}
+    for term, per_source in contributions.items():
+        ids = tuple(sorted(per_source))
+        merged[term] = (brute_mean([brute_mean(per_source[i]) for i in ids]), ids)
+    return merged
 
 
 # --- greedy longest-match scoring -------------------------------------------

@@ -5,7 +5,7 @@ import json
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slangsent import ingest
@@ -22,6 +22,8 @@ from slangsent.ingest import (
     parse_entries,
     save_vocabulary,
 )
+
+from .oracles import brute_vocabulary
 
 
 def record(term="lol", **overrides):
@@ -155,6 +157,15 @@ class TestBuildVocabulary:
         assert {term: vocab[term].related_terms for term in vocab} == {"a": ("b", "c"),
                                                                       "b": ("a", "c")}
 
+    def test_one_record_term_keeps_its_record(self):
+        entry = SlangEntry("LoL ", ("m",), ("e",), ("lol", "ROFL"), 3, 1, date(2020, 1, 1))
+        vocab = build_vocabulary([entry, SlangEntry("b", ("m1",), ("e1",)),
+                                  SlangEntry("B", ("m2",), ("e2",))])
+        kept = vocab["lol"]
+        assert kept == ("lol", ("m",), ("e",), ("rofl",), 3, 1, date(2020, 1, 1))
+        assert kept.meanings is entry.meanings and kept.examples is entry.examples
+        assert vocab["b"].meanings == ("m1", "m2")
+
     def test_entry_term_empty_after_normalization(self):
         with pytest.raises(DataError) as caught:
             build_vocabulary([SlangEntry(" ", ("m",), ("x",))])
@@ -200,6 +211,27 @@ ENTRIES = st.lists(st.builds(
     downvotes=st.integers(0, 9),
     created_date=st.none() | st.dates(date(2000, 1, 1), date(2030, 1, 1)),
 ), max_size=6)
+
+
+# One-record and many-record terms: vote ties, missing and earlier dates,
+# case and space variants, and self-references.
+MIXED_ENTRIES = [
+    SlangEntry("c", ("m",), ("e",), ("C", "c", " b "), 1, 0, None),
+    SlangEntry("a", ("m1",), ("e1",), ("b", "A"), 3, 1, date(2020, 5, 1)),
+    SlangEntry(" A ", ("m2", "m3"), ("e2",), (" ",), 2, 0, None),
+    SlangEntry("a", ("m4",), ("e4", "e5"), (), 9, 0, date(2019, 1, 1)),
+    SlangEntry("B b", ("m",), ("e",), ("b b",), 0, 4, date(2021, 1, 1)),
+    SlangEntry("b  b", ("n",), ("f",), ("c",), 0, 4, None),
+]
+
+
+@settings(max_examples=200)
+@given(entries=ENTRIES)
+@example(entries=MIXED_ENTRIES)
+def test_build_vocabulary_equals_the_brute_oracle(entries):
+    vocab = build_vocabulary(entries)
+    assert {term: tuple(entry) for term, entry in vocab.items()} == \
+        brute_vocabulary([tuple(entry) for entry in entries])
 
 
 def vocabulary_file(tmp_path, *records):

@@ -7,7 +7,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slangsent.errors import DataError, ParseError
@@ -29,6 +29,8 @@ from slangsent.lexicon import (
     merge_seed_lexicons,
     save_lexicon,
 )
+
+from .oracles import brute_seed_merge
 
 
 def entry(term, strength, stage=Stage.IMPORTED, sources=()):
@@ -173,6 +175,14 @@ class TestMergeSeedLexicons:
         # a contributes mean(2, 0) = 1; cross-source mean(1, -1) = 0
         assert merged.strength("lol") == 0.0
 
+    def test_one_source_entries_share_one_sources_tuple(self):
+        merged = merge_seed_lexicons(
+            [SeedSource("a", {"good": 1.0, "bad": -1.0, "ok": 0.0}), SeedSource("b", {"ok": 1.0})]
+        )
+        assert merged["good"].sources == ("a",)
+        assert merged["good"].sources is merged["bad"].sources
+        assert merged["ok"].sources == ("a", "b")
+
     def test_order_independent(self):
         rng = random.Random(7)
         sources = [
@@ -191,6 +201,32 @@ class TestMergeSeedLexicons:
             sources = [SeedSource(f"s{i}", {"t": v}) for i, v in enumerate(values)]
             merged = merge_seed_lexicons(sources)
             assert min(values) <= merged.strength("t") <= max(values)
+
+
+# Raw terms that collide under normalization, inside one source and across sources.
+SEED_TERMS = st.sampled_from(["a", "A", " a ", "b", "B", "c", "d e", "D  e"])
+SEED_SOURCES = st.lists(st.builds(
+    SeedSource,
+    source_id=st.sampled_from(["x", "y", "z"]),
+    values=st.dictionaries(SEED_TERMS, st.floats(-2.0, 2.0), max_size=5),
+    scale=st.sampled_from([LinearScale(), LinearScale(0.5, 0.25)]),
+), max_size=4)
+
+
+@settings(max_examples=200)
+@given(sources=SEED_SOURCES)
+@example(sources=[
+    SeedSource("x", {"a": 1.0, "A": -0.5, "b": 2.0, "c": -0.0}),
+    SeedSource("y", {" a ": 0.25, "d e": -2.0, "D  e": 1.5}, LinearScale(0.5, 0.25)),
+])
+def test_merge_seed_lexicons_equals_the_brute_oracle(sources):
+    merged = merge_seed_lexicons(sources)
+    oracle = brute_seed_merge(
+        [(s.source_id, s.values, s.scale.factor, s.scale.offset) for s in sources]
+    )
+    assert {term: (repr(e.strength), e.sources) for term, e in merged.items()} == \
+        {term: (repr(strength), ids) for term, (strength, ids) in oracle.items()}
+    assert {e.stage for e in merged.values()} <= {Stage.SEED_LEXICON}
 
 
 class TestSlangsdFormat:

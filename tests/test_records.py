@@ -14,8 +14,10 @@ handles it apart from its family, a fifth keeps text tokenized only where
 raw text becomes tokens, a sixth keeps the kind of a JSON scalar checked by
 the field rule alone, a seventh keeps every `except` clause naming what
 it handles, so that a bug raises instead of passing as a failure of the
-input, and an eighth keeps the package free of `global` statements, so no
-call rebinds state that another call reads.
+input, an eighth keeps the package free of `global` statements, so no
+call rebinds state that another call reads, and a ninth keeps the records
+built once per input row or term constructed from positional arguments,
+which on CPython cost about two thirds of a keyword construction.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -89,6 +91,8 @@ SCALAR_CHECKS = {("records.py", "value_of")}
 # The only handler that may catch every exception: the writer removes its
 # temporary file and raises again.
 BROAD_EXCEPTS = {("records.py", "write_lines")}
+# The records built once per input row or term, never from keyword arguments.
+ROW_RECORDS = {"SlangEntry", "Document", "LexiconEntry", "LabeledDocument"}
 # The error families that map onto exit codes; the CLI catches them whole.
 ERROR_FAMILIES = {"SlangSentError", "ConfigError", "DataError"}
 
@@ -332,6 +336,48 @@ def test_global_guard_names_each_scope():
         "global_count = globals()",
     ])
     assert global_statements(source) == [(3, "_compiled_matcher"), (6, "Cache.reset"), (7, "")]
+
+
+def keyword_record_builds(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every call in `source` that passes keyword arguments to
+    a record of ROW_RECORDS, by its name or as `cls` in one of its methods."""
+    def keyword_call_of(name):
+        return lambda node: isinstance(node, ast.Call) and bool(node.keywords) \
+            and _refers_to(node.func, name)
+
+    return sorted(
+        [found for name in ROW_RECORDS for found in _scoped_nodes(source, keyword_call_of(name))]
+        + [(line, scope) for line, scope in _scoped_nodes(source, keyword_call_of("cls"))
+           if scope.split(".")[0] in ROW_RECORDS]
+    )
+
+
+def test_records_are_built_from_positional_arguments():
+    offenders = [
+        f"{path.name}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, scope in keyword_record_builds(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_record_guard_sees_keyword_builds_only():
+    source = "\n".join([
+        "class Document(NamedTuple):",
+        "    def from_text(cls, id, text):",
+        "        return cls(id=id, text=text, tokens=())",
+        "class LinearScale:",
+        "    def from_ranges(cls, lo, hi):",
+        "        return cls(factor=1.0, offset=lo)",
+        "def _parse_record(raw):",
+        "    return ingest.SlangEntry(term, meanings, examples, upvotes=up)",
+        "entry = LexiconEntry('a', 1.0, Stage.IMPORTED, sources=())",
+        "labeled = LabeledDocument(Document(doc.id, text, tokens), gold)",
+        "entry = entry._replace(strength=0.0)",
+        "kind: type = SlangEntry",
+    ])
+    assert keyword_record_builds(source) == [(3, "Document.from_text"), (8, "_parse_record"),
+                                             (9, "")]
 
 
 def tokenize_calls(source: str) -> list[tuple[int, str]]:
