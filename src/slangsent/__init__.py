@@ -15,7 +15,6 @@ from .errors import ConfigError, DataError, SlangSentError
 from .ingest import (
     SlangEntry,
     build_vocabulary,
-    extension_url,
     fetch_new_entries,
     parse_entries,
 )

@@ -252,10 +252,15 @@ def _cmd_extend(args) -> None:
         raise ConfigError(f"not a directory: {args.fetch_dir}")
     if args.start > args.end:
         raise ConfigError(f"--from {args.start} is after --to {args.end}")
+    days = date_range(args.start, args.end)
+    # Only the day file named like --output can be it; resolving every day's
+    # path would cost more than the fetch on a range of years.
+    if args.output.name in {f"{day}.jsonl{gz}" for day in days for gz in ("", ".gz")}:
+        refuse_overwrite([args.fetch_dir / args.output.name], [args.output], "the extend command")
     entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
     for day, reason in failures:
         print(f"fetch failed for {day}: {reason}", file=sys.stderr)
-    requested = len(date_range(args.start, args.end))
+    requested = len(days)
     if len(failures) == requested:
         raise DataError(f"no requested day could be read; {args.output} is left as it was")
     write_lines(args.output, map(entry_row, entries))

@@ -20,8 +20,6 @@ from .text import checked_term, normalize_term
 
 Vocabulary = dict[str, "SlangEntry"]
 
-EXTENSION_URL_BASE = "http://www.urbandictionary.com/yesterday.php"
-
 
 class SlangEntry(NamedTuple):
     """One crowdsourced dictionary record. The caller holds its invariants: a
@@ -192,11 +190,6 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 
 # --- extension workflow ------------------------------------------------------
-
-
-def extension_url(day: date) -> str:
-    """URL of the new-words-by-creation-date page for one calendar day."""
-    return f"{EXTENSION_URL_BASE}?date={day.isoformat()}"
 
 
 def date_range(start: date, end: date) -> list[date]:

@@ -112,11 +112,6 @@ class Lexicon(dict[str, LexiconEntry]):
         """Entries in term-sorted order (the canonical order everywhere)."""
         return [self[t] for t in sorted(self)]
 
-    def restricted(self, terms: Iterable[str]) -> Lexicon:
-        """The sub-lexicon covering only the given terms."""
-        keep = set(terms)
-        return Lexicon(e for t, e in self.items() if t in keep)
-
 
 def combine(*lexicons: Lexicon) -> Lexicon:
     """Union with first-wins precedence: a term labeled by an earlier lexicon

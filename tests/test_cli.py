@@ -229,6 +229,16 @@ def _extend_over_prior_output(tmp_path, start, end):
             "--output", str(tmp_path / "out.jsonl")]
 
 
+def _extend_over_its_day_file(tmp_path, name):
+    """`extend` over a two-day range whose --output names the day file `name`."""
+    (tmp_path / "days").mkdir()
+    day = tmp_path / "days" / name
+    data = b'{"term": "lit", "meanings": ["m"], "examples": ["x"]}\n'
+    day.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    return ["extend", "--from", "2016-01-01", "--to", "2016-01-02",
+            "--fetch-dir", str(day.parent), "--output", str(day)]
+
+
 def _run_with_config_text(golden, text):
     golden.write_text(text, encoding="utf-8")
     return ["run", "--config", str(golden)]
@@ -446,6 +456,12 @@ BAD_INPUTS = LONG_VALUES + [
     ("seed-output-is-a-listed-source",
      lambda g, t: [*_seed_with(g, t)[:-1], str(g.parent / "seed_core.tsv")], 1,
      "input files would be overwritten by the seed command: "),
+    ("extend-output-is-a-day-file",
+     lambda g, t: _extend_over_its_day_file(t, "2016-01-02.jsonl"), 1,
+     "input files would be overwritten by the extend command: "),
+    ("extend-output-is-a-gzip-day-file",
+     lambda g, t: _extend_over_its_day_file(t, "2016-01-01.jsonl.gz"), 1,
+     "input files would be overwritten by the extend command: "),
     ("estimate-report-is-its-output",
      lambda g, t: _writing_over(_unmerged_vocabulary(t, "estimate", {"term": "lit"}),
                                 "--output", "--report"), 1,

@@ -15,7 +15,6 @@ from slangsent.ingest import (
     build_vocabulary,
     date_range,
     entry_row,
-    extension_url,
     fetch_new_entries,
     load_vocabulary,
     parse_day,
@@ -290,20 +289,6 @@ class TestGzipTransparency:
         path = tmp_path / "entries.jsonl"
         path.write_text(record() + "\n", encoding="utf-8")
         assert len(parse_entries(path)) == 1
-
-
-class TestExtensionUrl:
-    def test_reference_date(self):
-        assert (
-            extension_url(date(2016, 7, 14))
-            == "http://www.urbandictionary.com/yesterday.php?date=2016-07-14"
-        )
-
-    def test_zero_padding(self):
-        assert extension_url(date(2016, 1, 1)).endswith("?date=2016-01-01")
-
-    def test_pre_2000(self):
-        assert extension_url(date(1999, 12, 31)).endswith("?date=1999-12-31")
 
 
 def day_file(tmp_path, day, text):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slangsent.errors import DataError, ParseError
+from slangsent.ingest import SlangEntry
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -29,6 +30,7 @@ from slangsent.lexicon import (
     merge_seed_lexicons,
     save_lexicon,
 )
+from slangsent.pipeline import assemble
 
 from .oracles import brute_seed_merge
 
@@ -408,10 +410,14 @@ class TestCombine:
         assert merged["x"].stage is Stage.SEED_LEXICON
         assert merged.strength("y") == 0.5
 
-    def test_restricted(self):
-        lex = Lexicon([entry("a", 1.0), entry("b", -1.0)])
-        sub = lex.restricted(["b", "zzz"])
-        assert sorted(sub) == ["b"]
+    def test_assemble(self):
+        vocabulary = {t: SlangEntry(t, ("m",), ("x",)) for t in ("a", "b", "c")}
+        seed = Lexicon([entry("zzz", 2.0, Stage.SEED_LEXICON, ("s",)),
+                        entry("b", 1.0, Stage.SEED_LEXICON, ("s",))])
+        later = Lexicon([entry("b", -1.0), entry("c", 0.5)])
+        final = assemble(vocabulary, seed, later)
+        assert list(final) == ["b", "c"]  # "zzz" is outside the vocabulary
+        assert final["b"] is seed["b"]
 
 
 class TestReadOnlyLexicon:

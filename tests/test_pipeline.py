@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -134,6 +137,27 @@ class TestRunPipeline:
         first = read_exports(config.output_dir)
         run_pipeline(config)
         assert read_exports(config.output_dir) == first
+
+    @pytest.mark.parametrize("write_fixture", [
+        write_golden_fixture,
+        lambda root: write_synthetic_fixture(root, random.Random(14), n_terms=60, n_docs=150),
+    ], ids=["golden", "synthetic"])
+    def test_processes_with_other_hash_seeds_write_identical_files(self, tmp_path,
+                                                                   write_fixture):
+        """String hashing, and so the order of a set of strings, differs from
+        one process to the next; the output directory must not."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(README.with_name("src")), os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for hash_seed in ("1", "2"):
+            config = write_fixture(tmp_path / hash_seed)
+            subprocess.run([sys.executable, "-m", "slangsent.cli", "run", "--config", str(config)],
+                           env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+                           capture_output=True)
+            out = config.parent / "out"
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert set(outputs[0]) == set(OUTPUT_FILES.values())
+        assert outputs[0] == outputs[1]
 
     def test_resume_from_intermediates_identical(self, tmp_path):
         config = load_config(write_golden_fixture(tmp_path))
