@@ -77,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse entry records into a vocabulary file")
     p.add_argument("--input", nargs="+", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true", default=True)
-    mode.add_argument("--lenient", dest="strict", action="store_false")
+    p.add_argument("--lenient", dest="strict", action="store_false")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("seed", help="merge external seed lexicons")

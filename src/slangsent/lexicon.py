@@ -136,21 +136,14 @@ class LinearScale:
         return self.factor * value + self.offset
 
     @classmethod
-    def from_ranges(
-        cls,
-        source_range: tuple[float, float],
-        target_range: tuple[float, float] = (STRENGTH_MIN, STRENGTH_MAX),
-    ) -> LinearScale:
-        """The map taking `source_range` onto `target_range`, which must lie
-        within the strength scale. Raises ValueError naming the bad range."""
-        (lo, hi), (target_lo, target_hi) = source_range, target_range
+    def from_ranges(cls, source_range: tuple[float, float]) -> LinearScale:
+        """The map taking `source_range` onto the whole strength scale.
+        Raises ValueError when the range is degenerate."""
+        lo, hi = source_range
         if hi == lo:
             raise ValueError(f"'source_range' {list(source_range)} is degenerate")
-        if not all(STRENGTH_MIN <= end <= STRENGTH_MAX for end in target_range):
-            raise ValueError(f"'target_range' {list(target_range)} reaches outside the "
-                             f"strength scale [{STRENGTH_MIN}, {STRENGTH_MAX}]")
-        factor = (target_hi - target_lo) / (hi - lo)
-        return cls(factor=factor, offset=target_lo - factor * lo)
+        factor = (STRENGTH_MAX - STRENGTH_MIN) / (hi - lo)
+        return cls(factor=factor, offset=STRENGTH_MIN - factor * lo)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,11 @@ class PipelineConfig:
         output_dir = Path(self.output_dir)
         if any(path.is_file() for path in (output_dir, *output_dir.parents)):
             raise ConfigError(f"'output_dir' is not a directory: {output_dir}")
-        refuse_overwrite(inputs, (output_dir / name for name in OUTPUT_FILES.values()), "the run")
+        refuse_overwrite(inputs, _outputs(output_dir), "the run")
+
+
+def _outputs(output_dir: Path) -> list[Path]:
+    return [output_dir / name for name in OUTPUT_FILES.values()]
 
 
 def refuse_overwrite(inputs: Iterable[Path], outputs: Iterable[Path], writer: str) -> None:
@@ -151,12 +155,9 @@ def _parse_scale(raw: object) -> LinearScale:
         _object(raw, "scale", ("factor", "offset"))
         return LinearScale(value_of(raw, "factor", float, default=1.0),
                            value_of(raw, "offset", float, default=0.0))
-    _object(raw, "a scale with 'source_range'", ("source_range", "target_range"))
-    ranges = [_range(raw, "source_range")]
-    if raw.get("target_range") is not None:  # without one, from_ranges maps onto the strength scale
-        ranges.append(_range(raw, "target_range"))
+    _object(raw, "a scale with 'source_range'", ("source_range",))
     try:
-        return LinearScale.from_ranges(*ranges)
+        return LinearScale.from_ranges(_range(raw, "source_range"))
     except ValueError as exc:
         raise ConfigError(f"bad scale: {exc}") from None
 
@@ -187,13 +188,14 @@ def load_seed_sources(path: Path) -> list[SeedSourceConfig]:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline config file (JSON). Relative paths are resolved
-    against the config file's directory."""
+    against the config file's directory, and no output file of the run may
+    be the config file itself."""
     path = Path(path)
     with _reading(path, "config") as raw:
         _object(raw, "config", ("entries", "seed_lexicons", "corpus", "output_dir", "max_docs",
                                 "sample_seed", "strict"))
         base, sources = path.parent, raw.get("seed_lexicons")
-        return PipelineConfig(
+        config = PipelineConfig(
             entry_files=[base / _string({"entries": entry}, "entries")
                          for entry in value_of(raw, "entries", list)],
             seed_sources=_parse_seed_sources([] if sources is None else sources, base,
@@ -204,6 +206,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             sample_seed=value_of(raw, "sample_seed", int, default=0),
             strict=value_of(raw, "strict", bool, default=True),
         )
+    refuse_overwrite([path], _outputs(config.output_dir), "the run")
+    return config
 
 
 # --- stages: each computes its output and persists it ------------------------

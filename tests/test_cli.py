@@ -213,6 +213,14 @@ def _run_over_its_entries(golden):
     return _run_with(golden, entries=["vocabulary.jsonl"], output_dir=".")
 
 
+def _run_from_config_named(golden, name):
+    """`run` whose config file is the file `name` it writes."""
+    config = golden.with_name(name)
+    config.write_text(json.dumps({**json.loads(golden.read_text()), "output_dir": "."}),
+                      encoding="utf-8")
+    return ["run", "--config", str(config)]
+
+
 def _writing_over(argv, input_option, output_option):
     """`argv` with `output_option` naming the file that `input_option` names."""
     path = argv[argv.index(input_option) + 1]
@@ -332,12 +340,17 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1, 1]}), 1, "source_range"),
+    # A map onto part of the strength scale is a factor/offset pair; a
+    # `target_range` is no scale key, whatever its value.
     ("scale-target_range-outside-the-strength-scale",
      lambda g, t: _run_with_source(g, scale={"source_range": [-2, 2], "target_range": [-4, 4]}),
-     1, "'target_range' [-4.0, 4.0] reaches outside the strength scale"),
+     1, "unknown key 'target_range' in a scale with 'source_range'; known keys: source_range"),
     ("sources-scale-target_range-outside-the-strength-scale",
      lambda g, t: _seed_with(g, t, scale={"source_range": [-2, 2], "target_range": [-4, 4]}),
-     1, "'target_range' [-4.0, 4.0] reaches outside the strength scale"),
+     1, "unknown key 'target_range' in a scale with 'source_range'; known keys: source_range"),
+    ("scale-target_range-null",
+     lambda g, t: _run_with_source(g, scale={"source_range": [-4, 4], "target_range": None}),
+     1, "unknown key 'target_range' in a scale with 'source_range'; known keys: source_range"),
     ("sources-missing-seed-file", lambda g, t: _seed_with(g, t, path="nope.tsv"), 1, "nope.tsv"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
@@ -435,11 +448,19 @@ BAD_INPUTS = LONG_VALUES + [
     ("entries-empty-list", lambda g, t: _run_with(g, entries=[]), 1, "no entry files"),
     ("entries-named-as-an-output-file", lambda g, t: _run_over_its_entries(g), 1,
      "fixture/vocabulary.jsonl"),
+    ("config-named-as-an-export", lambda g, t: _run_from_config_named(g, "stage_report.json"), 1,
+     "fixture/stage_report.json"),
+    ("config-named-as-a-stage-file", lambda g, t: _run_from_config_named(g, "vocabulary.jsonl"),
+     1, "fixture/vocabulary.jsonl"),
     ("config-output_dir-is-a-file", lambda g, t: _run_with(g, output_dir="seed_core.tsv"), 1,
      "'output_dir' is not a directory: "),
     ("config-output_dir-under-a-file",
      lambda g, t: _run_with(g, output_dir="seed_core.tsv/out"), 1,
      "'output_dir' is not a directory: "),
+    ("ingest-strict-is-no-option",
+     lambda g, t: ["ingest", "--strict", "--input", str(g.with_name("entries.jsonl")),
+                   "--output", str(t / "vocabulary.jsonl")], 1,
+     "unrecognized arguments: --strict"),
     ("ingest-output-is-its-input",
      lambda g, t: _writing_over(_ingest_record(t), "--input", "--output"), 1,
      "input files would be overwritten by the ingest command: "),
@@ -664,6 +685,13 @@ class TestRunCommand:
             main(["run", "--config", str(golden)])
 
 
+def test_run_refuses_to_overwrite_its_config(golden, capsys):
+    argv = _run_from_config_named(golden, "stage_report.json")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: input files would be overwritten by the run: {argv[-1]}\n")
+
+
 def _lenient_ingest(golden, tmp_path):
     entry_files = [str(golden.parent / name) for name in ("e1.jsonl", "e2.jsonl")]
     return ["ingest", "--lenient", "--input", *entry_files,
@@ -712,12 +740,12 @@ def test_lenient_run_reports_skips_only_when_it_builds_the_vocabulary(golden, tm
 
 def staged_commands(readme: str) -> list[list[str]]:
     """The argv, less `slangsent`, of each command in the CLI section's
-    stage-by-stage block, with continuation lines joined and the
-    `[--strict|--lenient]` alternative dropped."""
+    stage-by-stage block, with continuation lines joined and the optional
+    `[--lenient]` dropped."""
     cli = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"^Stage-by-stage equivalents.*?^```sh\n(.*?)^```", cli,
                       re.MULTILINE | re.DOTALL).group(1)
-    lines = block.replace("\\\n", " ").replace("[--strict|--lenient]", "").splitlines()
+    lines = block.replace("\\\n", " ").replace("[--lenient]", "").splitlines()
     commands = [shlex.split(line) for line in lines]
     assert all(argv[0] == "slangsent" for argv in commands), commands
     return [argv[1:] for argv in commands]
@@ -796,7 +824,7 @@ class TestStageCommands:
     def test_staged_block_reader(self):
         readme = (
             "## CLI\n\nStage-by-stage equivalents (same):\n\n```sh\n"
-            "slangsent ingest --input a.jsonl [--strict|--lenient]\n"
+            "slangsent ingest --input a.jsonl [--lenient]\n"
             "slangsent propagate --seeds s.jsonl \\\n    e.jsonl --output 'p q.jsonl'\n```\n\n"
             "```sh\nslangsent later\n```\n\n## Library\n"
         )

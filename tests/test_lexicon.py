@@ -206,7 +206,10 @@ class TestMergeSeedLexicons:
 
 
 # Raw terms that collide under normalization, inside one source and across sources.
-SEED_TERMS = st.sampled_from(["a", "A", " a ", "b", "B", "c", "d e", "D  e"])
+# Besides case and spacing variants, terms that `tokenize` would read
+# otherwise: edge punctuation and emoticons (ROADMAP item 15).
+SEED_TERMS = st.sampled_from(["a", "A", " a ", "b", "B", "c", "d e", "D  e",
+                              "lol!", "LOL!", ":D", ":d", "#yolo", "XD"])
 SEED_SOURCES = st.lists(st.builds(
     SeedSource,
     source_id=st.sampled_from(["x", "y", "z"]),

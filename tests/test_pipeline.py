@@ -80,14 +80,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(config_path)
 
-    def test_null_target_range_maps_onto_the_strength_scale(self, tmp_path):
-        config_path = write_golden_fixture(tmp_path)
-        raw = json.loads(config_path.read_text())
-        raw["seed_lexicons"][1]["scale"] = {"source_range": [-4, 4], "target_range": None}
-        config_path.write_text(json.dumps(raw), encoding="utf-8")
-        scale = load_config(config_path).seed_sources[1].scale
-        assert scale == LinearScale.from_ranges((-4, 4))
-
     def test_relative_paths_resolved_against_config_dir(self, tmp_path):
         config = load_config(write_golden_fixture(tmp_path))
         assert config.corpus_file.parent == tmp_path
