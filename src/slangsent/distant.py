@@ -55,7 +55,7 @@ class EmoticonSet:
                     continue
                 if current is None:
                     raise ParseError("emoticon before any section header")
-                if chunk_token(line) != line:
+                if chunk_token(line) != line or len(line.split()) > 1:
                     raise ParseError(f"emoticon {reprlib.repr(line)} is not a token tokenize emits")
                 current.add(line)
             positive, negative = sections["positive"], sections["negative"]

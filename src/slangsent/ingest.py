@@ -9,8 +9,9 @@ related-word lists are the only entry content the sentiment stages trust.
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from datetime import date, timedelta
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -117,9 +118,8 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
     date as they are. For a term with several, meanings and examples are
     concatenated with the better-voted record's items first (descending net
     votes, ties keep input order), votes are summed and the earliest date is
-    kept. Every term's related terms are normalized, deduplicated, sorted, and
-    never include the term itself. Terms pointing outside the vocabulary are
-    kept: graph construction decides what to do with them.
+    kept. Related terms are normalized, unique, sorted and never the term;
+    those outside the vocabulary stay, for graph construction to judge.
     """
     groups: dict[str, list[SlangEntry]] = {}
     for entry in entries:
@@ -129,19 +129,12 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
         groups.setdefault(term, []).append(entry)
 
     vocabulary: Vocabulary = {}
-    normal: dict[str, str] = {}  # each distinct related string, normalized once
+    normal = cache(normalize_term)
     for term, group in groups.items():
-        related: set[str] = set()
-        for entry in group:
-            for raw in entry.related_terms:
-                if raw not in normal:
-                    normal[raw] = normalize_term(raw)
-                related.add(normal[raw])
-        related -= {term, ""}  # "": a related string that normalizes to nothing
-        related_terms = tuple(sorted(related))
         if len(group) == 1:
             [entry] = group
-            vocabulary[term] = SlangEntry(term, entry.meanings, entry.examples, related_terms,
+            vocabulary[term] = SlangEntry(term, entry.meanings, entry.examples,
+                                          _related_terms(term, entry.related_terms, normal),
                                           entry.upvotes, entry.downvotes, entry.created_date)
             continue
         ranked = sorted(group, key=lambda e: e.net_votes, reverse=True)
@@ -150,12 +143,21 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
             term,
             tuple(m for e in ranked for m in e.meanings),
             tuple(x for e in ranked for x in e.examples),
-            related_terms,
+            _related_terms(term, [r for e in group for r in e.related_terms], normal),
             sum(e.upvotes for e in group),
             sum(e.downvotes for e in group),
             min(dates) if dates else None,
         )
     return vocabulary
+
+
+def _related_terms(term: str, raws: Iterable[str], normal: Callable[[str], str]) -> tuple[str, ...]:
+    """The related terms of `term`'s merged entry when its records list the
+    strings `raws`: each put through `normal` (a memo of `normalize_term`),
+    then unique, sorted, and without "" or the term itself."""
+    related = set(map(normal, raws))
+    related -= {term, ""}
+    return tuple(sorted(related))
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
@@ -164,27 +166,20 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """The vocabulary `save_vocabulary` wrote, read back without merging it
-    again: each entry must already hold what `build_vocabulary` establishes (a
-    normalized term seen once; related terms normalized, sorted, unique and
-    not the term itself), or it is a ParseError naming its line."""
+    again: a ParseError names the line of an entry that `build_vocabulary` would
+    change, by its term (unnormalized or repeated) or by `_related_terms`."""
     vocabulary: Vocabulary = {}
-    known: set[str] = set()  # the terms and related terms checked so far
+    normal = cache(normalize_term)
     with Lines(path) as lines:
         for raw in lines:
             entry = _parse_record(raw)
-            term, related = entry.term, entry.related_terms
-            if term not in known:
-                known.add(checked_term(term))
-            distinct = set(related)
-            for text in sorted(distinct - known):
-                known.add(checked_term(text, "related term"))
+            term = checked_term(entry.term)
             if term in vocabulary:
                 raise ParseError(f"duplicate term {reprlib.repr(term)}")
-            if term in distinct:
-                raise ParseError(f"related terms include the term {reprlib.repr(term)}")
-            if sorted(distinct) != list(related):
-                raise ParseError("related terms are not sorted and unique: "
-                                 f"{reprlib.repr(list(related))}")
+            merged = _related_terms(term, entry.related_terms, normal)
+            if merged != entry.related_terms:
+                raise ParseError(f"related terms {reprlib.repr(list(entry.related_terms))} "
+                                 f"merge to {reprlib.repr(list(merged))}")
             vocabulary[term] = entry
     return vocabulary
 

@@ -137,13 +137,17 @@ class LinearScale:
 
     @classmethod
     def from_ranges(cls, source_range: tuple[float, float]) -> LinearScale:
-        """The map taking `source_range` onto the whole strength scale.
-        Raises ValueError when the range is degenerate."""
+        """The map taking `source_range` onto the whole strength scale; no
+        value in the range maps off it. Raises ValueError unless low < high."""
         lo, hi = source_range
-        if hi == lo:
-            raise ValueError(f"'source_range' {list(source_range)} is degenerate")
+        if not lo < hi:
+            raise ValueError(f"'source_range' {list(source_range)} must have low below high")
         factor = (STRENGTH_MAX - STRENGTH_MIN) / (hi - lo)
-        return cls(factor=factor, offset=STRENGTH_MIN - factor * lo)
+        while True:  # rounding may carry an end point off the scale: shrink the factor by ulps
+            scale = cls(factor, STRENGTH_MIN - factor * lo)
+            if STRENGTH_MIN <= scale.apply(lo) and scale.apply(hi) <= STRENGTH_MAX:
+                return scale
+            factor = math.nextafter(factor, 0.0)
 
 
 @dataclass(frozen=True)

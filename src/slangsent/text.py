@@ -53,12 +53,12 @@ def normalize_term(raw: str) -> str:
     return " ".join(unicodedata.normalize("NFC", raw).lower().split())
 
 
-def checked_term(text: str, what: str = "term") -> str:
+def checked_term(text: str) -> str:
     """`text`, a term read from a file, which must already be normalized; an
     empty or unnormalized one is a ParseError."""
     if text and normalize_term(text) == text:
         return text
-    raise ParseError(f"{what} is not normalized: {reprlib.repr(text)}")
+    raise ParseError(f"term is not normalized: {reprlib.repr(text)}")
 
 
 def emoticon_token(chunk: str) -> str | None:

@@ -201,9 +201,9 @@ UNMERGED_VOCABULARIES = [
     ("term-not-normalized", [{"term": "Foo"}],
      "vocabulary.jsonl: line 1: term is not normalized: 'Foo'"),
     ("related-unsorted", [{"term": "lit", "related_terms": ["b", "a"]}],
-     "vocabulary.jsonl: line 1: related terms are not sorted and unique"),
+     "vocabulary.jsonl: line 1: related terms ['b', 'a'] merge to ['a', 'b']"),
     ("related-is-the-term", [{"term": "lit", "related_terms": ["fire", "lit"]}],
-     "vocabulary.jsonl: line 1: related terms include the term 'lit'"),
+     "vocabulary.jsonl: line 1: related terms ['fire', 'lit'] merge to ['fire']"),
 ]
 
 
@@ -289,8 +289,8 @@ LONG_VALUES = [
     ("vocabulary-related-3000-items",
      lambda g, t: _unmerged_vocabulary(
          t, "estimate", {"term": "lit", "related_terms": [f"w{i}" for i in range(3000, 0, -1)]}),
-     2, "line 1: related terms are not sorted and unique: ['w3000', 'w2999', 'w2998', 'w2997', "
-        "'w2996', 'w2995', ...]"),
+     2, "line 1: related terms ['w3000', 'w2999', 'w2998', 'w2997', 'w2996', 'w2995', ...] "
+        "merge to ['w1', 'w10', 'w100', 'w1000', 'w1001', 'w1002', ...]"),
     ("emoticons-token-10000-characters",
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\n[negative]\n" + "A" * 10_000 + "\n"),
      2, "line 4: emoticon 'AAAAAAAAAAAA...AAAAAAAAAAAAA' is not a token tokenize emits"),
@@ -340,6 +340,12 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: _seed_with(g, t, scale={"source_range": [1]}), 1, "source_range"),
     ("sources-source_range-degenerate",
      lambda g, t: _seed_with(g, t, scale={"source_range": [1, 1]}), 1, "source_range"),
+    # A reversed range would flip every value's polarity.
+    ("source_range-reversed", lambda g, t: _run_with_source(g, scale={"source_range": [5, -5]}),
+     1, "bad scale: 'source_range' [5.0, -5.0] must have low below high"),
+    ("sources-source_range-reversed",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [5, -5]}), 1,
+     "bad scale: 'source_range' [5.0, -5.0] must have low below high"),
     # A map onto part of the strength scale is a factor/offset pair; a
     # `target_range` is no scale key, whatever its value.
     ("scale-target_range-outside-the-strength-scale",
@@ -413,6 +419,9 @@ BAD_INPUTS = LONG_VALUES + [
     ("emoticons-token-never-emitted",
      lambda g, t: _label_with_emoticons(t, "[positive]\n:)\nLol\n[negative]\n:(\n"), 2,
      "emoticons.txt: line 3: emoticon 'Lol'"),
+    ("emoticons-token-of-two-chunks",
+     lambda g, t: _label_with_emoticons(t, "[positive]\n:)\na b\n[negative]\n:(\n"), 2,
+     "emoticons.txt: line 3: emoticon 'a b' is not a token tokenize emits"),
     ("evaluate-label-list", lambda g, t: _evaluate_with_label(t, ["positive"]), 2,
      "labeled.jsonl: line 1: 'label' must be one of 'positive', 'negative', 'neutral', "
      "got ['positive']"),
@@ -877,6 +886,16 @@ class TestStageCommands:
         assert {term: load_lexicon(seed).strength(term) for term in native} == {
             term: float(value) for term, value in native.items()
         }
+
+    def test_seed_source_range_maps_its_end_points_onto_the_scale(self, golden, tmp_path,
+                                                                 capsys):
+        # Unrounded, [-7, 3] maps 3 to 2.0000000000000004.
+        (golden.parent / "ends.tsv").write_text("lit\t3\ndead\t-7\n", encoding="utf-8")
+        argv = _seed_with(golden, tmp_path, path="ends.tsv", scale={"source_range": [-7, 3]})
+        assert main(argv) == 0
+        seed = load_lexicon(tmp_path / "seed.jsonl")
+        assert seed.strength("dead") == pytest.approx(-2.0) and seed.strength("dead") >= -2.0
+        assert seed.strength("lit") == pytest.approx(2.0) and seed.strength("lit") <= 2.0
 
     def test_export_requires_a_target(self, tmp_path, capsys):
         lex = lexicon_file(tmp_path, {"lol": 1.0})

@@ -254,11 +254,12 @@ class TestLoadVocabulary:
         assert list(loaded) == sorted(vocab)
 
     @pytest.mark.parametrize("records, message", [
-        ([record("a", related_terms=["B"])], "line 1: related term is not normalized: 'B'"),
-        ([record("a", related_terms=[" "])], "line 1: related term is not normalized: ' '"),
-        ([record("a", related_terms=["b", "b"])], "line 1: related terms are not sorted and unique"),
+        ([record("a", related_terms=["B"])], "line 1: related terms ['B'] merge to ['b']"),
+        ([record("a", related_terms=[" "])], "line 1: related terms [' '] merge to []"),
+        ([record("a", related_terms=["b", "b"])],
+         "line 1: related terms ['b', 'b'] merge to ['b']"),
         ([record("a"), record("b", related_terms=["a", "c  d"])],
-         "line 2: related term is not normalized: 'c  d'"),
+         "line 2: related terms ['a', 'c  d'] merge to ['a', 'c d']"),
         ([record("a"), record("b"), record("a")], "line 3: duplicate term 'a'"),
         ([record("a b "), record("a b")], "line 1: term is not normalized: 'a b '"),
         ([record(" ")], "line 1: term is not normalized: ' '"),
@@ -270,15 +271,46 @@ class TestLoadVocabulary:
         assert str(caught.value).startswith(f"{path}: {message}")
 
     def test_each_distinct_string_is_normalized_once(self, tmp_path, monkeypatch):
-        import slangsent.text as text
-
         calls = []
-        normalize = text.normalize_term
-        monkeypatch.setattr(text, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
+        normalize = ingest.normalize_term
+        monkeypatch.setattr(ingest, "normalize_term", lambda raw: calls.append(raw) or normalize(raw))
         path = vocabulary_file(tmp_path, record("a", related_terms=["b", "c"]),
                                record("b", related_terms=["a", "c"]), record("c"))
         load_vocabulary(path)
         assert sorted(calls) == ["a", "b", "c"]
+
+
+# Vocabulary records as a file may hold them: normalized terms or raw ones,
+# and related lists that are merged (normalized, unique, sorted) or raw, with
+# unnormalized, repeated, unsorted or blank strings. Either kind of list may
+# hold the record's own term.
+NORMAL_TERMS = st.sampled_from(["a", "b", "b b", "c", "ç", "lol!", ":d", "rock 'n' roll"])
+MERGED_RELATED = st.lists(NORMAL_TERMS, unique=True, max_size=3).map(sorted)
+VOCABULARY_RECORDS = st.lists(
+    st.tuples(NORMAL_TERMS, MERGED_RELATED)
+    | st.tuples(NORMAL_TERMS | RAW_TERMS, MERGED_RELATED | st.lists(RAW_TERMS, max_size=4)),
+    max_size=4)
+
+
+@settings(max_examples=300)
+@given(records=VOCABULARY_RECORDS)
+@example(records=[("a", ["b", "c"]), ("b", [":d", "a"]), ("c", ["a", "a"]), ("ç", ["ç"])])
+@example(records=[("a", ["b", "c"]), ("b", ["a", "c"]), ("c", [])])
+def test_load_vocabulary_accepts_what_build_vocabulary_leaves_unchanged(tmp_path_factory,
+                                                                        records):
+    path = vocabulary_file(tmp_path_factory.mktemp("vocabulary"),
+                           *(record(term, related_terms=related) for term, related in records))
+    try:
+        entries = parse_entries(path)
+        unchanged = list(build_vocabulary(entries).values()) == entries
+    except DataError:  # a term that normalizes to nothing
+        unchanged = False
+    try:
+        loaded = load_vocabulary(path)
+    except ParseError:
+        assert not unchanged
+    else:
+        assert unchanged and list(loaded.items()) == [(e.term, e) for e in entries]
 
 
 class TestGzipTransparency:

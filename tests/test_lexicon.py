@@ -7,7 +7,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slangsent.errors import DataError, ParseError
@@ -157,6 +157,17 @@ class TestMergeSeedLexicons:
         assert merged.strength("love") == 2.0
         assert merged.strength("meh") == -1.0
 
+    @pytest.mark.parametrize("ends, factor, offset", [
+        ((-5.0, 5.0), 0.4, 0.0), ((-4.0, 4.0), 0.5, 0.0), ((0.0, 4.0), 1.0, -2.0),
+    ])
+    def test_exact_source_range_keeps_its_map(self, ends, factor, offset):
+        assert LinearScale.from_ranges(ends) == LinearScale(factor, offset)
+
+    @pytest.mark.parametrize("ends", [(1.0, 1.0), (5.0, -5.0)])
+    def test_source_range_must_rise(self, ends):
+        with pytest.raises(ValueError, match="must have low below high"):
+            LinearScale.from_ranges(ends)
+
     def test_scale_error(self):
         with pytest.raises(DataError, match=r"source 'bad' maps 'x' \(3.0\) to 3.0, outside"):
             merge_seed_lexicons([SeedSource("bad", {"x": 3.0})])
@@ -203,6 +214,28 @@ class TestMergeSeedLexicons:
             sources = [SeedSource(f"s{i}", {"t": v}) for i, v in enumerate(values)]
             merged = merge_seed_lexicons(sources)
             assert min(values) <= merged.strength("t") <= max(values)
+
+
+# Integer and float `source_range` ends. Rounding carries some ranges' own end
+# points off the strength scale unless `from_ranges` corrects for it: [-7, 3]
+# once mapped 3 to 2.0000000000000004.
+RANGE_ENDS = st.integers(-10**6, 10**6) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300)
+@given(ends=st.tuples(RANGE_ENDS, RANGE_ENDS).map(sorted), data=st.data())
+@example(ends=[-7, 3], data=None)
+@example(ends=[-10, 1], data=None)
+@example(ends=[-6, -1], data=None)
+def test_source_range_maps_every_value_in_it_onto_the_strength_scale(ends, data):
+    lo, hi = map(float, ends)
+    assume(lo < hi)
+    scale = LinearScale.from_ranges((lo, hi))
+    inner = hi if data is None else data.draw(st.floats(lo, hi))
+    mapped = [scale.apply(value) for value in (lo, inner, hi)]
+    assert -2.0 <= mapped[0] <= mapped[1] <= mapped[2] <= 2.0
+    if data is None:
+        assert mapped[2] == pytest.approx(2.0) and mapped[0] == pytest.approx(-2.0)
 
 
 # Raw terms that collide under normalization, inside one source and across sources.

@@ -77,6 +77,7 @@ ALLOWED = {("pipeline.py", "json.loads"), ("pipeline.py", "path.read_text")}
 NORMALIZERS = {
     ("ingest.py", "parse_entries"),
     ("ingest.py", "build_vocabulary"),
+    ("ingest.py", "load_vocabulary"),
     ("lexicon.py", "merge_seed_lexicons"),
     ("text.py", "checked_term"),
 }
