@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import re
 import reprlib
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,12 +67,16 @@ class FileCorpusProvider:
     def __init__(self, path: str | Path, *, sample_seed: int = 0):
         self._documents = load_corpus(path)
         self._sample_seed = sample_seed
-        # Token -> positions of the documents holding it, appended in file
-        # order, so ascending; `query` reads it with `get`, which adds no key.
-        self._index: dict[str, list[int]] = defaultdict(list)
+        # Token -> ascending positions of the documents holding it, built in one
+        # pass over the tokens: a position is appended unless it is already last.
+        self._index: dict[str, list[int]] = {}
         for position, doc in enumerate(self._documents):
-            for token in set(doc.tokens):
-                self._index[token].append(position)
+            for token in doc.tokens:
+                postings = self._index.get(token)
+                if postings is None:
+                    self._index[token] = [position]
+                elif postings[-1] != position:
+                    postings.append(position)
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -105,15 +108,28 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
     Candidates are single tokens found in the seed lexicon, excluding tokens
     inside any occurrence of the term itself. Distance is the smallest
     token-index gap to any occurrence span; the document's value is the mean
-    over candidates at the globally minimal distance. No candidates: 0.
+    over candidates at the globally minimal distance. No candidates: 0. With
+    one occurrence, a walk outward stops at the first gap holding a candidate;
+    its value equals that of the full scan over every token.
     """
-    spans = find_occurrences(doc.tokens, term)
+    tokens = doc.tokens
+    spans = find_occurrences(tokens, term)
     if not spans:
         raise ValueError(f"term {term!r} not in document {doc.id!r}")
     get = seed.get
+    if len(spans) == 1:
+        [(start, end)] = spans
+        for gap in range(1, max(start + 1, len(tokens) - end)):
+            left = get(tokens[start - gap]) if gap <= start else None
+            right = get(tokens[end + gap]) if end + gap < len(tokens) else None
+            if left:
+                return mean_strength([left.strength, right.strength] if right else [left.strength])
+            if right:
+                return mean_strength([right.strength])
+        return 0.0
     best_gap: int | None = None
     best_values: list[float] = []
-    for index, token in enumerate(doc.tokens):
+    for index, token in enumerate(tokens):
         entry = get(token)
         if entry is None:
             continue

@@ -138,11 +138,14 @@ class LinearScale:
     @classmethod
     def from_ranges(cls, source_range: tuple[float, float]) -> LinearScale:
         """The map taking `source_range` onto the whole strength scale; no
-        value in the range maps off it. Raises ValueError unless low < high."""
+        value in the range maps off it. Raises ValueError unless low < high
+        and the factor is finite and nonzero."""
         lo, hi = source_range
         if not lo < hi:
             raise ValueError(f"'source_range' {list(source_range)} must have low below high")
         factor = (STRENGTH_MAX - STRENGTH_MIN) / (hi - lo)
+        if not 0.0 < factor < math.inf:  # `hi - lo` overflowed, or the quotient did
+            raise ValueError(f"'source_range' {list(source_range)} is too wide or too narrow")
         while True:  # rounding may carry an end point off the scale: shrink the factor by ulps
             scale = cls(factor, STRENGTH_MIN - factor * lo)
             if STRENGTH_MIN <= scale.apply(lo) and scale.apply(hi) <= STRENGTH_MAX:

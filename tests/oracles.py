@@ -31,9 +31,9 @@ def brute_spans(tokens, term_tokens):
     return spans
 
 
-def brute_document_strength(tokens, term, seed_values):
-    """Mean strength of seed tokens at minimal gap to any term occurrence;
-    0 when the document has no usable seed token."""
+def brute_nearest_values(tokens, term, seed_values):
+    """Strengths of the seed tokens at minimal gap to any term occurrence, in
+    token order; empty when the document has no usable seed token."""
     term_tokens = term.split(" ")
     spans = brute_spans(tokens, term_tokens)
     assert spans, "oracle misuse: term not in document"
@@ -54,9 +54,17 @@ def brute_document_strength(tokens, term, seed_values):
                 gaps.append(i - end)
         scored.append((min(gaps), seed_values[token]))
     if not scored:
-        return 0.0
+        return []
     smallest = min(gap for gap, _ in scored)
-    chosen = [value for gap, value in scored if gap == smallest]
+    return [value for gap, value in scored if gap == smallest]
+
+
+def brute_document_strength(tokens, term, seed_values):
+    """Mean strength of seed tokens at minimal gap to any term occurrence;
+    0 when the document has no usable seed token."""
+    chosen = brute_nearest_values(tokens, term, seed_values)
+    if not chosen:
+        return 0.0
     return sum(chosen) / len(chosen)
 
 

@@ -346,6 +346,20 @@ BAD_INPUTS = LONG_VALUES + [
     ("sources-source_range-reversed",
      lambda g, t: _seed_with(g, t, scale={"source_range": [5, -5]}), 1,
      "bad scale: 'source_range' [5.0, -5.0] must have low below high"),
+    # A width that overflows gives a factor of 0, which maps every value to
+    # -2; a width that underflows gives an infinite factor.
+    ("source_range-width-overflows",
+     lambda g, t: _run_with_source(g, scale={"source_range": [-1e308, 1e308]}), 1,
+     "bad scale: 'source_range' [-1e+308, 1e+308] is too wide or too narrow"),
+    ("sources-source_range-width-overflows",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [-1e308, 1e308]}), 1,
+     "bad scale: 'source_range' [-1e+308, 1e+308] is too wide or too narrow"),
+    ("source_range-factor-overflows",
+     lambda g, t: _run_with_source(g, scale={"source_range": [0, 5e-324]}), 1,
+     "bad scale: 'source_range' [0.0, 5e-324] is too wide or too narrow"),
+    ("sources-source_range-factor-overflows",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [0, 5e-324]}), 1,
+     "bad scale: 'source_range' [0.0, 5e-324] is too wide or too narrow"),
     # A map onto part of the strength scale is a factor/offset pair; a
     # `target_range` is no scale key, whatever its value.
     ("scale-target_range-outside-the-strength-scale",

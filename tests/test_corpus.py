@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slangsent.corpus import (
@@ -17,9 +17,9 @@ from slangsent.corpus import (
     load_corpus,
 )
 from slangsent.errors import ParseError
-from slangsent.lexicon import Lexicon, LexiconEntry, Stage
+from slangsent.lexicon import Lexicon, LexiconEntry, Stage, mean_strength
 
-from .oracles import brute_document_strength, brute_estimate, brute_spans
+from .oracles import brute_document_strength, brute_estimate, brute_nearest_values, brute_spans
 
 
 def seed_lexicon(values):
@@ -58,6 +58,22 @@ class TestDocument:
 
 # Terms and documents over a few words, some of them seed words.
 _WORDS = ["a", "b", "good", "bad"]
+
+
+# Seed words whose means are inexact in binary, so a value computed another
+# way than `mean_strength` shows.
+EVIDENCE_SEED = {"good": 1.0, "bad": -2.0, "meh": -0.3, "yay": 1 / 3}
+
+
+@st.composite
+def documents_with_a_term(draw):
+    """Tokens of up to 20 words, holding a one- or two-word term at a drawn
+    position, and the term; other words may be seed words or the term again."""
+    term_words = draw(st.lists(st.sampled_from(["lol", "x", "good"]), min_size=1, max_size=2))
+    words = st.sampled_from(["x", "y", "lol", *EVIDENCE_SEED])
+    rest = draw(st.lists(words, max_size=20 - len(term_words)))
+    at = draw(st.integers(0, len(rest)))
+    return rest[:at] + term_words + rest[at:], " ".join(term_words)
 
 
 class TestDocumentStrength:
@@ -123,6 +139,20 @@ class TestDocumentStrength:
         got = document_strength(doc(*tokens), term, seed_lexicon(seed_values))
         expected = brute_document_strength(tokens, term, seed_values)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(documents_with_a_term())
+    @example((["lol", "x", "good"], "lol"))  # the term first
+    @example((["bad", "x", "lol"], "lol"))  # the term last
+    @example((["yay", "x", "lol", "y", "meh"], "lol"))  # equal gaps on both sides
+    @example((["bad", "x", "good", "lol", "y", "yay"], "good lol"))  # a seed word in the span
+    @example((["x", "lol", "y"], "lol"))  # no seed word
+    @example((["meh", "lol", "x", "y", "lol", "yay"], "lol"))  # two occurrences
+    def test_equals_the_mean_of_the_values_the_oracle_chooses(self, document):
+        tokens, term = document
+        chosen = brute_nearest_values(tokens, term, EVIDENCE_SEED)
+        expected = mean_strength(chosen) if chosen else 0.0
+        assert document_strength(doc(*tokens), term, seed_lexicon(EVIDENCE_SEED)) == expected
 
     def test_sign_symmetry(self):
         rng = random.Random(9)
@@ -271,6 +301,18 @@ class TestFileCorpusProvider:
     def test_unknown_term_yields_nothing(self, tmp_path):
         provider = FileCorpusProvider(self._write(tmp_path, ["hello world"]))
         assert provider.query("zzz", 10) == []
+
+    def test_postings_list_each_holding_document_once_in_order(self, tmp_path):
+        rng = random.Random(3)
+        texts = [" ".join(rng.choice("abcd") for _ in range(rng.randint(1, 8))) for _ in range(40)]
+        path = self._write(tmp_path, texts)
+        docs = load_corpus(path)
+        assert any(len(set(d.tokens)) < len(d.tokens) for d in docs)  # tokens repeat
+        index = FileCorpusProvider(path)._index
+        assert set(index) == {token for d in docs for token in d.tokens}
+        for token, postings in index.items():
+            assert all(a < b for a, b in zip(postings, postings[1:])), token
+            assert postings == [p for p, d in enumerate(docs) if token in d.tokens], token
 
     def test_query_equals_a_brute_force_provider(self, tmp_path):
         rng = random.Random(5)

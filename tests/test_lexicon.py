@@ -227,9 +227,14 @@ RANGE_ENDS = st.integers(-10**6, 10**6) | st.floats(-1e300, 1e300)
 @example(ends=[-7, 3], data=None)
 @example(ends=[-10, 1], data=None)
 @example(ends=[-6, -1], data=None)
+@example(ends=[0, 5e-324], data=None)
 def test_source_range_maps_every_value_in_it_onto_the_strength_scale(ends, data):
     lo, hi = map(float, ends)
     assume(lo < hi)
+    if 4.0 / (hi - lo) == math.inf:  # a subnormal width: no finite factor maps it
+        with pytest.raises(ValueError, match="is too wide or too narrow"):
+            LinearScale.from_ranges((lo, hi))
+        return
     scale = LinearScale.from_ranges((lo, hi))
     inner = hi if data is None else data.draw(st.floats(lo, hi))
     mapped = [scale.apply(value) for value in (lo, inner, hi)]

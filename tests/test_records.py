@@ -15,9 +15,11 @@ raw text becomes tokens, a sixth keeps the kind of a JSON scalar checked by
 the field rule alone, a seventh keeps every `except` clause naming what
 it handles, so that a bug raises instead of passing as a failure of the
 input, an eighth keeps the package free of `global` statements, so no
-call rebinds state that another call reads, and a ninth keeps the records
+call rebinds state that another call reads, a ninth keeps the records
 built once per input row or term constructed from positional arguments,
-which on CPython cost about two thirds of a keyword construction.
+which on CPython cost about two thirds of a keyword construction, and a
+tenth keeps the package's imports to the standard library, as README's
+install line promises.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -32,6 +34,7 @@ from __future__ import annotations
 import ast
 import gzip
 import json
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -410,6 +413,45 @@ def test_tokenize_guard_sees_calls_in_each_scope():
         "rule: Callable = tokenize",
     ])
     assert tokenize_calls(source) == [(3, "_strip_emoticons"), (6, "Document.from_text")]
+
+
+def outside_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level name) of every absolute import in `source` of a module
+    that is neither in the standard library nor slangsent."""
+    allowed = sys.stdlib_module_names | {"slangsent"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name not in allowed]
+    return sorted(found)
+
+
+def test_package_imports_the_standard_library_only():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in outside_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_import_guard_sees_each_absolute_form():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import json, hypothesis.strategies as st",
+        "from numpy import array",
+        "from . import text",
+        "from .records import Lines",
+        "from slangsent.text import tokenize",
+        "def fetch():",
+        "    import urllib3",
+    ])
+    assert outside_imports(source) == [(2, "hypothesis"), (3, "numpy"), (8, "urllib3")]
 
 
 def _checks_a_scalar_kind(node: ast.AST) -> bool:
