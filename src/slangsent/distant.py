@@ -31,10 +31,6 @@ class EmoticonSet:
     positive: frozenset[str]
     negative: frozenset[str]
 
-    @property
-    def all_tokens(self) -> frozenset[str]:
-        return self.positive | self.negative
-
     @classmethod
     def from_file(cls, path: str | Path) -> EmoticonSet:
         """Parse the two-section config format: `[positive]` / `[negative]`
@@ -95,7 +91,7 @@ def build_eval_corpus(
     either set removed, in text and tokens alike: a chunk is dropped when its
     `chunk_token` is one, and as a chunk yields at most one token, the kept
     tokens are the document's tokens less those."""
-    sources = emoticons.all_tokens
+    sources = emoticons.positive | emoticons.negative
     labeled: list[LabeledDocument] = []
     report = DistantReport()
     for doc in documents:

@@ -34,10 +34,6 @@ class SlangEntry(NamedTuple):
     downvotes: int = 0
     created_date: date | None = None
 
-    @property
-    def net_votes(self) -> int:
-        return self.upvotes - self.downvotes
-
 
 def parse_entries(
     path: str | Path, *, issues: list[ParseError] | None = None
@@ -137,7 +133,7 @@ def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
                                           _related_terms(term, entry.related_terms, normal),
                                           entry.upvotes, entry.downvotes, entry.created_date)
             continue
-        ranked = sorted(group, key=lambda e: e.net_votes, reverse=True)
+        ranked = sorted(group, key=lambda e: e.upvotes - e.downvotes, reverse=True)
         dates = [e.created_date for e in group if e.created_date is not None]
         vocabulary[term] = SlangEntry(
             term,

@@ -105,9 +105,6 @@ class Lexicon(dict[str, LexiconEntry]):
     def __repr__(self) -> str:
         return f"Lexicon({len(self)} terms)"
 
-    def strength(self, term: str) -> float:
-        return self[term].strength
-
     def entries(self) -> list[LexiconEntry]:
         """Entries in term-sorted order (the canonical order everywhere)."""
         return [self[t] for t in sorted(self)]

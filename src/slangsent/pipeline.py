@@ -153,8 +153,9 @@ def _parse_scale(raw: object) -> LinearScale:
         return LinearScale()
     if type(raw) is not dict or "source_range" not in raw:
         _object(raw, "scale", ("factor", "offset"))
-        return LinearScale(value_of(raw, "factor", float, default=1.0),
-                           value_of(raw, "offset", float, default=0.0))
+        if (factor := value_of(raw, "factor", float, default=1.0)) <= 0:  # would flip or flatten
+            raise ConfigError(f"bad scale: 'factor' must be above 0, got {factor!r}")
+        return LinearScale(factor, value_of(raw, "offset", float, default=0.0))
     _object(raw, "a scale with 'source_range'", ("source_range",))
     try:
         return LinearScale.from_ranges(_range(raw, "source_range"))

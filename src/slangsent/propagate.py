@@ -76,7 +76,7 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
     counts toward `iterations`; a graph with nothing left to label reports 0.
     """
     labeled: dict[str, float] = {
-        term: seeds.strength(term) for term in seeds if term in graph
+        term: entry.strength for term, entry in seeds.items() if term in graph
     }
     seed_nodes = set(labeled)
 

@@ -180,8 +180,8 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         os.replace(temporary, path)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(temporary):
-            exc.filename, exc.filename2 = str(path), None  # name the target, not the temporary
+        if isinstance(exc, OSError) and exc.filename == str(temporary):  # name the target alone
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

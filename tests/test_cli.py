@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import errno
 import gzip
 import json
 import logging
+import os
 import re
 import shlex
 from pathlib import Path
@@ -360,6 +362,16 @@ BAD_INPUTS = LONG_VALUES + [
     ("sources-source_range-factor-overflows",
      lambda g, t: _seed_with(g, t, scale={"source_range": [0, 5e-324]}), 1,
      "bad scale: 'source_range' [0.0, 5e-324] is too wide or too narrow"),
+    # A negative factor would flip every value's polarity; a zero one would
+    # map every value to the offset.
+    ("scale-factor-negative", lambda g, t: _run_with_source(g, scale={"factor": -1.0}), 1,
+     "bad scale: 'factor' must be above 0, got -1.0"),
+    ("sources-scale-factor-negative", lambda g, t: _seed_with(g, t, scale={"factor": -1.0}), 1,
+     "bad scale: 'factor' must be above 0, got -1.0"),
+    ("scale-factor-zero", lambda g, t: _run_with_source(g, scale={"factor": 0}), 1,
+     "bad scale: 'factor' must be above 0, got 0.0"),
+    ("sources-scale-factor-zero", lambda g, t: _seed_with(g, t, scale={"factor": 0}), 1,
+     "bad scale: 'factor' must be above 0, got 0.0"),
     # A map onto part of the strength scale is a factor/offset pair; a
     # `target_range` is no scale key, whatever its value.
     ("scale-target_range-outside-the-strength-scale",
@@ -640,7 +652,18 @@ def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_arg
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and names in errors[0], err
+    assert not errors[0].endswith(" -> None"), err
     assert _file_bytes(tmp_path) == before  # no file written, changed or created
+
+
+@pytest.mark.parametrize("target, code", [("nodir/v.jsonl", errno.ENOENT), ("out", errno.EISDIR)])
+def test_failed_write_names_only_its_target(tmp_path, capsys, target, code):
+    (tmp_path / "out").mkdir()
+    argv = _ingest_record(tmp_path)[:-1] + [str(tmp_path / target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: [Errno {code}] {os.strerror(code)}: '{tmp_path / target}'"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["entries.jsonl", "out"]
 
 
 def _file_bytes(root):
@@ -897,7 +920,7 @@ class TestStageCommands:
                      "--output", str(seed)]) == 0
         native = dict(line.split("\t") for line in
                       (golden.parent / core["path"]).read_text().splitlines())
-        assert {term: load_lexicon(seed).strength(term) for term in native} == {
+        assert {term: load_lexicon(seed)[term].strength for term in native} == {
             term: float(value) for term, value in native.items()
         }
 
@@ -908,8 +931,8 @@ class TestStageCommands:
         argv = _seed_with(golden, tmp_path, path="ends.tsv", scale={"source_range": [-7, 3]})
         assert main(argv) == 0
         seed = load_lexicon(tmp_path / "seed.jsonl")
-        assert seed.strength("dead") == pytest.approx(-2.0) and seed.strength("dead") >= -2.0
-        assert seed.strength("lit") == pytest.approx(2.0) and seed.strength("lit") <= 2.0
+        assert seed["dead"].strength == pytest.approx(-2.0) and seed["dead"].strength >= -2.0
+        assert seed["lit"].strength == pytest.approx(2.0) and seed["lit"].strength <= 2.0
 
     def test_export_requires_a_target(self, tmp_path, capsys):
         lex = lexicon_file(tmp_path, {"lol": 1.0})

@@ -268,8 +268,8 @@ class TestEstimateAll:
         delta, _ = estimate_all(["yeet"], ListProvider(documents), seed)
         expected = brute_estimate([list(d.tokens) for d in documents], "yeet", seed_values, 150)
         assert delta["yeet"].stage is Stage.CORPUS_ESTIMATE
-        assert delta.strength("yeet") == pytest.approx(expected, abs=1e-12)
-        assert delta.strength("yeet") == 2.0
+        assert delta["yeet"].strength == pytest.approx(expected, abs=1e-12)
+        assert delta["yeet"].strength == 2.0
 
 
 class TestFileCorpusProvider:

@@ -49,7 +49,7 @@ class TestParseEntries:
     def test_happy_path(self, tmp_path):
         entries = entries_from(tmp_path, [record()])
         assert entries[0].term == "lol"
-        assert entries[0].net_votes == 8
+        assert entries[0].upvotes - entries[0].downvotes == 8
 
     def test_missing_examples_rejected(self, tmp_path):
         line = json.dumps({"term": "x", "meanings": ["m"], "upvotes": 0, "downvotes": 0})

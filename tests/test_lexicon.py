@@ -137,7 +137,7 @@ def test_malformed_lexicon_row_names_its_line(tmp_path, read, rows, line):
 class TestMergeSeedLexicons:
     def test_single_source_passthrough(self):
         merged = merge_seed_lexicons([SeedSource("a", {"great": 2.0})])
-        assert merged.strength("great") == 2.0
+        assert merged["great"].strength == 2.0
         assert merged["great"].stage is Stage.SEED_LEXICON
         assert merged["great"].sources == ("a",)
 
@@ -145,7 +145,7 @@ class TestMergeSeedLexicons:
         merged = merge_seed_lexicons(
             [SeedSource("a", {"ok": 1.0}), SeedSource("b", {"ok": 2.0})]
         )
-        assert merged.strength("ok") == 1.5
+        assert merged["ok"].strength == 1.5
         assert merged["ok"].sources == ("a", "b")
 
     def test_empty(self):
@@ -154,8 +154,8 @@ class TestMergeSeedLexicons:
     def test_scale_maps_applied(self):
         scale = LinearScale.from_ranges((-5.0, 5.0))
         merged = merge_seed_lexicons([SeedSource("five", {"love": 5.0, "meh": -2.5}, scale)])
-        assert merged.strength("love") == 2.0
-        assert merged.strength("meh") == -1.0
+        assert merged["love"].strength == 2.0
+        assert merged["meh"].strength == -1.0
 
     @pytest.mark.parametrize("ends, factor, offset", [
         ((-5.0, 5.0), 0.4, 0.0), ((-4.0, 4.0), 0.5, 0.0), ((0.0, 4.0), 1.0, -2.0),
@@ -186,7 +186,7 @@ class TestMergeSeedLexicons:
             [SeedSource("a", {"LoL": 2.0, "lol": 0.0}), SeedSource("b", {"lol": -1.0})]
         )
         # a contributes mean(2, 0) = 1; cross-source mean(1, -1) = 0
-        assert merged.strength("lol") == 0.0
+        assert merged["lol"].strength == 0.0
 
     def test_one_source_entries_share_one_sources_tuple(self):
         merged = merge_seed_lexicons(
@@ -213,7 +213,7 @@ class TestMergeSeedLexicons:
             values = [rng.uniform(-2, 2) for _ in range(rng.randint(1, 6))]
             sources = [SeedSource(f"s{i}", {"t": v}) for i, v in enumerate(values)]
             merged = merge_seed_lexicons(sources)
-            assert min(values) <= merged.strength("t") <= max(values)
+            assert min(values) <= merged["t"].strength <= max(values)
 
 
 # Integer and float `source_range` ends. Rounding carries some ranges' own end
@@ -284,9 +284,9 @@ class TestSlangsdFormat:
     def test_round_trip_classes(self, tmp_path):
         lex = Lexicon([entry("lol", 1.3), entry("meh", -0.2), entry("shit hot", 2.0)])
         parsed = load_slangsd(_text_file(tmp_path, export_slangsd(lex)))
-        assert parsed.strength("lol") == 1.0
-        assert parsed.strength("meh") == 0.0
-        assert parsed.strength("shit hot") == 2.0
+        assert parsed["lol"].strength == 1.0
+        assert parsed["meh"].strength == 0.0
+        assert parsed["shit hot"].strength == 2.0
         assert all(parsed[t].stage is Stage.IMPORTED for t in parsed)
 
     def test_second_export_byte_identical(self, tmp_path):
@@ -429,6 +429,12 @@ class TestPersistence:
         path.write_text("# comment\ngreat\t2.0\n\nbad\t-1\n", encoding="utf-8")
         assert load_seed_values(path) == {"great": 2.0, "bad": -1.0}
 
+    def test_seed_values_line_starting_with_a_hash_is_a_comment(self, tmp_path):
+        # even one that holds a tab: a hashtag term cannot be a seed term
+        path = tmp_path / "seed.tsv"
+        path.write_text("#yolo\t1.5\nlol\t1\n", encoding="utf-8")
+        assert load_seed_values(path) == {"lol": 1.0}
+
     def test_seed_values_file_starting_with_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "seed.tsv"
         path.write_text("\ufeffgreat\t2.0\nbad\t-1\n", encoding="utf-8")
@@ -447,9 +453,9 @@ class TestCombine:
         a = Lexicon([entry("x", 1.0, Stage.SEED_LEXICON, ("s",))])
         b = Lexicon([entry("x", -1.0), entry("y", 0.5)])
         merged = combine(a, b)
-        assert merged.strength("x") == 1.0
+        assert merged["x"].strength == 1.0
         assert merged["x"].stage is Stage.SEED_LEXICON
-        assert merged.strength("y") == 0.5
+        assert merged["y"].strength == 0.5
 
     def test_assemble(self):
         vocabulary = {t: SlangEntry(t, ("m",), ("x",)) for t in ("a", "b", "c")}

@@ -64,14 +64,14 @@ class TestPropagate:
     def test_conflicting_neighbors_average(self):
         graph = SynonymGraph(["p", "n", "u"], [("p", "u"), ("n", "u")])
         result = propagate(graph, seeds({"p": 1.0, "n": -1.0}))
-        assert result.labeled.strength("u") == 0.0
+        assert result.labeled["u"].strength == 0.0
         assert result.labeled["u"].stage is Stage.PROPAGATION
 
     def test_chain_layering_and_iteration_count(self):
         graph = SynonymGraph(["s", "a", "b"], [("s", "a"), ("a", "b")])
         result = propagate(graph, seeds({"s": 2.0}))
-        assert result.labeled.strength("a") == 2.0
-        assert result.labeled.strength("b") == 2.0
+        assert result.labeled["a"].strength == 2.0
+        assert result.labeled["b"].strength == 2.0
         assert result.iterations == 3  # third round assigns nothing
         assert result.unreached == frozenset()
 
@@ -85,7 +85,7 @@ class TestPropagate:
         graph = SynonymGraph(["a", "b"], [("a", "b")])
         result = propagate(graph, seeds({"a": 1.0, "ghost": -2.0}))
         assert sorted(result.labeled) == ["b"]
-        assert result.labeled.strength("b") == 1.0
+        assert result.labeled["b"].strength == 1.0
 
     def test_all_nodes_seeded_zero_iterations(self):
         graph = SynonymGraph(["a", "b"], [("a", "b")])
@@ -103,8 +103,8 @@ class TestPropagate:
         # though u and v are adjacent with conflicting values.
         graph = SynonymGraph(["p", "u", "v", "q"], [("p", "u"), ("u", "v"), ("v", "q")])
         result = propagate(graph, seeds({"p": 2.0, "q": -2.0}))
-        assert result.labeled.strength("u") == 2.0
-        assert result.labeled.strength("v") == -2.0
+        assert result.labeled["u"].strength == 2.0
+        assert result.labeled["v"].strength == -2.0
         assert result.iterations == 2
 
     def test_matches_oracle_on_random_graphs(self):
@@ -129,7 +129,7 @@ class TestPropagate:
             assert result.unreached == frozenset(expected_unreached)
             assert set(result.labeled) == set(expected)
             for term, value in expected.items():
-                assert result.labeled.strength(term) == pytest.approx(value, abs=1e-12)
+                assert result.labeled[term].strength == pytest.approx(value, abs=1e-12)
 
 
 class TestStageReport:

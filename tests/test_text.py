@@ -27,7 +27,7 @@ from .oracles import brute_spans, reference_tokenize
 _WORDS = ["lol", "shit", "hot", "life's", "so-so", "x", "xd", "8", "d", "p", "o", "t",
           "caf\u00e9", "cafe\u0301", "na\u00efve", "stra\u00dfe", "\u03c3\u03af\u03c3\u03c5",
           "\u65e5\u672c", "i\u0307", "\u212b", "2day", "_", "o_o", "^^^"]
-_EMOTICONS = sorted(default_emoticons().all_tokens)
+_EMOTICONS = sorted(default_emoticons().positive | default_emoticons().negative)
 # Wrapping punctuation an emoticon sheds, and edge punctuation a word sheds.
 _EDGES = ["", "", ".", ",", "!", "?", ";", '"', "'", "`", "\u2026", "\u201c", "\u201d",
           "\u2018", "\u2019", "(", ")", "[", "]", "<", ">", "-", "_", "*", "/", "...", '"(']
