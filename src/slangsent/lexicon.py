@@ -143,11 +143,26 @@ class LinearScale:
         factor = (STRENGTH_MAX - STRENGTH_MIN) / (hi - lo)
         if not 0.0 < factor < math.inf:  # `hi - lo` overflowed, or the quotient did
             raise ValueError(f"'source_range' {list(source_range)} is too wide or too narrow")
-        while True:  # rounding may carry an end point off the scale: shrink the factor by ulps
+
+        def fitting(factor: float) -> LinearScale | None:
             scale = cls(factor, STRENGTH_MIN - factor * lo)
             if STRENGTH_MIN <= scale.apply(lo) and scale.apply(hi) <= STRENGTH_MAX:
                 return scale
+            return None
+
+        for _ in range(64):  # rounding may carry an end point off the scale: shrink the factor by ulps
+            if scale := fitting(factor):
+                return scale
             factor = math.nextafter(factor, 0.0)
+        # A narrow range far from 0 needs an offset too coarse for ulp steps to
+        # reach a fit soon. Bisect between a factor that fails and one small
+        # enough that `factor * lo` vanishes against STRENGTH_MIN, which fits.
+        good, bad = min(factor, 2.0**-55 / max(abs(lo), abs(hi))), factor
+        while (mid := good + (bad - good) / 2) not in (good, bad):
+            good, bad = (mid, bad) if fitting(mid) else (good, mid)
+        scale = fitting(good)
+        assert scale is not None
+        return scale
 
 
 @dataclass(frozen=True)

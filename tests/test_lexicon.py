@@ -243,6 +243,16 @@ def test_source_range_maps_every_value_in_it_onto_the_strength_scale(ends, data)
         assert mapped[2] == pytest.approx(2.0) and mapped[0] == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-171883.00000000003, -171883.0), (1e15, 1e15 + 0.125), (1e300, math.nextafter(1e300, math.inf)),
+])
+def test_narrow_source_range_far_from_zero_still_maps_onto_the_strength_scale(lo, hi):
+    # the offset is too coarse here for one-ulp factor steps to find a fit soon
+    scale = LinearScale.from_ranges((lo, hi))
+    assert scale.factor > 0.0
+    assert -2.0 <= scale.apply(lo) <= scale.apply(hi) <= 2.0
+
+
 # Raw terms that collide under normalization, inside one source and across sources.
 # Besides case and spacing variants, terms that `tokenize` would read
 # otherwise: edge punctuation and emoticons (ROADMAP item 15).
