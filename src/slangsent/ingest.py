@@ -2,8 +2,10 @@
 
 Entries arrive as JSON lines, one object per record, with fields term,
 meanings, examples, related_terms, upvotes, downvotes and an optional
-created_date. Meanings and examples are carried for provenance only; the
-related-word lists are the only entry content the sentiment stages trust.
+created_date. Every field is checked where an entry file is read, and
+`extend` writes each record back as it read it. The vocabulary keeps only
+what the later stages read: each normalized term and its related terms. The
+entry files stay the provenance of meanings, examples, votes and dates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import DataError, ParseError
 from .records import Lines, json_string, json_strings, parse_record, value_of, write_lines
 from .text import checked_term, normalize_term
 
-Vocabulary = dict[str, "SlangEntry"]
+Vocabulary = dict[str, tuple[str, ...]]  # normalized term -> its related terms
 
 
 class SlangEntry(NamedTuple):
@@ -108,75 +110,54 @@ def entry_row(entry: SlangEntry) -> str:
 
 
 def build_vocabulary(entries: Iterable[SlangEntry]) -> Vocabulary:
-    """Merge entries into one record per normalized term.
-
-    A term with one record keeps that record's meanings, examples, votes and
-    date as they are. For a term with several, meanings and examples are
-    concatenated with the better-voted record's items first (descending net
-    votes, ties keep input order), votes are summed and the earliest date is
-    kept. Related terms are normalized, unique, sorted and never the term;
-    those outside the vocabulary stay, for graph construction to judge.
-    """
-    groups: dict[str, list[SlangEntry]] = {}
+    """Each normalized term of `entries`, in first-seen order, mapped to the
+    related terms of all its records: normalized, unique, sorted and never
+    the term. Related terms outside the vocabulary stay, for graph
+    construction to judge."""
+    raws: dict[str, list[str]] = {}
     for entry in entries:
         term = normalize_term(entry.term)
         if not term:
             raise DataError(f"term is empty after normalization: {reprlib.repr(entry.term)}")
-        groups.setdefault(term, []).append(entry)
-
-    vocabulary: Vocabulary = {}
+        raws.setdefault(term, []).extend(entry.related_terms)
     normal = cache(normalize_term)
-    for term, group in groups.items():
-        if len(group) == 1:
-            [entry] = group
-            vocabulary[term] = SlangEntry(term, entry.meanings, entry.examples,
-                                          _related_terms(term, entry.related_terms, normal),
-                                          entry.upvotes, entry.downvotes, entry.created_date)
-            continue
-        ranked = sorted(group, key=lambda e: e.upvotes - e.downvotes, reverse=True)
-        dates = [e.created_date for e in group if e.created_date is not None]
-        vocabulary[term] = SlangEntry(
-            term,
-            tuple(m for e in ranked for m in e.meanings),
-            tuple(x for e in ranked for x in e.examples),
-            _related_terms(term, [r for e in group for r in e.related_terms], normal),
-            sum(e.upvotes for e in group),
-            sum(e.downvotes for e in group),
-            min(dates) if dates else None,
-        )
-    return vocabulary
+    return {term: _related_terms(term, related, normal) for term, related in raws.items()}
 
 
 def _related_terms(term: str, raws: Iterable[str], normal: Callable[[str], str]) -> tuple[str, ...]:
-    """The related terms of `term`'s merged entry when its records list the
-    strings `raws`: each put through `normal` (a memo of `normalize_term`),
-    then unique, sorted, and without "" or the term itself."""
+    """The related terms of `term` when its records list the strings `raws`:
+    each put through `normal` (a memo of `normalize_term`), then unique,
+    sorted, and without "" or the term itself."""
     related = set(map(normal, raws))
     related -= {term, ""}
     return tuple(sorted(related))
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    write_lines(path, (entry_row(vocabulary[term]) for term in sorted(vocabulary)))
+    write_lines(path, (f'{{"related_terms": {json_strings(vocabulary[term])}, '
+                       f'"term": {json_string(term)}}}\n' for term in sorted(vocabulary)))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """The vocabulary `save_vocabulary` wrote, read back without merging it
-    again: a ParseError names the line of an entry that `build_vocabulary` would
-    change, by its term (unnormalized or repeated) or by `_related_terms`."""
+    """The vocabulary `save_vocabulary` wrote, read back without building it
+    again. A row holds `term` and, optionally, `related_terms`; other keys are
+    ignored, so rows that also hold an entry's other fields load too. A
+    ParseError names the line of a row that `build_vocabulary` would change,
+    by its term (unnormalized or repeated) or by `_related_terms`."""
     vocabulary: Vocabulary = {}
     normal = cache(normalize_term)
     with Lines(path) as lines:
         for raw in lines:
-            entry = _parse_record(raw)
-            term = checked_term(entry.term)
+            record = parse_record(raw)
+            term = checked_term(value_of(record, "term", str))
             if term in vocabulary:
                 raise ParseError(f"duplicate term {reprlib.repr(term)}")
-            merged = _related_terms(term, entry.related_terms, normal)
-            if merged != entry.related_terms:
-                raise ParseError(f"related terms {reprlib.repr(list(entry.related_terms))} "
+            related = value_of(record, "related_terms", list, default=[])
+            merged = _related_terms(term, related, normal)
+            if list(merged) != related:
+                raise ParseError(f"related terms {reprlib.repr(related)} "
                                  f"merge to {reprlib.repr(list(merged))}")
-            vocabulary[term] = entry
+            vocabulary[term] = merged
     return vocabulary
 
 

@@ -48,11 +48,11 @@ def build_graph(vocabulary: Vocabulary) -> SynonymGraph:
     """Symmetrize related-word lists into an undirected graph.
 
     One node per vocabulary term; an edge whenever either term lists the
-    other, but only if both ends are vocabulary terms. Related terms pointing
-    outside the vocabulary produce nothing.
+    other among its related terms, but only if both ends are vocabulary
+    terms. Related terms pointing outside the vocabulary produce nothing.
     """
-    edges = ((term, related) for term, entry in vocabulary.items()
-             for related in entry.related_terms if related != term and related in vocabulary)
+    edges = ((term, other) for term, related in vocabulary.items()
+             for other in related if other != term and other in vocabulary)
     return SynonymGraph(vocabulary.keys(), edges)
 
 

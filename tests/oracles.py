@@ -126,41 +126,18 @@ def brute_term(raw):
 
 
 def brute_vocabulary(records):
-    """One merged (term, meanings, examples, related_terms, upvotes,
-    downvotes, created_date) per canonical term, from records holding those
-    seven fields.
-
-    Every term merges all its records the same way: meanings and examples
-    of better-voted records first (net votes descending, ties in input
-    order), votes summed, the earliest known date, and the related terms
-    canonical, distinct, sorted, never empty and never the term itself."""
-    groups = {}
-    for record in records:
-        groups.setdefault(brute_term(record[0]), []).append(record)
+    """Each canonical term of `records`, (raw term, raw related terms) pairs,
+    mapped to the related terms of all its records: canonical, distinct,
+    sorted, never empty and never the term itself."""
     vocabulary = {}
-    for term, group in groups.items():
-        nets = [record[4] - record[5] for record in group]
-        ranked = []
-        for net in range(max(nets), min(nets) - 1, -1):
-            for record in group:
-                if record[4] - record[5] == net:
-                    ranked.append(record)
-        meanings, examples = [], []
-        for record in ranked:
-            meanings += record[1]
-            examples += record[2]
-        related = set()
-        for record in group:
-            for raw in record[3]:
-                related.add(brute_term(raw))
+    for raw_term, raw_related in records:
+        term = brute_term(raw_term)
+        related = set(vocabulary.get(term, ()))
+        for raw in raw_related:
+            related.add(brute_term(raw))
         related.discard(term)
         related.discard("")
-        dates = [record[6] for record in group if record[6] is not None]
-        vocabulary[term] = (
-            term, tuple(meanings), tuple(examples), tuple(sorted(related)),
-            sum(record[4] for record in group), sum(record[5] for record in group),
-            min(dates) if dates else None,
-        )
+        vocabulary[term] = tuple(sorted(related))
     return vocabulary
 
 

@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import shlex
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from slangsent import pipeline
 from slangsent.cli import main
 from slangsent.corpus import FileCorpusProvider, estimate_all
-from slangsent.ingest import load_vocabulary
+from slangsent.ingest import SlangEntry, load_vocabulary, parse_entries
 from slangsent.lexicon import Lexicon, LexiconEntry, Stage, combine, load_lexicon, save_lexicon
 from slangsent.scoring import score_text
 
@@ -124,9 +125,7 @@ def _seed_with_repeated_term(golden, tmp_path):
 
 def _estimate_with_bad_corpus_record(tmp_path):
     vocabulary = tmp_path / "vocabulary.jsonl"
-    vocabulary.write_text(
-        json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]}) + "\n", encoding="utf-8"
-    )
+    vocabulary.write_text('{"related_terms": [], "term": "lit"}\n', encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "1", "text": "lit :)"}\n{"id": 2, "text": "lit"}\n', encoding="utf-8")
     return ["estimate", "--vocabulary", str(vocabulary),
@@ -179,12 +178,11 @@ def _damaged_gzip_input(tmp_path, damage, command, option, record, *rest):
 
 
 def _unmerged_vocabulary(tmp_path, command, *records):
-    """`command` reading a vocabulary file of one entry per record, with
+    """`command` reading a vocabulary file of one row per record, with
     inputs that are otherwise good."""
     vocabulary = tmp_path / "vocabulary.jsonl"
-    vocabulary.write_text("".join(
-        json.dumps({"meanings": ["m"], "examples": ["x"], **record}) + "\n" for record in records
-    ), encoding="utf-8")
+    vocabulary.write_text("".join(json.dumps(record) + "\n" for record in records),
+                          encoding="utf-8")
     seed = str(lexicon_file(tmp_path, {"good": 1.0}))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "1", "text": "lit :)"}\n', encoding="utf-8")
@@ -362,6 +360,15 @@ BAD_INPUTS = LONG_VALUES + [
     ("sources-source_range-factor-overflows",
      lambda g, t: _seed_with(g, t, scale={"source_range": [0, 5e-324]}), 1,
      "bad scale: 'source_range' [0.0, 5e-324] is too wide or too narrow"),
+    # So narrow a range, so far from 0, gets no map that keeps its ends apart.
+    ("source_range-too-narrow-for-its-magnitude",
+     lambda g, t: _run_with_source(g, scale={"source_range": [1e15, 1e15 + 0.125]}), 1,
+     "bad scale: 'source_range' [1000000000000000.0, 1000000000000000.1] is too narrow for its "
+     "magnitude"),
+    ("sources-source_range-too-narrow-for-its-magnitude",
+     lambda g, t: _seed_with(g, t, scale={"source_range": [1e15, 1e15 + 0.125]}), 1,
+     "bad scale: 'source_range' [1000000000000000.0, 1000000000000000.1] is too narrow for its "
+     "magnitude"),
     # A negative factor would flip every value's polarity; a zero one would
     # map every value to the offset.
     ("scale-factor-negative", lambda g, t: _run_with_source(g, scale={"factor": -1.0}), 1,
@@ -1019,15 +1026,23 @@ class TestExtendCommand:
     def test_extend_from_directory(self, tmp_path, capsys):
         fetch_dir = tmp_path / "days"
         fetch_dir.mkdir()
-        record = {"term": "newword", "meanings": ["m"], "examples": ["e"],
-                  "upvotes": 1, "downvotes": 0}
-        (fetch_dir / "2023-04-01.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        records = [{"term": "NewWord", "meanings": ["m1", "m2"], "examples": ["e"],
+                    "related_terms": ["Lit", "lit"], "upvotes": 1, "downvotes": 3,
+                    "created_date": "2023-03-30"},
+                   {"term": "newword", "meanings": ["n"], "examples": ["f", "g"]}]
+        day = fetch_dir / "2023-04-01.jsonl"
+        day.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         out = tmp_path / "new_entries.jsonl"
         assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-02",
                      "--fetch-dir", str(fetch_dir), "--output", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "1 entries from 1/2 days" in captured.out
+        assert "2 entries from 1/2 days" in captured.out
         assert "2023-04-02" in captured.err
+        # Each record is written as it was read: nothing is merged or dropped.
+        assert parse_entries(out) == parse_entries(day) == [
+            SlangEntry("NewWord", ("m1", "m2"), ("e",), ("Lit", "lit"), 1, 3, date(2023, 3, 30)),
+            SlangEntry("newword", ("n",), ("f", "g")),
+        ]
 
     def test_fetch_failure_is_reported_once(self, tmp_path, capsys, caplog):
         assert main(["extend", "--from", "2023-04-01", "--to", "2023-04-01",

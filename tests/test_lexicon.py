@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slangsent.errors import DataError, ParseError
-from slangsent.ingest import SlangEntry
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -218,7 +217,8 @@ class TestMergeSeedLexicons:
 
 # Integer and float `source_range` ends. Rounding carries some ranges' own end
 # points off the strength scale unless `from_ranges` corrects for it: [-7, 3]
-# once mapped 3 to 2.0000000000000004.
+# once mapped 3 to 2.0000000000000004. A range too narrow for its magnitude,
+# one that 64 one-ulp steps of the factor cannot fit, is refused.
 RANGE_ENDS = st.integers(-10**6, 10**6) | st.floats(-1e300, 1e300)
 
 
@@ -228,6 +228,8 @@ RANGE_ENDS = st.integers(-10**6, 10**6) | st.floats(-1e300, 1e300)
 @example(ends=[-10, 1], data=None)
 @example(ends=[-6, -1], data=None)
 @example(ends=[0, 5e-324], data=None)
+@example(ends=[1e15, 1e15 + 0.125], data=None)
+@example(ends=[1e300, math.nextafter(1e300, math.inf)], data=None)
 def test_source_range_maps_every_value_in_it_onto_the_strength_scale(ends, data):
     lo, hi = map(float, ends)
     assume(lo < hi)
@@ -235,22 +237,26 @@ def test_source_range_maps_every_value_in_it_onto_the_strength_scale(ends, data)
         with pytest.raises(ValueError, match="is too wide or too narrow"):
             LinearScale.from_ranges((lo, hi))
         return
-    scale = LinearScale.from_ranges((lo, hi))
+    try:
+        scale = LinearScale.from_ranges((lo, hi))
+    except ValueError as error:
+        assert "is too narrow for its magnitude" in str(error)
+        return
     inner = hi if data is None else data.draw(st.floats(lo, hi))
     mapped = [scale.apply(value) for value in (lo, inner, hi)]
     assert -2.0 <= mapped[0] <= mapped[1] <= mapped[2] <= 2.0
-    if data is None:
-        assert mapped[2] == pytest.approx(2.0) and mapped[0] == pytest.approx(-2.0)
+    assert mapped[0] == pytest.approx(-2.0) and mapped[2] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("lo, hi", [
     (-171883.00000000003, -171883.0), (1e15, 1e15 + 0.125), (1e300, math.nextafter(1e300, math.inf)),
 ])
 def test_narrow_source_range_far_from_zero_still_maps_onto_the_strength_scale(lo, hi):
-    # the offset is too coarse here for one-ulp factor steps to find a fit soon
-    scale = LinearScale.from_ranges((lo, hi))
-    assert scale.factor > 0.0
-    assert -2.0 <= scale.apply(lo) <= scale.apply(hi) <= 2.0
+    # The offset is too coarse here for one-ulp factor steps to find a fit,
+    # and a map that fits takes the ends to one point or to part of the
+    # scale ([1e15, 1e15 + 0.125] would map both to 0.0), so none is made.
+    with pytest.raises(ValueError, match=r"'source_range' \[.*\] is too narrow for its magnitude"):
+        LinearScale.from_ranges((lo, hi))
 
 
 # Raw terms that collide under normalization, inside one source and across sources.
@@ -468,7 +474,7 @@ class TestCombine:
         assert merged["y"].strength == 0.5
 
     def test_assemble(self):
-        vocabulary = {t: SlangEntry(t, ("m",), ("x",)) for t in ("a", "b", "c")}
+        vocabulary = {t: () for t in ("a", "b", "c")}
         seed = Lexicon([entry("zzz", 2.0, Stage.SEED_LEXICON, ("s",)),
                         entry("b", 1.0, Stage.SEED_LEXICON, ("s",))])
         later = Lexicon([entry("b", -1.0), entry("c", 0.5)])

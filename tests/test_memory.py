@@ -1,19 +1,22 @@
-"""Memory guards for the two structures that grow with the inputs: the
-related-word graph keeps a tuple of neighbours per node, and the corpus
-index an ascending list of document positions per token.
+"""Memory guards for the three structures that grow with the inputs: the
+related-word graph keeps a tuple of neighbours per node, the corpus index
+an ascending list of document positions per token, and the loaded
+vocabulary a tuple of related terms per term.
 
 Each bound lies halfway between the bytes the former containers (a set per
-node, a set per token) kept and the bytes the compact ones keep, measured
-with `tracemalloc` on CPython 3.11 for these generated inputs.
+node, a set per token, a whole entry per term) kept and the bytes the
+compact ones keep, measured with `tracemalloc` on CPython 3.11 for these
+generated inputs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 
 from slangsent.corpus import FileCorpusProvider, load_corpus
-from slangsent.ingest import SlangEntry, build_vocabulary
+from slangsent.ingest import SlangEntry, build_vocabulary, load_vocabulary, save_vocabulary
 from slangsent.propagate import build_graph
 
 NODES = 2000
@@ -24,6 +27,7 @@ TOKENS_PER_DOC = 8
 
 GRAPH_BYTES_PER_NODE = 461  # sets: 809; tuples: 114
 INDEX_BYTES_PER_POSTING = 44  # sets: 75; lists: 13.4
+VOCABULARY_BYTES_PER_TERM = 387  # entries: 566; related-term tuples: 208
 
 
 def retained(build):
@@ -81,6 +85,20 @@ def test_graph_keeps_a_tuple_of_distinct_neighbours_per_node():
     for neighbours in graph.values():
         assert type(neighbours) is tuple and len(set(neighbours)) == len(neighbours)
     assert per_node < GRAPH_BYTES_PER_NODE
+
+
+def vocabulary_bytes_per_term(path):
+    save_vocabulary(chained_vocabulary(), path)
+    gc.collect()  # which empties CPython's free lists, so every tuple and dict the load makes counts
+    vocabulary, size = retained(lambda: load_vocabulary(path))
+    return vocabulary, size / len(vocabulary)
+
+
+def test_loaded_vocabulary_keeps_a_tuple_of_related_terms_per_term(tmp_path):
+    vocabulary, per_term = vocabulary_bytes_per_term(tmp_path / "vocabulary.jsonl")
+    assert len(vocabulary) == NODES and vocabulary["t1"] == ("t0", "t2", "t3", "t4")
+    assert all(type(related) is tuple for related in vocabulary.values())
+    assert per_term < VOCABULARY_BYTES_PER_TERM
 
 
 def test_corpus_index_keeps_few_bytes_per_posting(tmp_path):

@@ -27,12 +27,12 @@ class TestSynonymGraph:
     # is where self-loops and unknown endpoints are dropped. The vocabulary is
     # built by hand: build_vocabulary already removes self-references.
     def test_rejects_self_loop(self):
-        graph = build_graph({"a": vocab_entry("a", ["a"])})
+        graph = build_graph({"a": ("a",)})
         assert len(graph) == 1 and graph.edge_count() == 0
         assert graph["a"] == ()
 
     def test_rejects_unknown_endpoint(self):
-        graph = build_graph({"a": vocab_entry("a", ["b"])})
+        graph = build_graph({"a": ("b",)})
         assert len(graph) == 1 and graph.edge_count() == 0
         assert "b" not in graph and graph["a"] == ()
 

@@ -24,8 +24,8 @@ install line promises.
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
 `seed --sources` files. Two properties pin the record codec to the json
-module: each line reads as json.loads reads it, and each row of the three
-row writers (`save_lexicon`, `save_vocabulary` through `entry_row`, and
+module: each line reads as json.loads reads it, and each row of the four
+row writers (`save_lexicon`, `save_vocabulary`, `entry_row` and
 `save_labeled_corpus`) is written as json.dumps writes it. The four record
 types the readers make stay immutable and hash by value."""
 
@@ -48,7 +48,7 @@ from slangsent.cli import main
 from slangsent.corpus import Document, load_corpus
 from slangsent.distant import EmoticonSet, LabeledDocument, load_labeled_corpus, save_labeled_corpus
 from slangsent.errors import ParseError
-from slangsent.ingest import SlangEntry, load_vocabulary, parse_entries, save_vocabulary
+from slangsent.ingest import SlangEntry, entry_row, load_vocabulary, parse_entries, save_vocabulary
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -806,11 +806,12 @@ SOURCES = st.lists(ROW_TEXT, max_size=3) | st.lists(st.sampled_from(["a", "é"])
 LEXICONS = st.lists(st.builds(
     LexiconEntry, ROW_TEXT, STRENGTHS, st.sampled_from(Stage), SOURCES.map(tuple),
 ), max_size=4).map(Lexicon)
+VOCABULARIES = st.dictionaries(ROW_TEXT, SOURCES.map(tuple), max_size=4)
 VOTES = st.sampled_from([0, 10**30]) | st.integers(0, 10**6)
-VOCABULARIES = st.lists(st.builds(
+ENTRIES = st.lists(st.builds(
     SlangEntry, ROW_TEXT, SOURCES.map(tuple), SOURCES.map(tuple), SOURCES.map(tuple), VOTES,
     VOTES, st.none() | st.dates(),
-), max_size=4).map(lambda entries: {entry.term: entry for entry in entries})
+), max_size=4)
 LABELED = st.lists(st.builds(
     LabeledDocument, st.builds(Document, ROW_TEXT, ROW_TEXT, st.just(())),
     st.sampled_from([Polarity.POSITIVE, Polarity.NEGATIVE]),
@@ -821,25 +822,27 @@ def _dumped(rows) -> bytes:
     return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in rows).encode()
 
 
-@given(LEXICONS, VOCABULARIES, LABELED)
+@given(LEXICONS, VOCABULARIES, ENTRIES, LABELED)
 @example(Lexicon([LexiconEntry('say "hi"', -0.0, Stage.SEED_LEXICON,
                                ("back\\slash", "\x00\x1f\t\n\x7f"))]),
-         {'say "hi"': SlangEntry('say "hi"', ("back\\slash",), ("\x00\x1f\t\n\x7f",),
-                                 upvotes=10**30)},
+         {'say "hi"': ("back\\slash", "\x00\x1f\t\n\x7f")},
+         [SlangEntry('say "hi"', ("back\\slash",), ("\x00\x1f\t\n\x7f",), upvotes=10**30)],
          [LabeledDocument(Document('say "hi"', "back\\slash \x00\x1f\t\n\x7f", ()),
                           Polarity.NEGATIVE)])
 @example(Lexicon([LexiconEntry("é ü 漢字 \U0001f600", 5e-324, Stage.IMPORTED),
                   LexiconEntry("a\u2028b\u2029c\x85", 1.0, Stage.PROPAGATION)]),
-         {"é ü 漢字 \U0001f600": SlangEntry("é ü 漢字 \U0001f600", ("a\u2028b\u2029c\x85",),
-                                            ("x",))},
+         {"é ü 漢字 \U0001f600": ("a\u2028b\u2029c\x85",)},
+         [SlangEntry("é ü 漢字 \U0001f600", ("a\u2028b\u2029c\x85",), ("x",))],
          [LabeledDocument(Document("é ü 漢字 \U0001f600", "a\u2028b\u2029c\x85", ()),
                           Polarity.POSITIVE)])
 @example(Lexicon([LexiconEntry("t", 1e-07, Stage.SEED_LEXICON, ("a", "\u2028")),
                   LexiconEntry("u", -2.0, Stage.CORPUS_ESTIMATE)]),
-         {"t": SlangEntry("t", ("a",), ("\u2028",), ("a", "\u2028"), 0, 7, date(999, 12, 31))},
+         {"t": ("a", "\u2028")},
+         [SlangEntry("t", ("a",), ("\u2028",), ("a", "\u2028"), 0, 7, date(999, 12, 31))],
          [])
-@example(Lexicon(), {}, [])
-def test_row_writers_write_each_row_as_json_dumps(tmp_path_factory, lexicon, vocabulary, labeled):
+@example(Lexicon(), {}, [], [])
+def test_row_writers_write_each_row_as_json_dumps(tmp_path_factory, lexicon, vocabulary, entries,
+                                                  labeled):
     root = tmp_path_factory.mktemp("rows")
     save_lexicon(lexicon, root / "lexicon.jsonl")
     assert (root / "lexicon.jsonl").read_bytes() == _dumped(
@@ -848,10 +851,13 @@ def test_row_writers_write_each_row_as_json_dumps(tmp_path_factory, lexicon, voc
     )
     save_vocabulary(vocabulary, root / "vocabulary.jsonl")
     assert (root / "vocabulary.jsonl").read_bytes() == _dumped(
+        {"term": term, "related_terms": list(vocabulary[term])} for term in sorted(vocabulary)
+    )
+    assert "".join(map(entry_row, entries)).encode() == _dumped(
         {"term": e.term, "meanings": list(e.meanings), "examples": list(e.examples),
          "related_terms": list(e.related_terms), "upvotes": e.upvotes, "downvotes": e.downvotes,
          **({} if e.created_date is None else {"created_date": e.created_date.isoformat()})}
-        for e in map(vocabulary.get, sorted(vocabulary))
+        for e in entries
     )
     save_labeled_corpus(labeled, root / "labeled.jsonl")
     assert (root / "labeled.jsonl").read_bytes() == _dumped(

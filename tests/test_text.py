@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slangsent.distant import default_emoticons
 from slangsent.errors import ParseError
-from slangsent.ingest import SlangEntry, load_vocabulary, save_vocabulary
+from slangsent.ingest import load_vocabulary, save_vocabulary
 from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
@@ -106,7 +106,7 @@ class TestCheckedTerm:
     def test_every_term_reader_takes_exactly_the_normalized_terms(self, tmp_path_factory, raw):
         directory, line = tmp_path_factory.mktemp("terms"), f"{raw}\t1"
         save_lexicon(Lexicon([LexiconEntry(raw, 1.0, Stage.IMPORTED)]), directory / "lex.jsonl")
-        save_vocabulary({raw: SlangEntry(raw, ("m",), ("e",))}, directory / "vocab.jsonl")
+        save_vocabulary({raw: ()}, directory / "vocab.jsonl")
         (directory / "slangsd.txt").write_text(line + "\n", encoding="utf-8")
         readers = {
             "lexicon": lambda: load_lexicon(directory / "lex.jsonl"),
