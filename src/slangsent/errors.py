@@ -20,7 +20,5 @@ class DataError(SlangSentError):
 
 
 class ParseError(DataError):
-    """A record of an input file is malformed; `line` is its 1-based line,
-    when the record has one (`records.Lines` sets it)."""
-
-    line: int | None = None
+    """A record of an input file is malformed; the file and line are in the
+    message (`records.Lines` puts them there)."""

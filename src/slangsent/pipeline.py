@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import reprlib
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -86,9 +87,12 @@ class PipelineConfig:
         inputs = [*self.entry_files, *(s.path for s in self.seed_sources), self.corpus_file]
         _require_files(inputs)
         output_dir = Path(self.output_dir)
-        if any(path.is_file() for path in (output_dir, *output_dir.parents)):
-            raise ConfigError(f"'output_dir' is not a directory: {output_dir}")
-        refuse_overwrite(inputs, _outputs(output_dir), "the run")
+        try:
+            if any(path.is_file() for path in (output_dir, *output_dir.parents)):
+                raise ConfigError(f"'output_dir' is not a directory: {output_dir}")
+            refuse_overwrite(inputs, _outputs(output_dir), "the run")
+        except (OSError, ValueError) as exc:  # a name too long to check, a NUL
+            raise ConfigError(f"'output_dir' cannot be checked: {exc}") from None
 
 
 def _outputs(output_dir: Path) -> list[Path]:
@@ -106,7 +110,8 @@ def refuse_overwrite(inputs: Iterable[Path], outputs: Iterable[Path], writer: st
 
 
 def _require_files(paths: Iterable[Path]) -> None:
-    missing = [str(path) for path in paths if not Path(path).is_file()]
+    # os.path.isfile, unlike Path.is_file, is False for a path the OS cannot check.
+    missing = [str(path) for path in paths if not os.path.isfile(path)]
     if missing:
         raise ConfigError(f"missing input files: {', '.join(missing)}")
 
@@ -114,7 +119,8 @@ def _require_files(paths: Iterable[Path]) -> None:
 @contextmanager
 def _reading(path: Path, what: str) -> Iterator[object]:
     """The JSON value in a config or sources file. A read error, and a field
-    that breaks the field rule (`value_of`) within the block, is a ConfigError."""
+    that breaks the field rule (`value_of`) within the block, is a ConfigError:
+    the block reads fields and checks no path."""
     try:
         yield json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:  # missing, a directory, unreadable
@@ -196,7 +202,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         _object(raw, "config", ("entries", "seed_lexicons", "corpus", "output_dir", "max_docs",
                                 "sample_seed", "strict"))
         base, sources = path.parent, raw.get("seed_lexicons")
-        config = PipelineConfig(
+        fields = dict(
             entry_files=[base / _string({"entries": entry}, "entries")
                          for entry in value_of(raw, "entries", list)],
             seed_sources=_parse_seed_sources([] if sources is None else sources, base,
@@ -207,6 +213,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             sample_seed=value_of(raw, "sample_seed", int, default=0),
             strict=value_of(raw, "strict", bool, default=True),
         )
+    config = PipelineConfig(**fields)
     refuse_overwrite([path], _outputs(config.output_dir), "the run")
     return config
 

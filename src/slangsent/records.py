@@ -1,7 +1,8 @@
 """Input and output files. Every input file is read through `Lines`, which
 takes gzip, skips blank lines and is where a file's errors get their file
-and line. Record files hold one JSON object per line, UTF-8, LF: each line
-the bytes json.dumps(record, ensure_ascii=False, sort_keys=True) writes.
+and line: the line is in the message. Record files hold one JSON object per
+line, UTF-8, LF: each line the bytes json.dumps(record, ensure_ascii=False,
+sort_keys=True) writes.
 Readers take every field through `value_of`, the one field rule, which the
 config and sources readers use too. String escaping (`json_string`,
 `json_strings`) and the writer live here; each record file's row shape is
@@ -76,7 +77,6 @@ class Lines:
     def locate(self, error: ParseError) -> ParseError:
         """`error`, its message now starting with `<path>: line N: `, or
         `<path>: ` when no line is being read."""
-        error.line = self.number
         where = "" if self.number is None else f"line {self.number}: "
         error.args = (f"{self.path}: {where}{error}",)
         return error

@@ -1,9 +1,10 @@
 """Text plumbing: term normalization, tokenization, phrase occurrence search.
 
-Tokenization is deliberately simple (whitespace split, edge punctuation
-stripped) with one twist: whole chunks that look like ASCII emoticons are
-kept verbatim as single tokens, so downstream emoticon-based labeling and
-lexicon matching can see them.
+Tokenization is deliberately simple: the text is split at whitespace and
+each chunk makes at most one token by one rule, `_token`. A chunk that looks
+like an ASCII emoticon is kept verbatim, so downstream emoticon-based
+labeling and lexicon matching can see it; any other loses its edge
+punctuation and is lowercased.
 """
 
 from __future__ import annotations
@@ -61,26 +62,21 @@ def checked_term(text: str) -> str:
     raise ParseError(f"term is not normalized: {reprlib.repr(text)}")
 
 
-def emoticon_token(chunk: str) -> str | None:
-    """The emoticon token a whitespace-delimited chunk yields, if any.
-
-    Emoticons are preserved verbatim (no case folding): the mouth/eye glyphs
-    are meaning-bearing, so ":D" must survive as written.
-    """
-    if EMOTICON_RE.fullmatch(chunk):
-        return chunk
-    trimmed = chunk.strip(_WRAPPING_PUNCT)
-    if trimmed != chunk and EMOTICON_RE.fullmatch(trimmed):
-        return trimmed
-    return None
-
-
 # Short text repeats its chunks, so each distinct chunk is tokenized once per
 # process. The bound keeps a long tail of one-off chunks from growing the memo
 # without limit; the memo also hands out one shared string per token.
 @functools.lru_cache(maxsize=1 << 14)
 def _token(chunk: str) -> str | None:
-    return emoticon_token(chunk) or _EDGE_RE.sub("", chunk).lower() or None
+    """The chunk rule: an emoticon, alone or wrapped in quote-like punctuation,
+    is kept verbatim (":D" must survive as written); any other chunk is
+    stripped of leading/trailing punctuation (word-internal apostrophes and
+    hyphens survive) and lowercased, or None when nothing is left."""
+    if EMOTICON_RE.fullmatch(chunk):
+        return chunk
+    trimmed = chunk.strip(_WRAPPING_PUNCT)
+    if trimmed != chunk and EMOTICON_RE.fullmatch(trimmed):
+        return trimmed
+    return _EDGE_RE.sub("", chunk).lower() or None
 
 
 def chunk_token(chunk: str) -> str | None:
@@ -90,13 +86,9 @@ def chunk_token(chunk: str) -> str | None:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase tokens, at most one per chunk (`chunk_token`).
-
-    The text is put in Unicode NFC first, the form terms are stored in.
-    Whitespace-delimited chunks are stripped of leading/trailing punctuation
-    (word-internal apostrophes and hyphens survive); chunks recognized as
-    emoticons are kept whole and verbatim; empty leftovers are dropped.
-    """
+    """Split text into tokens, at most one per whitespace-delimited chunk by
+    the chunk rule (`_token`), once the text is in Unicode NFC, the form terms
+    are stored in."""
     # `_token` never returns "", so filtering out falsy results drops only None.
     return list(filter(None, map(_token, unicodedata.normalize("NFC", text).split())))
 

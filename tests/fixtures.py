@@ -217,3 +217,65 @@ def write_synthetic_fixture(
         encoding="utf-8",
     )
     return config_path
+
+
+def write_planted_fixture(root: Path, rng: random.Random) -> tuple[Path, dict[str, int]]:
+    """A fixture whose slang terms carry a hidden sign that each stage should
+    recover; returns the config path and each term's sign (+1 or -1).
+
+    300 terms, half of them positive; 20 positive and 20 negative seed words.
+    Each of 1,500 documents holds one of the 150 corpus-reachable terms one or
+    two tokens from a seed word of its sign, of the other sign in 20% of them.
+    80% of terms list two related terms of the same sign, so propagation can
+    reach the 150 terms no document holds. `labeled.jsonl` is an evaluation
+    set of 1,000 documents made of slang terms only, one or two of one sign,
+    whose gold label is that sign: no seed word is in it.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    terms = [f"t{i:03d}" for i in range(300)]
+    signs = dict(zip(terms, rng.sample([1, -1] * 150, 300)))
+    by_sign = {sign: [t for t in terms if signs[t] == sign] for sign in (1, -1)}
+    seed_words = {1: [f"p{i:02d}" for i in range(20)], -1: [f"n{i:02d}" for i in range(20)]}
+    filler = [f"f{i:02d}" for i in range(30)]
+
+    entries = []
+    for term in terms:
+        related = []
+        if rng.random() < 0.8:
+            related = rng.sample([t for t in by_sign[signs[term]] if t != term], 2)
+        entries.append(_entry(term, related=related))
+    (root / "entries.jsonl").write_text(
+        "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries), encoding="utf-8")
+    (root / "seed.tsv").write_text("".join(
+        f"{word}\t{sign * round(rng.uniform(0.5, 2.0), 3)}\n"
+        for sign, words in seed_words.items() for word in words), encoding="utf-8")
+
+    reachable = rng.sample(terms, 150)
+    lines = []
+    for i in range(1500):
+        term = reachable[i % 150]
+        sign = signs[term] if rng.random() < 0.8 else -signs[term]
+        words = [term, *rng.sample(filler, rng.randint(0, 1)), rng.choice(seed_words[sign])]
+        if rng.random() < 0.5:
+            words.reverse()
+        words = [*rng.sample(filler, rng.randint(0, 3)), *words,
+                 *rng.sample(filler, rng.randint(0, 3))]
+        lines.append(json.dumps({"id": f"d{i:04d}", "text": " ".join(words)}))
+    (root / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    labeled = []
+    for i in range(1000):
+        sign = rng.choice((1, -1))
+        text = " ".join(rng.sample(by_sign[sign], rng.randint(1, 2)))
+        label = "positive" if sign > 0 else "negative"
+        labeled.append(json.dumps({"id": f"e{i:04d}", "label": label, "text": text}))
+    (root / "labeled.jsonl").write_text("\n".join(labeled) + "\n", encoding="utf-8")
+
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps({
+        "entries": ["entries.jsonl"],
+        "seed_lexicons": [{"id": "planted", "path": "seed.tsv"}],
+        "corpus": "corpus.jsonl",
+        "output_dir": "out",
+    }), encoding="utf-8")
+    return config_path, signs

@@ -257,6 +257,10 @@ def _run_with_config_text(golden, text):
 TOO_MANY_DIGITS = "1" * 5000
 # An integer that reads as JSON but is too large for a float.
 HUGE_INTEGER = 10**400
+# An absolute path whose one name is longer than a file name may be, so that
+# the OS refuses to check it (ENAMETOOLONG); a config or sources file's
+# directory does not prefix it.
+LONG_NAME = "/" + "n" * 300
 
 
 # (id, argv builder, exit code, word the error line must name): values too
@@ -391,6 +395,21 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: _run_with_source(g, scale={"source_range": [-4, 4], "target_range": None}),
      1, "unknown key 'target_range' in a scale with 'source_range'; known keys: source_range"),
     ("sources-missing-seed-file", lambda g, t: _seed_with(g, t, path="nope.tsv"), 1, "nope.tsv"),
+    # A path the OS cannot check (a name longer than a file name may be, a
+    # NUL) is no usable input file or output directory, in `run` and `seed`
+    # alike; the error line names it, and does not blame the config file.
+    ("corpus-path-too-long", lambda g, t: _run_with(g, corpus=LONG_NAME), 1,
+     f"missing input files: {LONG_NAME}"),
+    ("entries-path-too-long", lambda g, t: _run_with(g, entries=[LONG_NAME]), 1,
+     f"missing input files: {LONG_NAME}"),
+    ("seed_lexicons-path-too-long", lambda g, t: _run_with_source(g, path=LONG_NAME), 1,
+     f"missing input files: {LONG_NAME}"),
+    ("sources-path-too-long", lambda g, t: _seed_with(g, t, path=LONG_NAME), 1,
+     f"missing input files: {LONG_NAME}"),
+    ("output_dir-path-too-long", lambda g, t: _run_with(g, output_dir=LONG_NAME), 1,
+     f"'output_dir' cannot be checked: [Errno {errno.ENAMETOOLONG}]"),
+    ("output_dir-null-byte", lambda g, t: _run_with(g, output_dir="out\u0000x"), 1,
+     "'output_dir' cannot be checked: embedded null byte"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
     ("sources-id-null", lambda g, t: _seed_with(g, t, id=None), 1, "'id'"),

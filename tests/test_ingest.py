@@ -55,7 +55,7 @@ class TestParseEntries:
         line = json.dumps({"term": "x", "meanings": ["m"], "upvotes": 0, "downvotes": 0})
         with pytest.raises(ParseError) as exc:
             entries_from(tmp_path, [line])
-        assert exc.value.line == 1
+        assert str(exc.value).startswith(f"{tmp_path / 'entries.jsonl'}: line 1: ")
 
     def test_empty_examples_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -88,13 +88,14 @@ class TestParseEntries:
     def test_bad_json_line_number(self, tmp_path):
         with pytest.raises(ParseError) as exc:
             entries_from(tmp_path, [record(), "{oops"])
-        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{tmp_path / 'entries.jsonl'}: line 2: ")
 
     def test_lenient_mode_skips_and_reports(self, tmp_path):
         issues = []
         entries = entries_from(tmp_path, [record("a"), "{oops", record("b")], issues=issues)
         assert [e.term for e in entries] == ["a", "b"]
-        assert len(issues) == 1 and issues[0].line == 2
+        assert len(issues) == 1
+        assert str(issues[0]).startswith(f"{tmp_path / 'entries.jsonl'}: line 2: ")
 
     def test_blank_lines_ignored(self, tmp_path):
         assert len(entries_from(tmp_path, [record(), "", "  "])) == 1

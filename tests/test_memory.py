@@ -3,10 +3,11 @@ related-word graph keeps a tuple of neighbours per node, the corpus index
 an ascending list of document positions per token, and the loaded
 vocabulary a tuple of related terms per term.
 
-Each bound lies halfway between the bytes the former containers (a set per
-node, a set per token, a whole entry per term) kept and the bytes the
-compact ones keep, measured with `tracemalloc` on CPython 3.11 for these
-generated inputs.
+Each bound lies about halfway between the bytes the former containers (a
+set per node, a set per token, a whole entry per term) kept and the bytes
+the compact ones keep, measured with `tracemalloc` on CPython 3.11.7 for
+these generated inputs. `retained` measures from emptied free lists, so each
+figure reads the same on every call in a process.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ DOCS = 2000
 WORDS = 500
 TOKENS_PER_DOC = 8
 
-GRAPH_BYTES_PER_NODE = 461  # sets: 809; tuples: 114
+GRAPH_BYTES_PER_NODE = 461  # sets: 809; tuples: 119
 INDEX_BYTES_PER_POSTING = 44  # sets: 75; lists: 13.4
 VOCABULARY_BYTES_PER_TERM = 387  # entries: 566; related-term tuples: 208
 
 
 def retained(build):
-    """What `build()` returns and the bytes still allocated once it returns."""
+    """What `build()` returns and the bytes still allocated once it returns.
+    A `gc.collect()` first empties CPython's free lists, so every tuple, list
+    and dict `build` makes counts, whatever earlier calls freed."""
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -89,7 +93,6 @@ def test_graph_keeps_a_tuple_of_distinct_neighbours_per_node():
 
 def vocabulary_bytes_per_term(path):
     save_vocabulary(chained_vocabulary(), path)
-    gc.collect()  # which empties CPython's free lists, so every tuple and dict the load makes counts
     vocabulary, size = retained(lambda: load_vocabulary(path))
     return vocabulary, size / len(vocabulary)
 
