@@ -44,13 +44,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _print_error(line: str) -> None:
+    """Print `line` to stderr, each character str.splitlines breaks at escaped as repr does."""
+    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # data errors and reports usage problems as 1.
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        _print_error(f"{self.prog}: error: {message}")
+        self.exit(EXIT_CONFIG)
 
 
 def _arg(read: Callable[[str], object], what: str) -> Callable[[str], object]:
@@ -165,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_skipped(report) -> None:
     for error in report.skipped:
-        print(f"skipped: {error}", file=sys.stderr)
+        _print_error(f"skipped: {error}")
 
 
 def _cmd_ingest(args) -> None:
@@ -257,12 +265,11 @@ def _cmd_extend(args) -> None:
         refuse_overwrite([args.fetch_dir / args.output.name], [args.output], "the extend command")
     entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
     for day, reason in failures:
-        print(f"fetch failed for {day}: {reason}", file=sys.stderr)
-    requested = len(days)
-    if len(failures) == requested:
+        _print_error(f"fetch failed for {day}: {reason}")
+    if len(failures) == len(days):
         raise DataError(f"no requested day could be read; {args.output} is left as it was")
     write_lines(args.output, map(entry_row, entries))
-    print(f"{len(entries)} entries from {requested - len(failures)}/{requested} days "
+    print(f"{len(entries)} entries from {len(days) - len(failures)}/{len(days)} days "
           f"-> {args.output}")
 
 
@@ -307,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         _refuse_overwrite(args)
         args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_CONFIG
     except (SlangSentError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _print_error(f"data error: {exc}")
         return EXIT_DATA
     return EXIT_OK
 

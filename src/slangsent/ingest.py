@@ -166,8 +166,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 def date_range(start: date, end: date) -> list[date]:
     """Calendar days from start to end, inclusive; empty when start > end."""
-    days = (end - start).days
-    return [start + timedelta(days=i) for i in range(days + 1)] if days >= 0 else []
+    return [start + timedelta(days=i) for i in range((end - start).days + 1)]
 
 
 def fetch_new_entries(

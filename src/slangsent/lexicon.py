@@ -41,14 +41,6 @@ class Polarity(Enum):
     NEGATIVE = "negative"
     NEUTRAL = "neutral"
 
-    @classmethod
-    def from_value(cls, value: float) -> Polarity:
-        if value > 0:
-            return cls.POSITIVE
-        if value < 0:
-            return cls.NEGATIVE
-        return cls.NEUTRAL
-
 
 def mean_strength(values: Sequence[float]) -> float:
     """Arithmetic mean as a float, closed over the inputs' own range.
@@ -112,13 +104,9 @@ class Lexicon(dict[str, LexiconEntry]):
 
 def combine(*lexicons: Lexicon) -> Lexicon:
     """Union with first-wins precedence: a term labeled by an earlier lexicon
-    is never overwritten by a later one."""
-    table: dict[str, LexiconEntry] = {}
-    for lexicon in lexicons:
-        for term in lexicon:
-            if term not in table:
-                table[term] = lexicon[term]
-    return Lexicon(table.values())
+    is never overwritten by a later one. The lexicons are read last to first,
+    so an earlier lexicon's entry is built in after, and replaces, a later one's."""
+    return Lexicon(entry for lexicon in reversed(lexicons) for entry in lexicon.values())
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,8 @@ class ScoreBreakdown:
 
 def _total_and_polarity(matches: Sequence[Match]) -> tuple[float, Polarity]:
     total = math.fsum(m.strength for m in matches)
-    return total, Polarity.from_value(total)
+    return total, (Polarity.POSITIVE if total > 0 else
+                   Polarity.NEGATIVE if total < 0 else Polarity.NEUTRAL)
 
 
 def score_tokens(tokens: Sequence[str], lexicon: Lexicon) -> ScoreBreakdown:

@@ -91,6 +91,18 @@ MUTANTS = [
            "    if EMOTICON_RE.fullmatch(chunk):\n        return chunk\n",
            "    if EMOTICON_RE.fullmatch(chunk):\n        return chunk.lower()\n",
            ("tests/test_acceptance.py::test_distant_labeler",)),
+    # `combine` lets a later lexicon's entry win.
+    Mutant("lexicon.py", "for lexicon in reversed(lexicons)", "for lexicon in lexicons",
+           ("tests/test_lexicon.py::TestCombine::test_equals_the_brute_oracle",)),
+    # A total of exactly zero reads positive.
+    Mutant("scoring.py", "if total > 0 else", "if total >= 0 else",
+           ("tests/test_scoring.py::TestScoreText::test_polarity_is_the_sign_of_the_total",)),
+    # An error line is written with its line breaks as they are.
+    Mutant("cli.py", "print(line.translate(_LINE_BREAKS), file=sys.stderr)",
+           "print(line, file=sys.stderr)",
+           (f"{_BAD_INPUT}[corpus-path-with-line-break]",
+            f"{_BAD_INPUT}[sources-path-with-line-break]",
+            f"{_BAD_INPUT}[score-corpus-named-with-line-break]")),
     # A located error names its file but not its line.
     Mutant("records.py",
            'where = "" if self.number is None else f"line {self.number}: "',

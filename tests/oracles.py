@@ -166,6 +166,14 @@ def brute_seed_merge(sources):
     return merged
 
 
+def brute_combine(lexicons):
+    """{term: entry} over every term of the lexicons, each entry taken from
+    the first lexicon that holds its term."""
+    terms = {term for lexicon in lexicons for term in lexicon}
+    return {term: next(lexicon[term] for lexicon in lexicons if term in lexicon)
+            for term in terms}
+
+
 # --- greedy longest-match scoring -------------------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import gzip
+import itertools
 import json
 import logging
 import os
@@ -144,10 +145,10 @@ def _ingest_text(tmp_path, text):
             "--output", str(tmp_path / "out.jsonl")]
 
 
-def _score_corpus_text(tmp_path, text):
-    (tmp_path / "corpus.jsonl").write_text(text, encoding="utf-8")
+def _score_corpus_text(tmp_path, text, name="corpus.jsonl"):
+    (tmp_path / name).write_text(text, encoding="utf-8")
     return ["score", "--lexicon", str(lexicon_file(tmp_path, {"hi": 1.0})),
-            "--corpus", str(tmp_path / "corpus.jsonl")]
+            "--corpus", str(tmp_path / name)]
 
 
 def _seed_with_sources_text(golden, tmp_path, text):
@@ -410,6 +411,15 @@ BAD_INPUTS = LONG_VALUES + [
      f"'output_dir' cannot be checked: [Errno {errno.ENAMETOOLONG}]"),
     ("output_dir-null-byte", lambda g, t: _run_with(g, output_dir="out\u0000x"), 1,
      "'output_dir' cannot be checked: embedded null byte"),
+    # A line break in a path is written as repr escapes it, so the error
+    # stays one line.
+    ("corpus-path-with-line-break", lambda g, t: _run_with(g, corpus="a\nb"), 1,
+     "/fixture/a\\nb"),
+    ("sources-path-with-line-break", lambda g, t: _seed_with(g, t, path="a\u2028b"), 1,
+     "/fixture/a\\u2028b"),
+    ("score-corpus-named-with-line-break",
+     lambda g, t: _score_corpus_text(t, '{"id": 5, "text": "x"}\n', name="a\nb.jsonl"), 2,
+     "/a\\nb.jsonl: line 1: 'id' must be a string, got 5"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
     ("sources-id-null", lambda g, t: _seed_with(g, t, id=None), 1, "'id'"),
@@ -676,9 +686,13 @@ def test_bad_input_exits_with_one_error_line(golden, tmp_path, capsys, build_arg
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and names in errors[0], err
-    assert not errors[0].endswith(" -> None"), err
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: "):  # argparse's usage block, then its error line
+        lines = list(itertools.dropwhile(lambda line: line.startswith(" "), lines[1:]))
+    if argv[0] == "extend":  # its line for each day it could not read comes first
+        lines = list(itertools.dropwhile(lambda line: line.startswith("fetch failed for "), lines))
+    assert len(lines) == 1 and "error:" in lines[0] and names in lines[0], err
+    assert not lines[0].endswith(" -> None"), err
     assert _file_bytes(tmp_path) == before  # no file written, changed or created
 
 
@@ -690,6 +704,17 @@ def test_failed_write_names_only_its_target(tmp_path, capsys, target, code):
     assert capsys.readouterr().err.splitlines() == [
         f"data error: [Errno {code}] {os.strerror(code)}: '{tmp_path / target}'"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["entries.jsonl", "out"]
+
+
+# Every character at which str.splitlines breaks.
+LINE_BREAKS = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=ascii)
+def test_each_line_break_is_written_as_repr_escapes_it(capsys, char):
+    assert main(["score", "--lexicon", "l", "--text", "t", f"a{char}b"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"slangsent: error: unrecognized arguments: a{repr(char)[1:-1]}b")
 
 
 def _file_bytes(root):
@@ -792,6 +817,18 @@ def test_lenient_skip_is_reported_once_with_its_file(golden, tmp_path, capsys, c
     assert len(reports) == 2, reports
     assert reports[0].startswith(f"skipped: {golden.parent / 'e1.jsonl'}: line 2: bad JSON")
     assert reports[1].startswith(f"skipped: {golden.parent / 'e2.jsonl'}: line 2: bad JSON")
+
+
+def test_lenient_skips_in_a_file_named_with_a_line_break_are_one_line_each(tmp_path, capsys):
+    path = tmp_path / "e\n1.jsonl"
+    good = json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]})
+    path.write_text(f'{good}\n{{broken\n{{"term": 5}}\n', encoding="utf-8")
+    assert main(["ingest", "--lenient", "--input", str(path),
+                 "--output", str(tmp_path / "vocabulary.jsonl")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith(f"skipped: {tmp_path}/e\\n1.jsonl: line 2: bad JSON")
+    assert lines[1] == f"skipped: {tmp_path}/e\\n1.jsonl: line 3: 'term' must be a string, got 5"
 
 
 def test_lenient_run_reports_skips_only_when_it_builds_the_vocabulary(golden, tmp_path, capsys):

@@ -15,7 +15,6 @@ from slangsent.lexicon import (
     Lexicon,
     LexiconEntry,
     LinearScale,
-    Polarity,
     SeedSource,
     Stage,
     classify,
@@ -31,7 +30,7 @@ from slangsent.lexicon import (
 )
 from slangsent.pipeline import assemble
 
-from .oracles import brute_seed_merge
+from .oracles import brute_combine, brute_seed_merge
 
 
 def entry(term, strength, stage=Stage.IMPORTED, sources=()):
@@ -73,11 +72,6 @@ class TestStrengthHelpers:
         mean = mean_strength([x])
         assert type(mean) is float and mean == x
         assert math.copysign(1.0, mean) == math.copysign(1.0, x)
-
-    def test_polarity_from_value(self):
-        assert Polarity.from_value(0.1) is Polarity.POSITIVE
-        assert Polarity.from_value(-3) is Polarity.NEGATIVE
-        assert Polarity.from_value(0.0) is Polarity.NEUTRAL
 
 
 def _lexicon_file(tmp_path, rows):
@@ -472,6 +466,15 @@ class TestCombine:
         assert merged["x"].strength == 1.0
         assert merged["x"].stage is Stage.SEED_LEXICON
         assert merged["y"].strength == 0.5
+
+    # Few terms, so the lexicons share most of them.
+    @given(st.lists(st.dictionaries(st.sampled_from("abcd"), st.sampled_from([-1.0, 0.5, 2.0]))
+                    .map(lambda values: Lexicon(entry(t, s) for t, s in values.items())),
+                    max_size=4))
+    def test_equals_the_brute_oracle(self, lexicons):
+        combined, expected = combine(*lexicons), brute_combine(lexicons)
+        assert type(combined) is Lexicon and combined == expected
+        assert all(combined[term] is kept for term, kept in expected.items())
 
     def test_assemble(self):
         vocabulary = {t: () for t in ("a", "b", "c")}

@@ -175,6 +175,16 @@ class TestScoreText:
         assert breakdown.polarity is Polarity.NEUTRAL
         assert breakdown.matches == ()
 
+    @pytest.mark.parametrize("tokens, total, polarity", [
+        (["so", "lit"], 0.125, Polarity.POSITIVE),
+        (["meh", "meh"], -3.0, Polarity.NEGATIVE),
+        (["fam", "meh"], 0.0, Polarity.NEUTRAL),  # matches that sum to exactly zero
+        (["nothing", "here"], 0.0, Polarity.NEUTRAL),
+    ], ids=["positive", "negative", "zero-sum", "no-match"])
+    def test_polarity_is_the_sign_of_the_total(self, tokens, total, polarity):
+        breakdown = score_tokens(tokens, lexicon({"lit": 0.125, "meh": -1.5, "fam": 1.5}))
+        assert breakdown.total == total and breakdown.polarity is polarity
+
     def test_format_text(self):
         text = score_text("shit hot", SHIT_LEX).format_text()
         assert "shit hot" in text and "positive" in text
