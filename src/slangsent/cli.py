@@ -52,6 +52,13 @@ def _print_error(line: str) -> None:
     print(line.translate(_LINE_BREAKS), file=sys.stderr)
 
 
+class _OneLineFormatter(logging.Formatter):
+    """Formats a log record as one line, escaped as `_print_error` escapes its line."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return super().format(record).translate(_LINE_BREAKS)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # data errors and reports usage problems as 1.
@@ -308,7 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     # basicConfig adds the root handler only once per process, so each call
     # sets the level of the package's loggers itself.
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler()
+    handler.setFormatter(_OneLineFormatter("%(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(handlers=[handler])
     logging.getLogger(__package__).setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         _refuse_overwrite(args)

@@ -29,7 +29,9 @@ _ID_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
 
 class Document(NamedTuple):
-    """A short text with its derived token sequence."""
+    """A short text with its derived token sequence, which must be
+    `tokenize(text)`, as `from_text` makes it: the distant labeler relies on
+    it to strip emoticons without tokenizing the text again."""
 
     id: str
     text: str

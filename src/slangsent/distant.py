@@ -12,6 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,7 +91,13 @@ def build_eval_corpus(
     by reason in the report. Each labeled document has every token from
     either set removed, in text and tokens alike: a chunk is dropped when its
     `chunk_token` is one, and as a chunk yields at most one token, the kept
-    tokens are the document's tokens less those."""
+    tokens are the document's tokens less those.
+
+    A document's tokens must be `tokenize(text)`, as `Document.from_text`
+    makes them; the labeler relies on it. NFC neither joins nor splits
+    whitespace chunks, so when a document has as many chunks as tokens,
+    chunk i made token i and one mask over the tokens strips both. Only a
+    document with a chunk that made no token tokenizes its chunks again."""
     sources = emoticons.positive | emoticons.negative
     labeled: list[LabeledDocument] = []
     report = DistantReport()
@@ -103,8 +110,14 @@ def build_eval_corpus(
             else:
                 report.discarded_unmarked += 1
             continue
-        text = " ".join(chunk for chunk in doc.text.split() if chunk_token(chunk) not in sources)
-        tokens = tuple(token for token in doc.tokens if token not in sources)
+        chunks = doc.text.split()
+        if len(chunks) == len(doc.tokens):
+            keep = [token not in sources for token in doc.tokens]
+            text = " ".join(compress(chunks, keep))
+            tokens = tuple(compress(doc.tokens, keep))
+        else:
+            text = " ".join(chunk for chunk in chunks if chunk_token(chunk) not in sources)
+            tokens = tuple(token for token in doc.tokens if token not in sources)
         gold = Polarity.POSITIVE if has_positive else Polarity.NEGATIVE
         labeled.append(LabeledDocument(Document(doc.id, text, tokens), gold))
         report.labeled += 1

@@ -35,11 +35,17 @@ class Stage(Enum):
     # fractional strength are not recoverable from the quantized file.
     IMPORTED = "imported"
 
+    # Members are singletons and Enum compares by identity.
+    __hash__ = object.__hash__
+
 
 class Polarity(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     NEUTRAL = "neutral"
+
+    # Members are singletons and Enum compares by identity.
+    __hash__ = object.__hash__
 
 
 def mean_strength(values: Sequence[float]) -> float:

@@ -39,6 +39,7 @@ _STRENGTH_ORACLE = ("tests/test_corpus.py::TestDocumentStrength::"
                     "test_equals_the_mean_of_the_values_the_oracle_chooses")
 _MERGE_ORACLE = "tests/test_lexicon.py::test_merge_seed_lexicons_equals_the_brute_oracle"
 _BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_with_one_error_line"
+_LABEL_REFERENCE = "tests/test_distant.py::TestBuildEvalCorpus::test_labels_as_the_reference"
 
 MUTANTS = [
     # A tie between the two sides of a lone occurrence returns only the left value.
@@ -91,6 +92,13 @@ MUTANTS = [
            "    if EMOTICON_RE.fullmatch(chunk):\n        return chunk\n",
            "    if EMOTICON_RE.fullmatch(chunk):\n        return chunk.lower()\n",
            ("tests/test_acceptance.py::test_distant_labeler",)),
+    # The labeler strips by the tokens even when a chunk made no token.
+    Mutant("distant.py", "if len(chunks) == len(doc.tokens):", "if True:",
+           (_LABEL_REFERENCE,)),
+    # The labeler keeps the label sources and drops every other chunk.
+    Mutant("distant.py", "keep = [token not in sources for token in doc.tokens]",
+           "keep = [token in sources for token in doc.tokens]",
+           (_LABEL_REFERENCE,)),
     # `combine` lets a later lexicon's entry win.
     Mutant("lexicon.py", "for lexicon in reversed(lexicons)", "for lexicon in lexicons",
            ("tests/test_lexicon.py::TestCombine::test_equals_the_brute_oracle",)),

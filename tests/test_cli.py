@@ -8,6 +8,8 @@ import logging
 import os
 import re
 import shlex
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -715,6 +717,25 @@ def test_each_line_break_is_written_as_repr_escapes_it(capsys, char):
     assert main(["score", "--lexicon", "l", "--text", "t", f"a{char}b"]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"slangsent: error: unrecognized arguments: a{repr(char)[1:-1]}b")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_each_verbose_log_line_is_one_line(golden):
+    # Log lines go through the logging handler `main` sets up, not through
+    # `_print_error`; pytest's own handlers would hide that handler, so the
+    # CLI runs in a process of its own.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "slangsent.cli", "-v", *_run_with(golden, output_dir="o\nut")]
+    for flags in ([], ["--resume"]):
+        run = subprocess.run([*argv, *flags], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        lines = run.stderr.splitlines()
+        assert lines and all(line.startswith(("INFO ", "WARNING ")) for line in lines), lines
+        assert any("o\\nut" in line for line in lines)
+    assert sum("resuming: " in line for line in lines) == 4
 
 
 def _file_bytes(root):
