@@ -23,7 +23,7 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, DataError, SlangSentError
-from .ingest import date_range, entry_row, fetch_new_entries, load_vocabulary, parse_day
+from .ingest import date_range, day_files, entry_row, fetch_new_entries, load_vocabulary, parse_day
 from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -39,32 +39,34 @@ from .pipeline import (
 from .propagate import stage_report
 from .records import write_json, write_lines, write_text
 from .scoring import EvalSubset, evaluate, score_text, score_tokens
+from .text import LINE_BREAKS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 
-_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_ESCAPES = {ord(c): repr(c)[1:-1] for c in LINE_BREAKS}
 
 
-def _print_error(line: str) -> None:
-    """Print `line` to stderr, each character str.splitlines breaks at escaped as repr does."""
-    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+def _write(*lines: str, stream=None) -> None:
+    """Write each line to `stream`, or to stdout as it is at the call, each
+    character at which str.splitlines breaks escaped as repr escapes it."""
+    for line in lines:
+        print(line.translate(_ESCAPES), file=stream)
 
 
 class _OneLineFormatter(logging.Formatter):
-    """Formats a log record as one line, escaped as `_print_error` escapes its line."""
+    """Formats a log record as one line, escaped as `_write` escapes its lines."""
 
     def format(self, record: logging.LogRecord) -> str:
-        return super().format(record).translate(_LINE_BREAKS)
+        return super().format(record).translate(_ESCAPES)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; this tool reserves 2 for
-    # data errors and reports usage problems as 1.
+    # argparse exits 2 on a usage error; this tool reserves 2 for data errors and exits 1.
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        _print_error(f"{self.prog}: error: {message}")
+        _write(f"{self.prog}: error: {message}", stream=sys.stderr)
         self.exit(EXIT_CONFIG)
 
 
@@ -178,22 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_skipped(report) -> None:
-    for error in report.skipped:
-        _print_error(f"skipped: {error}")
-
-
 def _cmd_ingest(args) -> None:
     vocabulary, report = ingest_entries(args.input, args.output, strict=args.strict)
-    _print_skipped(report)
-    print(f"{report.entries} entries -> {len(vocabulary)} terms -> {args.output}")
+    _write(*(f"skipped: {error}" for error in report.skipped), stream=sys.stderr)
+    _write(f"{report.entries} entries -> {len(vocabulary)} terms -> {args.output}")
 
 
 def _cmd_seed(args) -> None:
     sources = load_seed_sources(args.sources)
     refuse_overwrite((source.path for source in sources), [args.output], "the seed command")
     lexicon = merge_seeds(sources, args.output)
-    print(f"{len(lexicon)} seed terms -> {args.output}")
+    _write(f"{len(lexicon)} seed terms -> {args.output}")
 
 
 def _cmd_estimate(args) -> None:
@@ -203,21 +200,21 @@ def _cmd_estimate(args) -> None:
     )
     if args.report:
         write_json(args.report, dataclasses.asdict(report))
-    print(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable -> {args.output}")
+    _write(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable -> {args.output}")
 
 
 def _cmd_propagate(args) -> None:
     stages = [load_lexicon(path) for path in args.seeds]
     labeled, result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
-    print(f"{len(labeled)} labeled in {result.iterations} iterations, "
-          f"{len(result.unreached)} unreached -> {args.output}")
+    _write(f"{len(labeled)} labeled in {result.iterations} iterations, "
+           f"{len(result.unreached)} unreached -> {args.output}")
 
 
 def _cmd_assemble(args) -> None:
     stages = [load_lexicon(path) for path in (args.seed, args.estimates, args.propagated)]
     final = assemble(load_vocabulary(args.vocabulary), *stages)
     save_lexicon(final, args.output)
-    print(f"{len(final)} terms -> {args.output}")
+    _write(f"{len(final)} terms -> {args.output}")
 
 
 def _cmd_export(args) -> None:
@@ -226,28 +223,26 @@ def _cmd_export(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     if args.slangsd:
         write_text(args.slangsd, export_slangsd(lexicon))
-        print(f"dictionary -> {args.slangsd}")
+        _write(f"dictionary -> {args.slangsd}")
     if args.idiom_table:
         write_text(args.idiom_table, export_idiom_table(lexicon))
-        print(f"idiom table -> {args.idiom_table}")
+        _write(f"idiom table -> {args.idiom_table}")
 
 
 def _cmd_score(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     if args.text is not None:
-        print(score_text(args.text, lexicon).format_text(), end="")
+        _write(*score_text(args.text, lexicon).format_text().splitlines())
         return
     for doc in load_corpus(args.corpus):
         breakdown = score_tokens(doc.tokens, lexicon)
-        print(f"{doc.id}\t{breakdown.total:+g}\t{breakdown.polarity.value}")
+        _write(f"{doc.id}\t{breakdown.total:+g}\t{breakdown.polarity.value}")
 
 
 def _cmd_evaluate(args) -> None:
     lexicon = load_lexicon(args.lexicon)
-    corpus = load_labeled_corpus(args.corpus)
-    report = evaluate(corpus, lexicon, args.subset)
-    print(f"subset: {args.subset.value}")
-    print(report.format_table(), end="")
+    report = evaluate(load_labeled_corpus(args.corpus), lexicon, args.subset)
+    _write(f"subset: {args.subset.value}", *report.format_table().splitlines())
     if args.json:
         write_json(args.json, report.to_dict())
 
@@ -256,8 +251,8 @@ def _cmd_label(args) -> None:
     emoticons = EmoticonSet.from_file(args.emoticons) if args.emoticons else default_emoticons()
     labeled, report = build_eval_corpus(load_corpus(args.corpus), emoticons)
     save_labeled_corpus(labeled, args.output)
-    print(f"{report.labeled} labeled, {report.discarded_conflict} conflicting, "
-          f"{report.discarded_unmarked} without emoticons -> {args.output}")
+    _write(f"{report.labeled} labeled, {report.discarded_conflict} conflicting, "
+           f"{report.discarded_unmarked} without emoticons -> {args.output}")
 
 
 def _cmd_extend(args) -> None:
@@ -266,33 +261,31 @@ def _cmd_extend(args) -> None:
     if args.start > args.end:
         raise ConfigError(f"--from {args.start} is after --to {args.end}")
     days = date_range(args.start, args.end)
-    # Only the day file named like --output can be it; resolving every day's
-    # path would cost more than the fetch on a range of years.
-    if args.output.name in {f"{day}.jsonl{gz}" for day in days for gz in ("", ".gz")}:
+    # Only the day file named like --output can be it; resolving them all costs more than the fetch.
+    if args.output.name in {path.name for day in days for path in day_files(args.fetch_dir, day)}:
         refuse_overwrite([args.fetch_dir / args.output.name], [args.output], "the extend command")
     entries, failures = fetch_new_entries(args.fetch_dir, args.start, args.end)
-    for day, reason in failures:
-        _print_error(f"fetch failed for {day}: {reason}")
+    _write(*(f"fetch failed for {day}: {reason}" for day, reason in failures), stream=sys.stderr)
     if len(failures) == len(days):
         raise DataError(f"no requested day could be read; {args.output} is left as it was")
     write_lines(args.output, map(entry_row, entries))
-    print(f"{len(entries)} entries from {len(days) - len(failures)}/{len(days)} days "
-          f"-> {args.output}")
+    _write(f"{len(entries)} entries from {len(days) - len(failures)}/{len(days)} days "
+           f"-> {args.output}")
 
 
 def _cmd_report(args) -> None:
     report = stage_report(load_lexicon(args.lexicon))
     if args.json:
         write_json(args.json, report.to_dict())
-    print(report.format_text(), end="")
+    _write(*report.format_text().splitlines())
 
 
 def _cmd_run(args) -> None:
     result = run_pipeline(load_config(args.config), resume=args.resume)
-    if "vocabulary" in result.built:
-        _print_skipped(result.built["vocabulary"])
-    print(result.report.format_text(), end="")
-    print(f"exports under {result.paths['slangsd'].parent}")
+    if ingest := result.built.get("vocabulary"):
+        _write(*(f"skipped: {error}" for error in ingest.skipped), stream=sys.stderr)
+    _write(*result.report.format_text().splitlines(),
+           f"exports under {result.paths['slangsd'].parent}")
 
 
 # The options that name a file a command writes. Every other path option names
@@ -323,10 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         _refuse_overwrite(args)
         args.func(args)
     except ConfigError as exc:
-        _print_error(f"error: {exc}")
+        _write(f"error: {exc}", stream=sys.stderr)
         return EXIT_CONFIG
     except (SlangSentError, OSError) as exc:
-        _print_error(f"data error: {exc}")
+        _write(f"data error: {exc}", stream=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

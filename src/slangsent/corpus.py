@@ -4,6 +4,7 @@ A query term's strength in one document is the mean strength of the known
 sentiment words closest to it (token-index distance, ties averaged); a
 document with no known sentiment word counts as neutral. The estimate for
 the term is the mean over up to `max_docs` documents that contain it.
+A document id holds no tab and no character of `text.LINE_BREAKS`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from typing import ClassVar, NamedTuple
 from .errors import ParseError
 from .lexicon import Lexicon, LexiconEntry, Stage, mean_strength
 from .records import Lines, parse_record, value_of
-from .text import find_occurrences, tokenize
+from .text import LINE_BREAKS, find_occurrences, tokenize
 
 DEFAULT_MAX_DOCS = 150
 
-# A tab, or a character at which str.splitlines breaks: `score --corpus`
-# writes each document as one `id<TAB>total<TAB>polarity` line.
-_ID_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+# `score --corpus` writes each document as one `id<TAB>total<TAB>polarity` line.
+_ID_BREAK = re.compile(f"[\t{LINE_BREAKS}]")
 
 
 class Document(NamedTuple):

@@ -169,26 +169,28 @@ def date_range(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range((end - start).days + 1)]
 
 
+def day_files(directory: str | Path, day: date) -> list[Path]:
+    """The paths a day's record file may have, in the order a fetch tries them."""
+    return [Path(directory, f"{day}{suffix}") for suffix in (".jsonl", ".jsonl.gz")]
+
+
 def fetch_new_entries(
     directory: str | Path, start: date, end: date
 ) -> tuple[list[SlangEntry], list[tuple[date, str]]]:
     """Parse the entry records of every day in [start, end] and the (day,
     reason) of each day that failed.
 
-    A day's records are in <directory>/<YYYY-MM-DD>.jsonl, or .jsonl.gz when
-    there is no .jsonl. A missing, unreadable or malformed day file is a
-    failure of that day and the remaining days still run; any other error
-    raises. Output order is by date, then record order within a day.
-    Duplicate terms are left for build_vocabulary to merge.
+    A day's records are in the first of its `day_files` that exists. A
+    missing, unreadable or malformed day file is a failure of that day and
+    the remaining days still run; any other error raises. Output order is by
+    date, then record order within a day. Duplicate terms are left for
+    build_vocabulary to merge.
     """
     entries: list[SlangEntry] = []
     failures: list[tuple[date, str]] = []
     for day in date_range(start, end):
         try:
-            path = Path(directory, f"{day}.jsonl")
-            if not path.exists():
-                path = path.with_name(f"{path.name}.gz")
-            if not path.exists():
+            if (path := next(filter(Path.exists, day_files(directory, day)), None)) is None:
                 raise FileNotFoundError(f"no record file for {day} under {directory}")
             entries.extend(parse_entries(path))
         except (DataError, OSError) as exc:

@@ -172,8 +172,8 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     `path` and rename it over `path`. The lines are taken one at a time, so a
     record file's rows are never all in memory at once."""
     path = Path(path)
-    # Not mkstemp: its files are private (0600); open(..., "x") applies the umask.
-    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    # Not mkstemp, whose files are 0600; a fixed-length name fits wherever the target's does.
+    temporary = path.with_name(f".{secrets.token_hex(8)}.tmp")
     try:
         with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
             handle.writelines(lines)

@@ -4,7 +4,9 @@ Tokenization is deliberately simple: the text is split at whitespace and
 each chunk makes at most one token by one rule, `_token`. A chunk that looks
 like an ASCII emoticon is kept verbatim, so downstream emoticon-based
 labeling and lexicon matching can see it; any other loses its edge
-punctuation and is lowercased.
+punctuation and is lowercased. `LINE_BREAKS`, each character at which
+`str.splitlines` breaks, is escaped in every line the CLI writes and refused
+in a document id.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import unicodedata
 from collections.abc import Sequence
 
 from .errors import ParseError
+
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # Classic ASCII emoticons: eyes+nose+mouth, reversed variants, hearts, and a
 # few fixed faces. Applied to whole whitespace-delimited chunks only.

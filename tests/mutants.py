@@ -105,12 +105,17 @@ MUTANTS = [
     # A total of exactly zero reads positive.
     Mutant("scoring.py", "if total > 0 else", "if total >= 0 else",
            ("tests/test_scoring.py::TestScoreText::test_polarity_is_the_sign_of_the_total",)),
-    # An error line is written with its line breaks as they are.
-    Mutant("cli.py", "print(line.translate(_LINE_BREAKS), file=sys.stderr)",
-           "print(line, file=sys.stderr)",
+    # A line the CLI writes, to stderr or stdout, keeps its line breaks as they are.
+    Mutant("cli.py", "print(line.translate(_ESCAPES), file=stream)",
+           "print(line, file=stream)",
            (f"{_BAD_INPUT}[corpus-path-with-line-break]",
             f"{_BAD_INPUT}[sources-path-with-line-break]",
-            f"{_BAD_INPUT}[score-corpus-named-with-line-break]")),
+            f"{_BAD_INPUT}[score-corpus-named-with-line-break]",
+            "tests/test_cli.py::test_each_summary_line_is_one_line[ingest]")),
+    # The writer binds stdout when it is defined, so a redirected stdout gets no line.
+    Mutant("cli.py", "def _write(*lines: str, stream=None) -> None:",
+           "def _write(*lines: str, stream=sys.stdout) -> None:",
+           ("tests/test_cli.py::test_score_corpus_writes_to_stdout_as_redirected",)),
     # A located error names its file but not its line.
     Mutant("records.py",
            'where = "" if self.number is None else f"line {self.number}: "',

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import gzip
+import io
 import itertools
 import json
 import logging
@@ -422,6 +424,12 @@ BAD_INPUTS = LONG_VALUES + [
     ("score-corpus-named-with-line-break",
      lambda g, t: _score_corpus_text(t, '{"id": 5, "text": "x"}\n', name="a\nb.jsonl"), 2,
      "/a\\nb.jsonl: line 1: 'id' must be a string, got 5"),
+    # One byte past the longest name the OS takes (see ACCEPTED_INPUTS): the
+    # error line names the target, not the temporary file written beside it.
+    ("report-json-name-256-bytes",
+     lambda g, t: [*_report_on_lexicon(t, lambda data: data), "--json",
+                   str(t / ("r" * 251 + ".json"))], 2,
+     "r" * 251 + ".json'"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
     ("sources-id-null", lambda g, t: _seed_with(g, t, id=None), 1, "'id'"),
@@ -724,10 +732,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_each_verbose_log_line_is_one_line(golden):
     # Log lines go through the logging handler `main` sets up, not through
-    # `_print_error`; pytest's own handlers would hide that handler, so the
-    # CLI runs in a process of its own.
+    # `_write`; pytest's own handlers would hide that handler, so the
+    # CLI runs in a process of its own, on the package PYTHONPATH names first.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        filter(None, [os.environ.get("PYTHONPATH"), str(SRC)]))}
     argv = [sys.executable, "-m", "slangsent.cli", "-v", *_run_with(golden, output_dir="o\nut")]
     for flags in ([], ["--resume"]):
         run = subprocess.run([*argv, *flags], env=env, capture_output=True, text=True)
@@ -735,7 +743,54 @@ def test_each_verbose_log_line_is_one_line(golden):
         lines = run.stderr.splitlines()
         assert lines and all(line.startswith(("INFO ", "WARNING ")) for line in lines), lines
         assert any("o\\nut" in line for line in lines)
+        assert run.stdout.endswith(f"\nexports under {golden.parent}/o\\nut\n"), run.stdout
     assert sum("resuming: " in line for line in lines) == 4
+
+
+def _summary_argv(golden, command):
+    """`command`'s argv up to the option naming the file it writes, the
+    inputs made by `run` on the golden fixture."""
+    fixture, out = golden.parent, golden.parent / "out"
+    assert main(["run", "--config", str(golden)]) == 0
+    vocabulary, seed, estimates, propagated, final = (str(out / name) for name in (
+        "vocabulary.jsonl", "seed_lexicon.jsonl", "corpus_estimates.jsonl", "propagated.jsonl",
+        "final_lexicon.jsonl"))
+    (fixture / "days").mkdir()
+    (fixture / "days" / "2023-04-01.jsonl").write_text(
+        json.dumps({"term": "lit", "meanings": ["m"], "examples": ["x"]}) + "\n",
+        encoding="utf-8")
+    return {
+        "ingest": ["ingest", "--input", str(fixture / "entries.jsonl"), "--output"],
+        "seed": _seed_with(golden, fixture)[:-1],
+        "estimate": ["estimate", "--vocabulary", vocabulary, "--seed", seed,
+                     "--corpus", str(fixture / "corpus.jsonl"), "--output"],
+        "propagate": ["propagate", "--graph-from", vocabulary, "--seeds", seed, estimates,
+                      "--output"],
+        "assemble": ["assemble", "--vocabulary", vocabulary, "--seed", seed,
+                     "--estimates", estimates, "--propagated", propagated, "--output"],
+        "export": ["export", "--lexicon", final, "--slangsd"],
+        "label": ["label", "--corpus", str(fixture / "corpus.jsonl"), "--output"],
+        "extend": ["extend", "--from", "2023-04-01", "--to", "2023-04-01",
+                   "--fetch-dir", str(fixture / "days"), "--output"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "seed", "estimate", "propagate", "assemble", "export", "label", "extend"])
+def test_each_summary_line_is_one_line(golden, tmp_path, capsys, command):
+    argv = [*_summary_argv(golden, command), str(tmp_path / "o\nut")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith(f" -> {tmp_path}/o\\nut\n"), out
+
+
+def test_score_corpus_writes_to_stdout_as_redirected(tmp_path):
+    # The benchmark captures each command's output this way.
+    argv = _score_corpus_text(tmp_path, '{"id": "1", "text": "hi"}\n{"id": "2", "text": "yo"}\n')
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        assert main(argv) == 0
+    assert buffer.getvalue() == "1\t+1\tpositive\n2\t+0\tneutral\n"
 
 
 def _file_bytes(root):
@@ -764,10 +819,14 @@ def _export_lexicon(tmp_path, transform):
             "--slangsd", str(tmp_path / "slangsd.txt")]
 
 
-# (id, argv builder): record-file variants every reader accepts.
+# (id, argv builder): record-file variants every reader accepts, and the
+# longest file name the OS takes, as an output.
 ACCEPTED_INPUTS = [
     ("lexicon-gzip", lambda t: _report_on_lexicon(t, gzip.compress)),
     ("lexicon-trailing-blank-line", lambda t: _report_on_lexicon(t, lambda data: data + b"\n")),
+    ("report-json-name-255-bytes",
+     lambda t: [*_report_on_lexicon(t, lambda data: data), "--json",
+                str(t / ("r" * 250 + ".json"))]),
 ]
 
 

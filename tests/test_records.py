@@ -19,7 +19,8 @@ call rebinds state that another call reads, a ninth keeps the records
 built once per input row or term constructed from positional arguments,
 which on CPython cost about two thirds of a keyword construction, and a
 tenth keeps the package's imports to the standard library, as README's
-install line promises.
+install line promises, and an eleventh keeps every `print` in the CLI's one
+writer, which writes each line as one line.
 
 The last two tables check the one field rule, `records.value_of`, through
 the CLI for every typed field of every record reader, and of the config and
@@ -73,8 +74,13 @@ METHODS = {"write_text", "write_bytes", "read_text", "splitlines", "decode"}
 # Every reader takes its lines from `records.Lines`, never from the decoder under it.
 LINE_SOURCES = {"read_lines"}
 # Config and seed-source files are single JSON documents, not records: each
-# is read whole, a byte-order mark allowed, and an error in it exits 1.
-ALLOWED = {("pipeline.py", "json.loads"), ("pipeline.py", "path.read_text")}
+# is read whole, a byte-order mark allowed, and an error in it exits 1. The
+# CLI splits each report it formatted itself, no file's text, into the lines
+# it writes.
+ALLOWED = {("pipeline.py", "json.loads"), ("pipeline.py", "path.read_text")} | {
+    ("cli.py", f"{report}.splitlines") for report in (
+        "score_text(args.text, lexicon).format_text()", "report.format_table()",
+        "report.format_text()", "result.report.format_text()")}
 # The functions that turn outside data into terms; every other function
 # trusts the terms it is given.
 NORMALIZERS = {
@@ -413,6 +419,37 @@ def test_tokenize_guard_sees_calls_in_each_scope():
         "rule: Callable = tokenize",
     ])
     assert tokenize_calls(source) == [(3, "_strip_emoticons"), (6, "Document.from_text")]
+
+
+def print_calls(source: str) -> list[tuple[int, str]]:
+    """(line, scope) of every call of print in `source`."""
+    return _scoped_nodes(
+        source, lambda node: isinstance(node, ast.Call) and _refers_to(node.func, "print")
+    )
+
+
+def test_only_the_cli_writer_prints():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}: {scope or '<module>'}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, scope in print_calls(path.read_text(encoding="utf-8"))
+        if (path.name, scope) != ("cli.py", "_write")
+    ]
+    assert offenders == []
+
+
+def test_print_guard_sees_calls_in_each_scope():
+    source = "\n".join([
+        "def _cmd_seed(args):",
+        "    print(f'{count} seed terms -> {args.output}')",
+        "class _Parser:",
+        "    def error(self, message):",
+        "        self.print_usage(sys.stderr)",
+        "        builtins.print(message, file=sys.stderr)",
+        "show: Callable = print",
+        "print()",
+    ])
+    assert print_calls(source) == [(2, "_cmd_seed"), (6, "_Parser.error"), (8, "")]
 
 
 def outside_imports(source: str) -> list[tuple[int, str]]:

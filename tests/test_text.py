@@ -18,7 +18,14 @@ from slangsent.lexicon import (
     load_slangsd,
     save_lexicon,
 )
-from slangsent.text import EMOTICON_RE, chunk_token, find_occurrences, normalize_term, tokenize
+from slangsent.text import (
+    EMOTICON_RE,
+    LINE_BREAKS,
+    chunk_token,
+    find_occurrences,
+    normalize_term,
+    tokenize,
+)
 
 from .oracles import brute_spans, reference_tokenize
 
@@ -207,3 +214,9 @@ class TestFindOccurrences:
     @example(["a", "b", "a", "b", "a", "b"], "a b a b")
     def test_equals_the_oracle(self, tokens, term):
         assert find_occurrences(tokens, term) == brute_spans(tokens, term.split(" "))
+
+
+def test_line_breaks_are_the_characters_splitlines_breaks_at():
+    # The CLI escapes them in each line it writes; a document id may hold none.
+    breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+    assert sorted(LINE_BREAKS) == breaks
