@@ -1,8 +1,8 @@
 """Input and output files. Every input file is read through `Lines`, which
-takes gzip, skips blank lines and is where a file's errors get their file
-and line: the line is in the message. Record files hold one JSON object per
-line, UTF-8, LF: each line the bytes json.dumps(record, ensure_ascii=False,
-sort_keys=True) writes.
+opens and decodes it itself, skips blank lines and is where a file's errors
+get their file and line: the line is in the message. Record files hold one
+JSON object per line, UTF-8, LF: each line the bytes json.dumps(record,
+ensure_ascii=False, sort_keys=True) writes.
 Readers take every field through `value_of`, the one field rule, which the
 config and sources readers use too. String escaping (`json_string`,
 `json_strings`) and the writer live here; each record file's row shape is
@@ -24,44 +24,39 @@ import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataError, ParseError
 
 
-def read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a text file, gzip or not, without a byte-order mark at its
-    start; bytes that are not UTF-8 are a DataError naming the file."""
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
-    with io.TextIOWrapper(binary, encoding="utf-8") as handle:
-        try:
-            if first := handle.readline().removeprefix("\ufeff"):
-                yield first
-            yield from handle
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise DataError(f"{path}: not a complete gzip file: {exc}") from None
-
-
 class Lines:
-    """The non-blank lines of the file at `path`, as `read_lines` decodes
-    them, line ends kept. `number` is the 1-based number of the line last
-    handed out, blank lines counted, and None once the file has been read.
-    As a context manager it closes the file on exit and puts the file and
-    line in front of a ParseError raised inside the block."""
+    """The non-blank lines of the file at `path`, gzip or not, line ends kept,
+    which `Lines` opens and decodes itself: without a byte-order mark at the
+    file's start, and bytes that are not UTF-8 a DataError naming the file.
+    `number` is the 1-based number of the line last handed out, blank lines
+    counted, and None once the file has been read. As a context manager it
+    closes the file on exit and puts the file and line in front of a
+    ParseError raised inside the block."""
 
     def __init__(self, path: str | Path):
         self.path = path
         self.number: int | None = None
-        self._source = read_lines(path)
+        with open(path, "rb") as probe:
+            magic = probe.read(2)
+        binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+        self._handle = io.TextIOWrapper(binary, encoding="utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        for self.number, raw in enumerate(self._source, start=1):
-            if raw.strip():
-                yield raw
+        try:
+            first = self._handle.readline().removeprefix("\ufeff")
+            for self.number, raw in enumerate(chain((first,), self._handle), start=1):
+                if raw.strip():
+                    yield raw
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: not UTF-8 text: {exc}") from None
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise DataError(f"{self.path}: not a complete gzip file: {exc}") from None
         self.number = None
 
     def __enter__(self) -> Lines:
@@ -70,7 +65,7 @@ class Lines:
     def __exit__(self, kind, error, traceback) -> None:
         # Closed here, not when the collector finds it: a traceback that is
         # kept would otherwise keep the file open.
-        self._source.close()
+        self._handle.close()
         if isinstance(error, ParseError):
             self.locate(error)
 
@@ -174,12 +169,14 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     path = Path(path)
     # Not mkstemp, whose files are 0600; a fixed-length name fits wherever the target's does.
     temporary = path.with_name(f".{secrets.token_hex(8)}.tmp")
+    handle = None
     try:
         with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
             handle.writelines(lines)
         os.replace(temporary, path)
     except BaseException as exc:
-        temporary.unlink(missing_ok=True)
+        if handle is not None:  # open made the temporary, so remove it
+            temporary.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(temporary):  # name the target alone
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -4,9 +4,12 @@ Each mutant names a file under `src/slangsent/`, an exact text in it, the
 text that replaces it, and the tests that must fail once it is replaced.
 Run with `python tests/mutants.py`: for each mutant it copies `src/` to a
 temporary directory, applies the mutant there and runs the named tests on
-that copy in a subprocess with `-x`. It prints each mutant that survives (or
-whose tests cannot run) and exits 1 if any does, or if the named tests do
-not pass on `src/` as it is. Stdlib only.
+that copy in a subprocess with `-x`, under the `explicit` Hypothesis profile
+of `tests/conftest.py`: a property runs only its `@example`s, so a kill never
+depends on the random search. It prints each mutant that survives (or whose
+tests cannot run), then the count, then one line naming each survivor, and
+exits 1 if any survives, or if the named tests do not pass on `src/` as it
+is. Stdlib only.
 
 `tests/test_mutants.py` checks, in the ordinary suite, only that each old
 text occurs exactly once under `src/`: a change that removes or rewrites one
@@ -116,6 +119,36 @@ MUTANTS = [
     Mutant("cli.py", "def _write(*lines: str, stream=None) -> None:",
            "def _write(*lines: str, stream=sys.stdout) -> None:",
            ("tests/test_cli.py::test_score_corpus_writes_to_stdout_as_redirected",)),
+    # A propagation round reads the labels set earlier in the same round.
+    Mutant("propagate.py", "fresh[candidate] = mean_strength(values)",
+           "fresh[candidate] = labeled[candidate] = mean_strength(values)",
+           ("tests/test_propagate.py::TestPropagate::test_labels_frozen_and_rounds_synchronous",
+            "tests/test_propagate.py::TestPropagate::test_matches_oracle_on_random_graphs")),
+    # A term's related terms keep the term itself.
+    Mutant("ingest.py", 'related -= {term, ""}', 'related -= {""}',
+           ("tests/test_ingest.py::TestBuildVocabulary::test_self_reference_removed",
+            "tests/test_propagate.py::TestBuildGraph::"
+            "test_self_reference_already_removed_at_ingestion")),
+    # The resume walk loads a stage file after an earlier stage was built.
+    Mutant("pipeline.py", "if resume and not built and paths[name].exists():",
+           "if resume and paths[name].exists():",
+           ("tests/test_pipeline.py::TestRunPipeline::"
+            "test_resume_builds_only_the_missing_stage[vocabulary]",
+            "tests/test_pipeline.py::TestRunPipeline::"
+            "test_resume_after_a_rebuilt_stage_equals_a_fresh_run[golden]")),
+    # The matcher tries the shortest phrase at a position first.
+    Mutant("scoring.py",
+           "for end in range(min(position + widths[term], len(tokens)) - 1, position, -1):",
+           "for end in range(position + 1, min(position + widths[term], len(tokens))):",
+           ("tests/test_scoring.py::test_matcher_equals_brute_longest_match",)),
+    # `evaluate --subset slang` keeps the documents without a lexicon term.
+    Mutant("scoring.py", "if subset is EvalSubset.SLANG_ONLY and not matches:",
+           "if subset is EvalSubset.SLANG_ONLY and matches:",
+           ("tests/test_scoring.py::TestEvaluate::test_slang_subset_filters",)),
+    # `classify` rounds exact halves toward zero.
+    Mutant("lexicon.py", "magnitude = int(math.floor(abs(strength) + 0.5))",
+           "magnitude = int(math.ceil(abs(strength) - 0.5))",
+           ("tests/test_lexicon.py::TestClassify::test_examples",)),
     # A located error names its file but not its line.
     Mutant("records.py",
            'where = "" if self.number is None else f"line {self.number}: "',
@@ -136,9 +169,10 @@ MUTANTS = [
 
 
 def _pytest(tests: Iterable[str], source: Path) -> subprocess.CompletedProcess:
-    """`tests` run with `-x` on the package under `source`."""
+    """`tests` run with `-x` on the package under `source`, explicit examples only."""
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=explicit", *tests],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": str(source)}, capture_output=True, text=True)
 
 
@@ -173,6 +207,8 @@ def main() -> int:
         return 1
     survivors = [mutant for mutant in MUTANTS if survives(mutant)]
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    for mutant in survivors:  # again after the count, so a cut-off tail still names each
+        print(f"survivor: {mutant.file}: {mutant.new.strip()!r}")
     return 1 if survivors else 0
 
 

@@ -430,6 +430,12 @@ BAD_INPUTS = LONG_VALUES + [
      lambda g, t: [*_report_on_lexicon(t, lambda data: data), "--json",
                    str(t / ("r" * 251 + ".json"))], 2,
      "r" * 251 + ".json'"),
+    # A path past the OS's limit (4,096 bytes): no temporary file is made, so
+    # none is removed, and the error line still ends in the target's name.
+    ("report-json-path-over-4096-bytes",
+     lambda g, t: [*_report_on_lexicon(t, lambda data: data), "--json",
+                   str(t.joinpath(*["d" * 200] * 25, "report.json"))], 2,
+     "/report.json'"),
     ("seed_lexicons-id-repeated", lambda g, t: _run_with_seed_ids(g, "core", "core"), 1, "'id'"),
     ("seed_lexicons-id-number", lambda g, t: _run_with_seed_ids(g, 5), 1, "'id'"),
     ("sources-id-null", lambda g, t: _seed_with(g, t, id=None), 1, "'id'"),

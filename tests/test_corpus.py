@@ -148,6 +148,7 @@ class TestDocumentStrength:
     @example((["bad", "x", "good", "lol", "y", "yay"], "good lol"))  # a seed word in the span
     @example((["x", "lol", "y"], "lol"))  # no seed word
     @example((["meh", "lol", "x", "y", "lol", "yay"], "lol"))  # two occurrences
+    @example((["good", "x", "good", "bad"], "good"))  # two occurrences of a seed word
     def test_equals_the_mean_of_the_values_the_oracle_chooses(self, document):
         tokens, term = document
         chosen = brute_nearest_values(tokens, term, EVIDENCE_SEED)

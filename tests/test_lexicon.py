@@ -471,6 +471,7 @@ class TestCombine:
     @given(st.lists(st.dictionaries(st.sampled_from("abcd"), st.sampled_from([-1.0, 0.5, 2.0]))
                     .map(lambda values: Lexicon(entry(t, s) for t, s in values.items())),
                     max_size=4))
+    @example([Lexicon([entry("a", -1.0)]), Lexicon([entry("a", 2.0), entry("b", 0.5)])])
     def test_equals_the_brute_oracle(self, lexicons):
         combined, expected = combine(*lexicons), brute_combine(lexicons)
         assert type(combined) is Lexicon and combined == expected

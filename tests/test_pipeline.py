@@ -9,9 +9,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slangsent.ingest
@@ -329,9 +330,13 @@ DOCUMENTS = st.lists(
 )
 
 
-def _write_fixture(root, records, sources, documents):
-    (root / "entries.jsonl").write_text(
-        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+def _write_fixture(root, entry_files, sources, documents, max_docs=150):
+    """The config path of a run over `entry_files` (lists of records, one file
+    each), `sources` as `seed_sources` draws them, and `documents`."""
+    root.mkdir(parents=True, exist_ok=True)
+    for index, records in enumerate(entry_files):
+        (root / f"entries{index}.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
     seed_items = []
     for source_id, values, (factor, offset) in sources:
         (root / f"{source_id}.tsv").write_text(
@@ -341,8 +346,9 @@ def _write_fixture(root, records, sources, documents):
     (root / "corpus.jsonl").write_text(
         "".join(json.dumps({"id": f"d{i}", "text": text}) + "\n"
                 for i, text in enumerate(documents)), encoding="utf-8")
-    config = {"entries": ["entries.jsonl"], "seed_lexicons": seed_items,
-              "corpus": "corpus.jsonl", "output_dir": "out", "max_docs": 150}
+    config = {"entries": [f"entries{index}.jsonl" for index in range(len(entry_files))],
+              "seed_lexicons": seed_items, "corpus": "corpus.jsonl", "output_dir": "out",
+              "max_docs": max_docs}
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
     return root / "config.json"
 
@@ -351,7 +357,7 @@ def _write_fixture(root, records, sources, documents):
 @given(records=RECORDS, sources=seed_sources(), documents=DOCUMENTS)
 def test_pipeline_equals_reference(records, sources, documents):
     with tempfile.TemporaryDirectory() as root:
-        result = run_pipeline(load_config(_write_fixture(Path(root), records, sources, documents)))
+        result = run_pipeline(load_config(_write_fixture(Path(root), [records], sources, documents)))
         exported = result.paths["slangsd"].read_text(encoding="utf-8")
     text, stages = reference_slangsd(records, sources, documents)
     for stage, key in ((Stage.SEED_LEXICON, "stage1"), (Stage.CORPUS_ESTIMATE, "stage2"),
@@ -362,3 +368,94 @@ def test_pipeline_equals_reference(records, sources, documents):
         for term, value in expected.items():
             assert got[term] == pytest.approx(value, abs=1e-9), (stage, term)
     assert exported == text
+
+
+# --- whole-pipeline metamorphic relations ------------------------------------
+
+
+class Inputs(NamedTuple):
+    """A run's inputs: entry files of records, seed sources as `seed_sources`
+    draws them (every scale a factor with offset 0), and corpus texts."""
+
+    entry_files: list[list[dict]]
+    sources: list[tuple[str, dict[str, float], tuple[float, float]]]
+    documents: list[str]
+    max_docs: int
+
+
+@st.composite
+def run_inputs(draw):
+    """The reference property's records cut into one to three entry files,
+    and a `max_docs` that is often low enough to sample terms down to it."""
+    records = draw(RECORDS)
+    cuts = sorted(draw(st.lists(st.integers(1, len(records)), max_size=2)))
+    bounds = [0, *cuts, len(records)]
+    entry_files = [records[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    return Inputs(entry_files, draw(seed_sources()), draw(DOCUMENTS),
+                  draw(st.sampled_from([1, 2, 150])))
+
+
+def _negated_seeds(inputs):
+    return inputs._replace(sources=[(source_id, {term: -value for term, value in values.items()},
+                                     scale) for source_id, values, scale in inputs.sources])
+
+
+def _documents_without_vocabulary_words_appended(inputs):
+    # Each document again without its term words: the new positions come after
+    # every match, so no query, sampled or not, retrieves another document.
+    stripped = (" ".join(w for w in text.split(" ") if w not in TERM_WORDS)
+                for text in inputs.documents)
+    return inputs._replace(documents=inputs.documents + [text for text in stripped if text])
+
+
+# A filler word and the fresh word it becomes: in no seed source, term or
+# emoticon set, and a token of its own.
+RENAMED_FILLER = ("the", "zed")
+
+# name -> the transform of a run's inputs. The seed-sign flip negates each
+# strength of the final lexicon; every other transform leaves each output
+# file byte-identical.
+RELATIONS = {
+    "seed-sign-flip": _negated_seeds,
+    "seed-source-order": lambda inputs: inputs._replace(sources=inputs.sources[::-1]),
+    "entry-file-order": lambda inputs: inputs._replace(entry_files=inputs.entry_files[::-1]),
+    "duplicated-entry-records": lambda inputs: inputs._replace(
+        entry_files=[records + records for records in inputs.entry_files]),
+    "appended-documents-without-vocabulary-words": _documents_without_vocabulary_words_appended,
+    "filler-word-renamed": lambda inputs: inputs._replace(documents=[
+        " ".join(RENAMED_FILLER[1] if w == RENAMED_FILLER[0] else w for w in text.split(" "))
+        for text in inputs.documents]),
+}
+
+
+def _run_on(root, inputs):
+    """The final lexicon and the bytes of each output file of a run on `inputs`."""
+    result = run_pipeline(load_config(_write_fixture(root, *inputs)))
+    return result.final, read_exports(result.paths["final"].parent)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=10, deadline=None)
+@given(inputs=run_inputs())
+@example(inputs=Inputs(
+    entry_files=[[_entry("lit", related=["yeet"]), _entry("sus", related=["mid"])],
+                 [_entry("Lit", related=["cap"]), _entry("fire"), _entry("mid")]],
+    sources=[("s0", {"good": 1.0, "bad": -1.5, "lit": 0.25}, (1.0, 0.0)),
+             ("s1", {"great": 4.0, "awful": -2.0, "lit": -1.0}, (0.5, 0.0))],
+    documents=["the day was lit good", "fire so bad", "so fire great the",
+               "sus awful the day", "fire the good", "cap lit bad so"],
+    max_docs=1))
+def test_pipeline_metamorphic_relations(relation, inputs):
+    with tempfile.TemporaryDirectory() as root:
+        final, outputs = _run_on(Path(root) / "before", inputs)
+        changed, changed_outputs = _run_on(Path(root) / "after", RELATIONS[relation](inputs))
+    if relation != "seed-sign-flip":
+        assert changed_outputs == outputs
+        return
+    assert {term: (e.stage, e.strength) for term, e in changed.items()} == {
+        term: (e.stage, -e.strength) for term, e in final.items()}
+    classes, changed_classes = (
+        dict(line.split("\t") for line in files["slangsd"].decode().splitlines())
+        for files in (outputs, changed_outputs))
+    assert {term: -int(cls) for term, cls in classes.items()} == {
+        term: int(cls) for term, cls in changed_classes.items()}

@@ -4,10 +4,9 @@ file's reader.
 
 Any other module that serializes JSON, escapes a JSON string, opens gzip,
 decodes text, reads lines or writes a file itself bypasses the shared
-format, the gzip,
-byte-order-mark, line-end and UTF-8 rules of `read_lines`, the line numbers,
-blank-line rule and error locations of `Lines`, and the atomic write; this
-test names each such call. A second guard keeps term normalization where outside data enters
+format, the gzip, byte-order-mark, line-end and UTF-8 rules, the line
+numbers, blank-line rule and error locations of `Lines`, and the atomic
+write; this test names each such call. A second guard keeps term normalization where outside data enters
 the package, a third keeps the scorer's matcher compiled in one place, once
 per lexicon, a fourth keeps an exception class only where some caller
 handles it apart from its family, a fifth keeps text tokenized only where
@@ -33,6 +32,7 @@ types the readers make stay immutable and hash by value."""
 from __future__ import annotations
 
 import ast
+import errno
 import gzip
 import json
 import sys
@@ -60,7 +60,7 @@ from slangsent.lexicon import (
     load_slangsd,
     save_lexicon,
 )
-from slangsent.records import parse_record, read_lines
+from slangsent.records import Lines, parse_record, write_text
 
 from .fixtures import write_golden_fixture
 
@@ -909,10 +909,20 @@ def test_row_writers_write_each_row_as_json_dumps(tmp_path_factory, lexicon, voc
     (b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n", ["a\n", "\ufeffb\n"]),
     (gzip.compress(b"\xef\xbb\xbfa\nb"), ["a\n", "b"]),
 ], ids=["empty", "mark-only", "mark-on-first-line-only", "gzip"])
-def test_read_lines_drops_a_leading_byte_order_mark(tmp_path, data, lines):
+def test_lines_drops_a_leading_byte_order_mark(tmp_path, data, lines):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
-    assert list(read_lines(path)) == lines
+    with Lines(path) as read:
+        assert list(read) == lines
+
+
+def test_a_write_to_a_path_past_the_os_limit_names_its_target(tmp_path):
+    """No temporary was made, so none is removed: the error is the one that
+    creating it raised, renamed to the target."""
+    target = tmp_path.joinpath(*["d" * 200] * 25, "out.txt")  # over 4,096 bytes
+    with pytest.raises(OSError) as caught:
+        write_text(target, "x\n")
+    assert caught.value.errno == errno.ENAMETOOLONG and caught.value.filename == str(target)
 
 
 # reader: a file it fails on at line 1, with a line after that one, so the

@@ -177,6 +177,7 @@ class TestTokenize:
         assert tokenize(text) == reference_tokenize(text)
 
     @given(texts)
+    @example("love this cafe\u0301")  # a chunk that NFC changes
     def test_each_chunk_yields_its_chunk_token(self, text):
         chunk_tokens = [chunk_token(chunk) for chunk in text.split()]
         assert tokenize(text) == [token for token in chunk_tokens if token is not None]
