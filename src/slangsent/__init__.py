@@ -9,6 +9,8 @@ The package exports the API that README's Library section lists; every
 other name stays importable from its submodule.
 """
 
+__version__ = "0.1.0"  # before the imports: the pipeline's run record reads it
+
 from .corpus import Document, FileCorpusProvider, estimate_all, load_corpus
 from .distant import LabeledDocument, load_labeled_corpus
 from .errors import ConfigError, DataError, SlangSentError
@@ -35,5 +37,3 @@ from .lexicon import (
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .propagate import SynonymGraph, build_graph, propagate
 from .scoring import EvalSubset, evaluate, score_text, score_tokens
-
-__version__ = "0.1.0"

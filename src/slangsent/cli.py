@@ -7,11 +7,10 @@ only by raising; `main` maps a ConfigError to 1 and a data or OS error to 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import reprlib
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .corpus import DEFAULT_MAX_DOCS, load_corpus
@@ -23,7 +22,15 @@ from .distant import (
     save_labeled_corpus,
 )
 from .errors import ConfigError, DataError, SlangSentError
-from .ingest import date_range, day_files, entry_row, fetch_new_entries, load_vocabulary, parse_day
+from .ingest import (
+    date_range,
+    day_files,
+    entry_row,
+    fetch_new_entries,
+    load_vocabulary,
+    parse_day,
+    save_vocabulary,
+)
 from .lexicon import export_idiom_table, export_slangsd, load_lexicon, save_lexicon
 from .pipeline import (
     assemble,
@@ -33,8 +40,10 @@ from .pipeline import (
     load_seed_sources,
     merge_seeds,
     propagate_terms,
+    read_run_record,
     refuse_overwrite,
     run_pipeline,
+    stage_line,
 )
 from .propagate import stage_report
 from .records import write_json, write_lines, write_text
@@ -165,23 +174,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, type=Path)
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("report", help="stage/class report for a lexicon file")
-    p.add_argument("--lexicon", required=True, type=Path)
-    p.add_argument("--json", type=Path)
+    p = sub.add_parser("report", help="stage/class report for a lexicon file, or a run's record")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--lexicon", type=Path)
+    what.add_argument("--run", type=Path, help="the run.json a run wrote")
+    p.add_argument("--json", type=Path, help="with --lexicon, also write the report here")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--resume", action="store_true",
-                   help="load the stage files up to the first missing one and build the rest; "
-                        "a loaded file is not checked against inputs and config")
+                   help="load each stage file whose sha256 the output directory's run.json "
+                        "holds, for the same inputs, config and version, until one is built; "
+                        "build the rest")
     p.set_defaults(func=_cmd_run)
 
     return parser
 
 
 def _cmd_ingest(args) -> None:
-    vocabulary, report = ingest_entries(args.input, args.output, strict=args.strict)
+    vocabulary, report = ingest_entries(args.input, strict=args.strict)
+    save_vocabulary(vocabulary, args.output)
     _write(*(f"skipped: {error}" for error in report.skipped), stream=sys.stderr)
     _write(f"{report.entries} entries -> {len(vocabulary)} terms -> {args.output}")
 
@@ -189,23 +202,26 @@ def _cmd_ingest(args) -> None:
 def _cmd_seed(args) -> None:
     sources = load_seed_sources(args.sources)
     refuse_overwrite((source.path for source in sources), [args.output], "the seed command")
-    lexicon = merge_seeds(sources, args.output)
+    lexicon = merge_seeds(sources)
+    save_lexicon(lexicon, args.output)
     _write(f"{len(lexicon)} seed terms -> {args.output}")
 
 
 def _cmd_estimate(args) -> None:
-    _, report = estimate_terms(
-        load_vocabulary(args.vocabulary), load_lexicon(args.seed), args.corpus, args.output,
+    estimates, report = estimate_terms(
+        load_vocabulary(args.vocabulary), load_lexicon(args.seed), args.corpus,
         max_docs=args.max_docs, sample_seed=args.sample_seed,
     )
+    save_lexicon(estimates, args.output)
     if args.report:
-        write_json(args.report, dataclasses.asdict(report))
+        write_json(args.report, {"estimated": report.estimated, "unlabelable": report.unlabelable})
     _write(f"{report.estimated} estimated, {len(report.unlabelable)} unlabelable -> {args.output}")
 
 
 def _cmd_propagate(args) -> None:
     stages = [load_lexicon(path) for path in args.seeds]
-    labeled, result = propagate_terms(load_vocabulary(args.graph_from), stages, args.output)
+    labeled, result = propagate_terms(load_vocabulary(args.graph_from), stages)
+    save_lexicon(labeled, args.output)
     _write(f"{len(labeled)} labeled in {result.iterations} iterations, "
            f"{len(result.unreached)} unreached -> {args.output}")
 
@@ -274,10 +290,37 @@ def _cmd_extend(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    if args.run:
+        if args.json:
+            raise ConfigError("--json goes with --lexicon, not with --run")
+        _write(*_run_lines(read_run_record(args.run)))
+        return
     report = stage_report(load_lexicon(args.lexicon))
     if args.json:
         write_json(args.json, report.to_dict())
     _write(*report.format_text().splitlines())
+
+
+def _run_lines(record: dict) -> Iterator[str]:
+    """The lines `report --run` prints: the run, then the line `-v` logs for
+    each stage, each followed by the stage's counts."""
+    yield f"run of slangsent {record['version']}, fingerprint {record['fingerprint']}"
+    for entry in record["stages"]:
+        yield stage_line(entry)
+        yield from _count_lines(entry.get("counts"), "  ")
+
+
+def _count_lines(counts: object, indent: str) -> Iterator[str]:
+    """One `name: value` line for each count of `counts`, an object's counts
+    on lines of their own one level deeper, a list's items joined by commas."""
+    if type(counts) is not dict:
+        return
+    for name, value in counts.items():
+        if type(value) is dict:
+            yield f"{indent}{name}:"
+            yield from _count_lines(value, indent + "  ")
+        else:
+            yield f"{indent}{name}: {', '.join(map(str, value)) if type(value) is list else value}"
 
 
 def _cmd_run(args) -> None:

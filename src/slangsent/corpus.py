@@ -153,6 +153,7 @@ def document_strength(doc: Document, term: str, seed: Lexicon) -> float:
 class EstimationReport:
     estimated: int = 0
     unlabelable: list[str] = field(default_factory=list)
+    retrieved: list[int] = field(default_factory=list)  # documents of each term queried, in order
     # No term fails: an error leaves `estimate_all`. `perfbench/spans.py`
     # still reads this for `corpus.failures` (ROADMAP item 8).
     failures: ClassVar[tuple[()]] = ()
@@ -180,7 +181,9 @@ def estimate_all(
     for term in sorted(set(vocabulary)):
         if term in seed:
             continue
-        values = [document_strength(doc, term, seed) for doc in provider.query(term, max_docs)]
+        documents = provider.query(term, max_docs)
+        report.retrieved.append(len(documents))
+        values = [document_strength(doc, term, seed) for doc in documents]
         if not values:
             report.unlabelable.append(term)
         else:

@@ -21,4 +21,10 @@ class DataError(SlangSentError):
 
 class ParseError(DataError):
     """A record of an input file is malformed; the file and line are in the
-    message (`records.Lines` puts them there)."""
+    message (`records.Lines` puts them there). `kind` names the fault
+    without its value: `kind`, if given, or else the message up to its first
+    `: ` or `, got `, as in `bad JSON` or `'term' must be a string`."""
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind or message.split(": ", 1)[0].split(", got ", 1)[0]

@@ -52,7 +52,8 @@ def parse_entries(
             try:
                 entry = _parse_record(raw)
                 if not normalize_term(entry.term):
-                    raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing")
+                    raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing",
+                                     "term normalizes to nothing")
                 entries.append(entry)
             except ParseError as exc:
                 if issues is None:
@@ -133,31 +134,38 @@ def _related_terms(term: str, raws: Iterable[str], normal: Callable[[str], str])
     return tuple(sorted(related))
 
 
-def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    write_lines(path, (f'{{"related_terms": {json_strings(vocabulary[term])}, '
-                       f'"term": {json_string(term)}}}\n' for term in sorted(vocabulary)))
+def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> str:
+    """Write `vocabulary` at `path`, one row per term in term order; returns
+    the sha256 of the file written."""
+    return write_lines(path, (f'{{"related_terms": {json_strings(vocabulary[term])}, '
+                              f'"term": {json_string(term)}}}\n' for term in sorted(vocabulary)))
 
 
-def load_vocabulary(path: str | Path) -> Vocabulary:
+def load_vocabulary(path: str | Path, *, checked: bool = True,
+                    data: bytes | None = None) -> Vocabulary:
     """The vocabulary `save_vocabulary` wrote, read back without building it
-    again. A row holds `term` and, optionally, `related_terms`; other keys are
-    ignored, so rows that also hold an entry's other fields load too. A
+    again, from `data` when given (the file's bytes, see `Lines`). A row holds
+    `term` and, optionally, `related_terms`; other keys are ignored, so rows
+    that also hold an entry's other fields load too. When `checked`, a
     ParseError names the line of a row that `build_vocabulary` would change,
-    by its term (unnormalized or repeated) or by `_related_terms`."""
+    by its term (unnormalized or repeated) or by `_related_terms`; a file
+    this version's `save_vocabulary` wrote, unchanged, needs no such check."""
     vocabulary: Vocabulary = {}
     normal = cache(normalize_term)
-    with Lines(path) as lines:
+    with Lines(path, data) as lines:
         for raw in lines:
             record = parse_record(raw)
-            term = checked_term(value_of(record, "term", str))
-            if term in vocabulary:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}")
+            term = value_of(record, "term", str)
             related = value_of(record, "related_terms", list, default=[])
-            merged = _related_terms(term, related, normal)
-            if list(merged) != related:
-                raise ParseError(f"related terms {reprlib.repr(related)} "
-                                 f"merge to {reprlib.repr(list(merged))}")
-            vocabulary[term] = merged
+            if checked:
+                checked_term(term)
+                if term in vocabulary:
+                    raise ParseError(f"duplicate term {reprlib.repr(term)}")
+                merged = list(_related_terms(term, related, normal))
+                if merged != related:
+                    raise ParseError(f"related terms {reprlib.repr(related)} "
+                                     f"merge to {reprlib.repr(merged)}")
+            vocabulary[term] = tuple(related)
     return vocabulary
 
 

@@ -273,32 +273,37 @@ def export_idiom_table(lexicon: Lexicon) -> str:
 # --- full-fidelity lexicon persistence (pipeline intermediates) -------------
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
+def save_lexicon(lexicon: Lexicon, path: str | Path) -> str:
     """Write a lexicon as sorted JSON lines, keeping exact strengths, stages
-    and sources (unlike the quantized exported dictionary)."""
-    write_lines(path, (
+    and sources (unlike the quantized exported dictionary); returns the
+    sha256 of the file written."""
+    return write_lines(path, (
         f'{{"sources": {json_strings(entry.sources)}, "stage": "{entry.stage.value}", '
         f'"strength": {entry.strength!r}, "term": {json_string(entry.term)}}}\n'
         for entry in lexicon.entries()
     ))
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    """The lexicon `save_lexicon` wrote. A record that breaks a LexiconEntry
-    or Lexicon invariant is a ParseError naming its line."""
+def load_lexicon(path: str | Path, *, checked: bool = True, data: bytes | None = None) -> Lexicon:
+    """The lexicon `save_lexicon` wrote, from `data` when given (the file's
+    bytes, see `Lines`). When `checked`, a record that breaks a LexiconEntry
+    or Lexicon invariant is a ParseError naming its line; a file this
+    version's `save_lexicon` wrote, unchanged, needs no such check."""
     entries: dict[str, LexiconEntry] = {}
-    with Lines(path) as lines:
+    with Lines(path, data) as lines:
         for record in map(parse_record, lines):
             term = value_of(record, "term", str)
             strength = value_of(record, "strength", float)
             stage = value_of(record, "stage", Stage)
             sources = value_of(record, "sources", list, default=[])
-            checked_term(term)
-            if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
-                raise ParseError(f"strength out of range: {reprlib.repr(strength)}")
-            if (stage is Stage.SEED_LEXICON) != bool(sources):
-                raise ParseError(f"sources {reprlib.repr(sources)} do not fit stage {stage.value}")
-            if term in entries:
-                raise ParseError(f"duplicate term {reprlib.repr(term)}")
+            if checked:
+                checked_term(term)
+                if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
+                    raise ParseError(f"strength out of range: {reprlib.repr(strength)}")
+                if (stage is Stage.SEED_LEXICON) != bool(sources):
+                    raise ParseError(f"sources {reprlib.repr(sources)} do not fit stage "
+                                     f"{stage.value}")
+                if term in entries:
+                    raise ParseError(f"duplicate term {reprlib.repr(term)}")
             entries[term] = LexiconEntry(term, strength, stage, tuple(sources))
     return Lexicon(entries.values())

@@ -4,27 +4,35 @@ Stages: ingest entries -> build vocabulary -> merge seed lexicons ->
 corpus-estimate the rest -> propagate over the related-word graph ->
 assemble with stage precedence (seed > corpus estimate > propagation) ->
 export. Each stage is one function here, and each output file's format one
-function (`export_slangsd`, `export_idiom_table`, `StageReport.format_text`
-and `to_dict`); `run_pipeline` and the CLI's subcommands share them. Each
-stage's output is persisted in the output directory, where a resumed run
-loads the stage files before the first missing one (`run_pipeline`), and
-identical configs produce byte-identical exports.
+function (`save_vocabulary`, `save_lexicon`, `export_slangsd`,
+`export_idiom_table`, `StageReport.format_text` and `to_dict`);
+`run_pipeline` and the CLI's subcommands share them. Each stage's output is
+persisted in the output directory beside the run record, `run.json`, which
+holds the run's fingerprint and each stage file's sha256, timing and counts.
+A resumed run loads a stage file only when the record vouches for it
+(`run_pipeline`), and identical configs produce byte-identical exports.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import logging
 import os
 import reprlib
+import statistics
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Sized
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from time import perf_counter
 
+from . import __version__
 from .corpus import DEFAULT_MAX_DOCS, EstimationReport, FileCorpusProvider, estimate_all
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .ingest import Vocabulary, build_vocabulary, load_vocabulary, parse_entries, save_vocabulary
 from .lexicon import (
     Lexicon,
@@ -39,7 +47,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .propagate import PropagationResult, StageReport, build_graph, propagate, stage_report
-from .records import value_of, write_json, write_text
+from .records import read_json, value_of, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +61,7 @@ OUTPUT_FILES = {
     "idiom_table": "idiom_additions.txt",
     "report_text": "stage_report.txt",
     "report_json": "stage_report.json",
+    "run": "run.json",
 }
 
 
@@ -228,7 +237,7 @@ class IngestReport:
 
 
 def ingest_entries(
-    entry_files: Iterable[Path], output: Path, *, strict: bool = True
+    entry_files: Iterable[Path], *, strict: bool = True
 ) -> tuple[Vocabulary, IngestReport]:
     """Parse entry files into a vocabulary; returns it with the ingest report.
     When `strict`, the first bad record raises; otherwise each bad record is
@@ -238,40 +247,35 @@ def ingest_entries(
     for entry_file in entry_files:
         entries.extend(parse_entries(entry_file, issues=skipped))
     vocabulary = build_vocabulary(entries)
-    save_vocabulary(vocabulary, output)
     log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
     return vocabulary, IngestReport(len(entries), skipped or [])
 
 
-def merge_seeds(sources: Iterable[SeedSourceConfig], output: Path) -> Lexicon:
+def merge_seeds(sources: Iterable[SeedSourceConfig]) -> Lexicon:
     """The full merged seed lexicon: labels for vocabulary terms and
     sentiment evidence for estimation."""
     seed = merge_seed_lexicons(
         SeedSource(s.source_id, load_seed_values(s.path), s.scale) for s in sources
     )
-    save_lexicon(seed, output)
     log.info("seed lexicon: %d terms", len(seed))
     return seed
 
 
 def estimate_terms(
-    vocabulary: Vocabulary, seed: Lexicon, corpus_file: Path, output: Path, *,
-    max_docs: int, sample_seed: int,
+    vocabulary: Vocabulary, seed: Lexicon, corpus_file: Path, *, max_docs: int, sample_seed: int,
 ) -> tuple[Lexicon, EstimationReport]:
     """Corpus estimates for the vocabulary terms the seeds do not cover."""
     provider = FileCorpusProvider(corpus_file, sample_seed=sample_seed)
     estimates, report = estimate_all(vocabulary, provider, seed, max_docs=max_docs)
-    save_lexicon(estimates, output)
     log.info("corpus estimates: %d labeled, %d unlabelable",
              report.estimated, len(report.unlabelable))
     return estimates, report
 
 
-def propagate_terms(vocabulary: Vocabulary, stages: Sequence[Lexicon],
-                    output: Path) -> tuple[Lexicon, PropagationResult]:
+def propagate_terms(vocabulary: Vocabulary,
+                    stages: Sequence[Lexicon]) -> tuple[Lexicon, PropagationResult]:
     """Propagate the stages, assembled by precedence, over the related-word graph."""
     result = propagate(build_graph(vocabulary), assemble(vocabulary, *stages))
-    save_lexicon(result.labeled, output)
     log.info("propagation: %d labeled in %d iterations, %d unreached",
              len(result.labeled), result.iterations, len(result.unreached))
     return result.labeled, result
@@ -282,6 +286,111 @@ def assemble(vocabulary: Vocabulary, seed: Lexicon, *later: Lexicon) -> Lexicon:
     stage's lexicon in order, first label wins. Terms no stage labeled stay
     out."""
     return combine(Lexicon(e for t, e in seed.items() if t in vocabulary), *later)
+
+
+# --- the run record: one file that records the run and guides a resume -----
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@cache
+def _package_hashes() -> tuple[str, ...]:
+    """The sha256 of each module of the package, read once per process."""
+    return tuple(map(_sha256, sorted(Path(__file__).parent.glob("*.py"))))
+
+
+def _fingerprint(config: PipelineConfig) -> str:
+    """The sha256 (hex) of what a run's stage files follow from: every config
+    field but `output_dir`, each input path standing for the bytes of its
+    file (so the same inputs named from another directory match), and the
+    package: its version and the bytes of its modules, so that a changed rule
+    or row format is a changed fingerprint even where the version stays."""
+    fields = dataclasses.asdict(config)
+    del fields["output_dir"]
+    fields["entry_files"] = [*map(_sha256, config.entry_files)]
+    fields["corpus_file"] = _sha256(config.corpus_file)
+    for source, path in zip(fields["seed_sources"], (s.path for s in config.seed_sources)):
+        source["path"] = _sha256(path)
+    return hashlib.sha256(repr((__version__, _package_hashes(), fields)).encode()).hexdigest()
+
+
+def read_run_record(path: str | Path) -> dict:
+    """The run record `run_pipeline` wrote at `path`, its shape checked: a
+    JSON object with a string `fingerprint` and `version` and a list
+    `stages` of one object per stage done, in build order, each with a
+    string `stage`, `sha256`, `how` and `reason` and a number `seconds`. A
+    file of another shape is a DataError naming it."""
+    record = read_json(path)
+    stages = record.get("stages") if type(record) is dict else None
+    if type(stages) is not list or not all(type(entry) is dict for entry in stages):
+        raise DataError(f"{path}: not a run record")
+    try:
+        value_of(record, "fingerprint", str)
+        value_of(record, "version", str)
+        for entry in stages:
+            for key, kind in (("stage", str), ("sha256", str), ("how", str), ("reason", str),
+                              ("seconds", float)):
+                value_of(entry, key, kind)
+    except ParseError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return record
+
+
+def stage_line(entry: dict) -> str:
+    """How a stage was made, from its entry in a run record: the line `-v`
+    logs and `report --run` prints."""
+    return (f"{entry['stage']}: {entry['how']} because {entry['reason']} "
+            f"({entry['seconds']:.3f} s)")
+
+
+def _recorded_stages(path: Path, fingerprint: str) -> tuple[dict, str | None]:
+    """The stage entries of the run record at `path` by stage name, when it
+    holds `fingerprint`; otherwise no entries and why not."""
+    try:
+        previous = read_run_record(path)
+    except (OSError, DataError):  # missing, unreadable or malformed: nothing is reused
+        return {}, "no run record could be read"
+    if previous["fingerprint"] != fingerprint:
+        return {}, "the inputs, config or version changed"
+    return {entry["stage"]: entry for entry in previous["stages"]}, None
+
+
+def _stage_file(path: Path, entry: dict | None) -> tuple[str | None, bytes | None]:
+    """(None, the bytes of the stage file at `path`) when they hash to the
+    sha256 its run-record `entry` holds; otherwise (why not, None). The file
+    is read once, so the bytes hashed are the bytes parsed."""
+    if entry is None:
+        return "the run record holds no hash of it", None
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return "its file is missing", None
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        return "its file changed", None
+    return None, data
+
+
+def _counts(value: Sized, report: object) -> dict:
+    """The counts the run record keeps for a stage built into `value`, with
+    the stage's `report`."""
+    counts = {"terms": len(value)}
+    if isinstance(report, IngestReport):
+        counts["records"] = report.entries
+        counts["skipped"] = dict(Counter(error.kind for error in report.skipped))
+    elif isinstance(report, EstimationReport):
+        counts["estimated"] = report.estimated
+        counts["unlabelable"] = len(report.unlabelable)
+        retrieved = report.retrieved
+        counts["documents_per_term"] = {
+            "min": min(retrieved), "median": statistics.median(retrieved), "max": max(retrieved),
+        } if retrieved else None
+    elif isinstance(report, PropagationResult):
+        counts["labels_per_round"] = list(report.rounds)
+        counts["edges"] = report.edges
+        counts["unreached"] = len(report.unreached)
+    return counts
 
 
 # --- the whole run -----------------------------------------------------------
@@ -300,39 +409,63 @@ class PipelineResult:
 
 
 def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineResult:
-    """Run the full construction pipeline, persisting every stage output.
+    """Run the full construction pipeline, persisting every stage output and
+    the run record, `run.json`.
 
-    With resume=True, the stage files are loaded up to the first one that is
-    missing; that stage and every later one are built again. A loaded file is
-    never compared with the current inputs or config.
+    The run record holds the run's fingerprint (`_fingerprint`) and, for
+    each stage done so far, its file's sha256, the seconds it took, whether
+    it was built or loaded and why, and its counts. It is written again
+    after each stage, so a run that stops between a stage file and the
+    record leaves a hash that the new file does not match.
+
+    With resume=True, a stage file is loaded when the previous run record
+    holds the current fingerprint and the file's sha256 as it is now, and no
+    earlier stage was built. Such a file holds the bytes this version wrote
+    from these inputs, so its rows are not checked again. Every other stage
+    is built, and every stage after it. A missing, unreadable or malformed
+    run record means that every stage is built; it is never an error.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / filename for name, filename in OUTPUT_FILES.items()}
+    fingerprint = _fingerprint(config)
+    recorded, why = (_recorded_stages(paths["run"], fingerprint) if resume
+                     else ({}, "the run does not resume"))
+    record = {"fingerprint": fingerprint, "version": __version__, "stages": []}
     built: dict[str, object] = {}
 
-    def stage(name: str, load, build):
-        """Load stage `name`'s file while resuming, or else save `build(path)`'s
-        value and keep its report; once a stage is built, so is every later one
-        (its file was made from the old version of this one)."""
-        if resume and not built and paths[name].exists():
-            log.info("resuming: %s from %s", name, paths[name])
-            return load(paths[name])
-        if resume:
-            log.info("building: %s (%s)", name,
-                     "an earlier stage was built" if built else "no stage file")
-        value, built[name] = build(paths[name])
+    def stage(name: str, load, save, build):
+        """Load stage `name`'s file when the run record vouches for it, or
+        else save `build()`'s value and keep its report; once a stage is
+        built, so is every later one (its file was made from the old version
+        of this one). Then record the stage and rewrite the run record."""
+        start = perf_counter()
+        reason = "an earlier stage was built" if built else why
+        data = None
+        if reason is None:
+            reason, data = _stage_file(paths[name], recorded.get(name))
+        if reason is None:
+            value = load(paths[name], checked=False, data=data)
+            entry = {**recorded[name], "how": "loaded", "reason": "its file matches the run record"}
+        else:
+            value, built[name] = build()
+            entry = {"stage": name, "sha256": save(value, paths[name]), "how": "built",
+                     "reason": reason, "counts": _counts(value, built[name])}
+        entry["seconds"] = perf_counter() - start
+        record["stages"].append(entry)
+        write_json(paths["run"], record)
+        log.info("%s", stage_line(entry))
         return value
 
-    vocabulary = stage("vocabulary", load_vocabulary, lambda path: ingest_entries(
-        config.entry_files, path, strict=config.strict))
-    seed = stage("seed", load_lexicon,
-                 lambda path: (merge_seeds(config.seed_sources, path), None))
-    estimates = stage("estimates", load_lexicon, lambda path: estimate_terms(
-        vocabulary, seed, config.corpus_file, path,
+    vocabulary = stage("vocabulary", load_vocabulary, save_vocabulary, lambda: ingest_entries(
+        config.entry_files, strict=config.strict))
+    seed = stage("seed", load_lexicon, save_lexicon,
+                 lambda: (merge_seeds(config.seed_sources), None))
+    estimates = stage("estimates", load_lexicon, save_lexicon, lambda: estimate_terms(
+        vocabulary, seed, config.corpus_file,
         max_docs=config.max_docs, sample_seed=config.sample_seed))
-    propagated = stage("propagated", load_lexicon,
-                       lambda path: propagate_terms(vocabulary, (seed, estimates), path))
+    propagated = stage("propagated", load_lexicon, save_lexicon,
+                       lambda: propagate_terms(vocabulary, (seed, estimates)))
 
     final = assemble(vocabulary, seed, estimates, propagated)
     save_lexicon(final, paths["final"])

@@ -59,11 +59,15 @@ def build_graph(vocabulary: Vocabulary) -> SynonymGraph:
 @dataclass(frozen=True)
 class PropagationResult:
     """labeled holds only newly labeled terms (never the seeds); unreached
-    nodes got no label and stay out of the final dictionary."""
+    nodes got no label and stay out of the final dictionary. `rounds` holds
+    the labels each round assigned, one per iteration, and `edges` counts
+    the graph's edges."""
 
     labeled: Lexicon
     iterations: int
     unreached: frozenset[str]
+    rounds: tuple[int, ...]
+    edges: int
 
 
 def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
@@ -80,11 +84,10 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
     }
     seed_nodes = set(labeled)
 
-    iterations = 0
+    rounds = []
     if len(labeled) < len(graph):
         frontier = seed_nodes
         while True:
-            iterations += 1
             fresh: dict[str, float] = {}
             for node in frontier:
                 for candidate in graph[node]:
@@ -96,6 +99,7 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
                         if neighbor in labeled
                     ]
                     fresh[candidate] = mean_strength(values)
+            rounds.append(len(fresh))
             if not fresh:
                 break
             labeled.update(fresh)
@@ -106,7 +110,8 @@ def propagate(graph: SynonymGraph, seeds: Lexicon) -> PropagationResult:
     # Not `graph.keys() - labeled.keys()`: CPython presizes that set only for the
     # keys of an exact dict; on this subclass it grows by resizing and peaks higher.
     unreached = frozenset(node for node in graph if node not in labeled)
-    return PropagationResult(labeled=delta, iterations=iterations, unreached=unreached)
+    return PropagationResult(labeled=delta, iterations=len(rounds), unreached=unreached,
+                             rounds=tuple(rounds), edges=graph.edge_count())
 
 
 @dataclass

@@ -13,6 +13,7 @@ written beside its target and renamed over it, atomically."""
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 import json
 import json.scanner
@@ -24,7 +25,7 @@ import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import DataError, ParseError
@@ -35,16 +36,20 @@ class Lines:
     which `Lines` opens and decodes itself: without a byte-order mark at the
     file's start, and bytes that are not UTF-8 a DataError naming the file.
     `number` is the 1-based number of the line last handed out, blank lines
-    counted, and None once the file has been read. As a context manager it
-    closes the file on exit and puts the file and line in front of a
-    ParseError raised inside the block."""
+    counted, and None once the file has been read. `data`, when given, is
+    the file's bytes, already read and not gzip: they are read instead of the
+    file. As a context manager it closes the file on exit and puts the file
+    and line in front of a ParseError raised inside the block."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, data: bytes | None = None):
         self.path = path
         self.number: int | None = None
-        with open(path, "rb") as probe:
-            magic = probe.read(2)
-        binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+        if data is None:
+            with open(path, "rb") as probe:
+                magic = probe.read(2)
+            binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+        else:
+            binary = io.BytesIO(data)
         self._handle = io.TextIOWrapper(binary, encoding="utf-8")
 
     def __iter__(self) -> Iterator[str]:
@@ -162,17 +167,23 @@ def value_of(record: dict, key: str, kind: type, *, default: object = REQUIRED):
     raise ParseError(f"'{key}' must be {name}, got {reprlib.repr(value)}")
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
     """Write `lines`, each with its line end, to a temporary file beside
-    `path` and rename it over `path`. The lines are taken one at a time, so a
-    record file's rows are never all in memory at once."""
+    `path` and rename it over `path`; returns the sha256 (hex) of the bytes
+    written. The lines are taken a batch at a time, so a record file's rows
+    are never all in memory at once."""
     path = Path(path)
     # Not mkstemp, whose files are 0600; a fixed-length name fits wherever the target's does.
     temporary = path.with_name(f".{secrets.token_hex(8)}.tmp")
+    digest = hashlib.sha256()
+    rows = iter(lines)
     handle = None
     try:
-        with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(lines)
+        with open(temporary, "xb") as handle:
+            while batch := list(islice(rows, 4096)):
+                data = "".join(batch).encode("utf-8")
+                digest.update(data)
+                handle.write(data)
         os.replace(temporary, path)
     except BaseException as exc:
         if handle is not None:  # open made the temporary, so remove it
@@ -180,11 +191,21 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         if isinstance(exc, OSError) and exc.filename == str(temporary):  # name the target alone
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
+    return digest.hexdigest()
 
 
-def write_text(path: str | Path, text: str) -> None:
-    write_lines(path, [text])
+def write_text(path: str | Path, text: str) -> str:
+    return write_lines(path, [text])
 
 
-def write_json(path: str | Path, payload: object) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path: str | Path, payload: object) -> str:
+    return write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value of the file `write_json` wrote at `path`; a file that
+    holds none is a DataError naming it."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
+        raise DataError(f"{path}: not valid JSON: {exc}") from None

@@ -43,6 +43,7 @@ _STRENGTH_ORACLE = ("tests/test_corpus.py::TestDocumentStrength::"
 _MERGE_ORACLE = "tests/test_lexicon.py::test_merge_seed_lexicons_equals_the_brute_oracle"
 _BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_with_one_error_line"
 _LABEL_REFERENCE = "tests/test_distant.py::TestBuildEvalCorpus::test_labels_as_the_reference"
+_DAMAGED = "tests/test_pipeline.py::test_resume_rebuilds_from_a_damaged_output"
 
 MUTANTS = [
     # A tie between the two sides of a lone occurrence returns only the left value.
@@ -130,12 +131,19 @@ MUTANTS = [
             "tests/test_propagate.py::TestBuildGraph::"
             "test_self_reference_already_removed_at_ingestion")),
     # The resume walk loads a stage file after an earlier stage was built.
-    Mutant("pipeline.py", "if resume and not built and paths[name].exists():",
-           "if resume and paths[name].exists():",
+    Mutant("pipeline.py", 'reason = "an earlier stage was built" if built else why',
+           "reason = why",
            ("tests/test_pipeline.py::TestRunPipeline::"
             "test_resume_builds_only_the_missing_stage[vocabulary]",
-            "tests/test_pipeline.py::TestRunPipeline::"
-            "test_resume_after_a_rebuilt_stage_equals_a_fresh_run[golden]")),
+            f"{_DAMAGED}[run-record-stage-left-out]")),
+    # The resume walk trusts a run record made from other inputs, config or version.
+    Mutant("pipeline.py", 'if previous["fingerprint"] != fingerprint:', "if False:",
+           ("tests/test_pipeline.py::test_resume_after_an_edit_writes_what_a_fresh_run_writes",
+            f"{_DAMAGED}[run-record-fingerprint-edited]")),
+    # The resume walk loads a stage file whose bytes no longer hash to the recorded sha256.
+    Mutant("pipeline.py", 'if hashlib.sha256(data).hexdigest() != entry["sha256"]:', "if False:",
+           (f"{_DAMAGED}[stage-file-edited-by-one-byte]",
+            f"{_DAMAGED}[stage-file-truncated]")),
     # The matcher tries the shortest phrase at a position first.
     Mutant("scoring.py",
            "for end in range(min(position + widths[term], len(tokens)) - 1, position, -1):",

@@ -198,6 +198,44 @@ def _unmerged_vocabulary(tmp_path, command, *records):
     return [command, "--vocabulary", str(vocabulary), *rest, "--output", str(tmp_path / "o.jsonl")]
 
 
+def _propagate_from_lexicon_rows(tmp_path, *records):
+    """`propagate` reading a seed-stage lexicon file of one row per record,
+    with inputs that are otherwise good."""
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    vocabulary = tmp_path / "vocabulary.jsonl"
+    vocabulary.write_text('{"related_terms": [], "term": "lit"}\n', encoding="utf-8")
+    return ["propagate", "--graph-from", str(vocabulary), "--seeds", str(seeds),
+            "--output", str(tmp_path / "o.jsonl")]
+
+
+def _lexicon_row(term="lit", strength=1.0, stage="corpus_estimate", sources=()):
+    return {"sources": list(sources), "stage": stage, "strength": strength, "term": term}
+
+
+# (id, records, what the error line names): hand-made stage lexicon files
+# whose rows break a row rule that `save_lexicon` keeps. The stage commands
+# read every file through the checked loaders.
+BAD_LEXICON_ROWS = [
+    ("term-not-normalized", [_lexicon_row(term="Lit")],
+     "seeds.jsonl: line 1: term is not normalized: 'Lit'"),
+    ("strength-out-of-range", [_lexicon_row(strength=2.5)],
+     "seeds.jsonl: line 1: strength out of range: 2.5"),
+    ("seed-stage-without-sources", [_lexicon_row(stage="seed_lexicon")],
+     "seeds.jsonl: line 1: sources [] do not fit stage seed_lexicon"),
+    ("sources-outside-the-seed-stage", [_lexicon_row(sources=["core"])],
+     "seeds.jsonl: line 1: sources ['core'] do not fit stage corpus_estimate"),
+    ("duplicate-term", [_lexicon_row(), _lexicon_row(strength=-1.0)],
+     "seeds.jsonl: line 2: duplicate term 'lit'"),
+]
+
+
+def _report_on_run_record(tmp_path, text, *rest):
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    return ["report", "--run", str(path), *rest]
+
+
 # (id, records, what the error line names): vocabulary files that are not
 # merged, as `build_vocabulary` would leave them.
 UNMERGED_VOCABULARIES = [
@@ -684,12 +722,29 @@ BAD_INPUTS = LONG_VALUES + [
     ("export-lexicon-term-lone-surrogate",
      lambda g, t: _export_lexicon(t, lambda data: data.replace(b'"lol"', b'"lo\\ud800l"')), 2,
      "lex.jsonl: line 1: 'term' holds a lone surrogate: 'lo\\ud800l'"),
+    ("report-run-not-json", lambda g, t: _report_on_run_record(t, "{"), 2,
+     "run.json: not valid JSON"),
+    ("report-run-stages-not-a-list",
+     lambda g, t: _report_on_run_record(t, '{"fingerprint": "f", "stages": {}}'), 2,
+     "run.json: not a run record"),
+    ("report-run-stage-seconds-string",
+     lambda g, t: _report_on_run_record(t, json.dumps({
+         "fingerprint": "f", "version": "0", "stages": [
+             {"stage": "seed", "sha256": "h", "how": "built", "reason": "r", "seconds": "1"}]})),
+     2, "run.json: 'seconds' must be a finite number, got '1'"),
+    ("report-run-with-json",
+     lambda g, t: _report_on_run_record(t, "{}", "--json", str(t / "r.json")), 1,
+     "--json goes with --lexicon, not with --run"),
 ] + [
     (f"{command}-vocabulary-{case}",
      lambda g, t, command=command, records=records: _unmerged_vocabulary(t, command, *records),
      2, names)
     for command in ("estimate", "assemble")
     for case, records, names in UNMERGED_VOCABULARIES
+] + [
+    (f"propagate-seeds-{case}",
+     lambda g, t, records=records: _propagate_from_lexicon_rows(t, *records), 2, names)
+    for case, records, names in BAD_LEXICON_ROWS
 ]
 
 
@@ -750,7 +805,7 @@ def test_each_verbose_log_line_is_one_line(golden):
         assert lines and all(line.startswith(("INFO ", "WARNING ")) for line in lines), lines
         assert any("o\\nut" in line for line in lines)
         assert run.stdout.endswith(f"\nexports under {golden.parent}/o\\nut\n"), run.stdout
-    assert sum("resuming: " in line for line in lines) == 4
+    assert sum(": loaded because its file matches the run record" in line for line in lines) == 4
 
 
 def _summary_argv(golden, command):
@@ -1236,6 +1291,21 @@ class TestReportCommand:
         assert "total entries: 3" in capsys.readouterr().out
         payload = json.loads(out_json.read_text())
         assert payload["classes"]["2"] == 1
+
+    def test_report_run_prints_the_lines_verbose_logs_and_each_stage_count(
+            self, golden, capsys, caplog):
+        assert main(["run", "--config", str(golden)]) == 0
+        caplog.set_level(logging.INFO, logger="slangsent.pipeline")
+        assert main(["-v", "run", "--config", str(golden), "--resume"]) == 0
+        logged = [record.getMessage() for record in caplog.records
+                  if " because " in record.getMessage()]
+        capsys.readouterr()
+        assert main(["report", "--run", str(golden.parent / "out" / "run.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(logged) == 4 and [line for line in lines if " because " in line] == logged
+        assert lines[0].startswith("run of slangsent 0.1.0, fingerprint ")
+        assert lines[lines.index(logged[-1]) + 1:] == [
+            "  edges: 7", "  labels_per_round: 4, 1, 0", "  terms: 5", "  unreached: 2"]
 
 
 @pytest.mark.parametrize("first, second", [([], ["-v"]), (["-v"], [])],

@@ -5,6 +5,7 @@ import logging
 import os
 import random
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,15 @@ from slangsent.errors import ConfigError
 from slangsent.lexicon import LinearScale, Stage, load_lexicon
 from slangsent.pipeline import OUTPUT_FILES, load_config, run_pipeline
 
-from .fixtures import _entry, write_golden_fixture, write_synthetic_fixture
+from .fixtures import (
+    GOLDEN_CORPUS,
+    GOLDEN_ENTRIES,
+    GOLDEN_SEEDS,
+    _entry,
+    write_golden_fixture,
+    write_synthetic_fixture,
+)
+from .oracles import brute_seed_merge, brute_spans, brute_vocabulary
 from .reference import reference_slangsd
 
 
@@ -32,16 +41,21 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_exports(out_dir):
+    """The bytes of each output file but the run record, whose seconds differ
+    from run to run."""
     return {
         name: (out_dir / filename).read_bytes()
-        for name, filename in OUTPUT_FILES.items()
+        for name, filename in OUTPUT_FILES.items() if name != "run"
     }
 
 
+STAGE_LINE = re.compile(rf"({'|'.join(STAGES)}): (built|loaded) because .* \(\d+\.\d{{3}} s\)")
+
+
 def walk_messages(caplog):
-    """The `resuming:` and `building:` lines logged, in order."""
-    return [record.getMessage() for record in caplog.records
-            if record.getMessage().startswith(("resuming:", "building:"))]
+    """The line logged for each stage, in order, without its seconds."""
+    return [record.getMessage().rsplit(" (", 1)[0] for record in caplog.records
+            if STAGE_LINE.fullmatch(record.getMessage())]
 
 
 class TestLoadConfig:
@@ -150,7 +164,13 @@ class TestRunPipeline:
             out = config.parent / "out"
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert set(outputs[0]) == set(OUTPUT_FILES.values())
+        # The run record holds the seconds each stage took, and nothing else that differs.
+        records = [json.loads(files.pop("run.json")) for files in outputs]
+        for record in records:
+            for entry in record["stages"]:
+                del entry["seconds"]
         assert outputs[0] == outputs[1]
+        assert records[0] == records[1]
 
     def test_resume_from_intermediates_identical(self, tmp_path):
         config = load_config(write_golden_fixture(tmp_path))
@@ -172,7 +192,7 @@ class TestRunPipeline:
         # no stage was built: each was loaded
         assert result.built == {}
         assert walk_messages(caplog) == [
-            f"resuming: {name} from {config.output_dir / OUTPUT_FILES[name]}" for name in STAGES]
+            f"{name}: loaded because its file matches the run record" for name in STAGES]
         assert read_exports(config.output_dir) == baseline
 
     @pytest.mark.parametrize("stage", STAGES)
@@ -188,10 +208,10 @@ class TestRunPipeline:
         missing = STAGES.index(stage)
         assert list(result.built) == STAGES[missing:]
         assert walk_messages(caplog) == [
-            *(f"resuming: {name} from {config.output_dir / OUTPUT_FILES[name]}"
+            *(f"{name}: loaded because its file matches the run record"
               for name in STAGES[:missing]),
-            f"building: {stage} (no stage file)",
-            *(f"building: {name} (an earlier stage was built)" for name in STAGES[missing + 1:]),
+            f"{stage}: built because its file is missing",
+            *(f"{name}: built because an earlier stage was built" for name in STAGES[missing + 1:]),
         ]
         assert read_exports(config.output_dir) == baseline
 
@@ -206,7 +226,8 @@ class TestRunPipeline:
         config = load_config(config_path)
         (config.output_dir / OUTPUT_FILES["estimates"]).unlink()
         result = run_pipeline(config, resume=True)
-        assert list(result.built) == ["estimates", "propagated"]
+        # The edited config changes the fingerprint, so every stage is built.
+        assert list(result.built) == STAGES
         fresh_path = write_fixture(tmp_path / "fresh")
         fresh_path.write_text(json.dumps({**raw, "max_docs": 1}), encoding="utf-8")
         fresh = load_config(fresh_path)
@@ -280,7 +301,20 @@ def _run_with_writes(monkeypatch, config_path, k):
     return calls
 
 
-GOLDEN_RUN_WRITES = 9  # vocabulary, four lexicons, four exports
+GOLDEN_RUN_WRITES = 13  # vocabulary, four lexicons, four exports, the run record after each stage
+
+
+def _outputs_but_the_run_record(config_path):
+    out = config_path.parent / "out"
+    return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run.json"}
+
+
+def _append_entry(config_path):
+    """Add an entry record to the golden fixture's entries: it links `ratio`,
+    unreached in the golden run, to `lit`, so every stage from the
+    vocabulary on changes."""
+    with open(config_path.with_name("entries.jsonl"), "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(_entry("ratio", related=["lit"])) + "\n")
 
 
 @pytest.mark.parametrize("k", range(1, GOLDEN_RUN_WRITES + 1))
@@ -291,10 +325,179 @@ def test_resume_after_an_interrupted_write_equals_a_fresh_run(tmp_path, monkeypa
     with pytest.raises(Interrupted):
         _run_with_writes(monkeypatch, interrupted, k)
     assert main(["run", "--config", str(interrupted), "--resume"]) == 0
-    out, fresh_out = interrupted.parent / "out", fresh.parent / "out"
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
-        p.name: p.read_bytes() for p in fresh_out.iterdir()}
+    assert _outputs_but_the_run_record(interrupted) == _outputs_but_the_run_record(fresh)
     assert not list(interrupted.parent.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("k", range(1, GOLDEN_RUN_WRITES + 1))
+def test_resume_after_an_interrupted_write_over_edited_inputs_equals_a_fresh_run(
+        tmp_path, monkeypatch, capsys, k):
+    # The run stopped over the complete output of the inputs before the edit.
+    fresh = write_golden_fixture(tmp_path / "fresh")
+    _append_entry(fresh)
+    assert main(["run", "--config", str(fresh)]) == 0
+    interrupted = write_golden_fixture(tmp_path / "interrupted")
+    assert main(["run", "--config", str(interrupted)]) == 0
+    _append_entry(interrupted)
+    with pytest.raises(Interrupted):
+        _run_with_writes(monkeypatch, interrupted, k)
+    assert main(["run", "--config", str(interrupted), "--resume"]) == 0
+    assert _outputs_but_the_run_record(interrupted) == _outputs_but_the_run_record(fresh)
+    assert not list(interrupted.parent.rglob("*.tmp"))
+
+
+# --- the run record guards a resume ----------------------------------------
+
+
+def _edit_run_record(out, edit):
+    path = out / OUTPUT_FILES["run"]
+    record = json.loads(path.read_text(encoding="utf-8"))
+    edit(record)
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+
+
+def _replace_once(path, old, new):
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+
+
+# (id, damage to the output directory of a complete golden run, the first
+# stage a resume must build, and why): each damaged file is rebuilt.
+DAMAGED_OUTPUTS = [
+    ("stage-file-truncated", lambda out: _truncate(out / OUTPUT_FILES["seed"]),
+     "seed", "its file changed"),
+    ("stage-file-edited-by-one-byte",
+     lambda out: _replace_once(out / OUTPUT_FILES["estimates"], b'"strength": 1.0, "term": "dope"',
+                               b'"strength": 1.5, "term": "dope"'),
+     "estimates", "its file changed"),
+    ("run-record-stage-hash-edited",
+     lambda out: _edit_run_record(out, lambda record: record["stages"][3].update(sha256="0" * 64)),
+     "propagated", "its file changed"),
+    ("run-record-stage-left-out",
+     lambda out: _edit_run_record(out, lambda record: record["stages"].pop(1)),
+     "seed", "the run record holds no hash of it"),
+    ("run-record-fingerprint-edited",
+     lambda out: _edit_run_record(out, lambda record: record.update(fingerprint="0" * 64)),
+     "vocabulary", "the inputs, config or version changed"),
+    ("run-record-missing", lambda out: (out / OUTPUT_FILES["run"]).unlink(),
+     "vocabulary", "no run record could be read"),
+    ("run-record-truncated", lambda out: _truncate(out / OUTPUT_FILES["run"]),
+     "vocabulary", "no run record could be read"),
+    ("run-record-stages-not-a-list",
+     lambda out: _edit_run_record(out, lambda record: record.update(stages={})),
+     "vocabulary", "no run record could be read"),
+]
+
+
+@pytest.mark.parametrize("damage, first, reason", [case[1:] for case in DAMAGED_OUTPUTS],
+                         ids=[case[0] for case in DAMAGED_OUTPUTS])
+def test_resume_rebuilds_from_a_damaged_output(tmp_path, caplog, damage, first, reason):
+    config = load_config(write_golden_fixture(tmp_path))
+    run_pipeline(config)
+    baseline = read_exports(config.output_dir)
+    damage(config.output_dir)
+    caplog.set_level(logging.INFO, logger="slangsent.pipeline")
+    result = run_pipeline(config, resume=True)
+    built = STAGES.index(first)
+    assert list(result.built) == STAGES[built:]
+    assert walk_messages(caplog)[built] == f"{first}: built because {reason}"
+    assert read_exports(config.output_dir) == baseline
+
+
+def test_resume_from_another_directory_loads_every_stage(tmp_path, monkeypatch, caplog):
+    # The config's paths are spelled from another directory; they name the same files.
+    config_path = write_golden_fixture(tmp_path / "fixture")
+    assert main(["run", "--config", str(config_path)]) == 0
+    monkeypatch.chdir(config_path.parent)
+    caplog.set_level(logging.INFO, logger="slangsent.pipeline")
+    assert main(["run", "--config", config_path.name, "--resume"]) == 0
+    assert walk_messages(caplog) == [
+        f"{name}: loaded because its file matches the run record" for name in STAGES]
+
+
+def test_resume_writes_a_run_record_equal_to_the_fresh_one_but_its_timing(tmp_path):
+    config = load_config(write_golden_fixture(tmp_path))
+    run_pipeline(config)
+    path = config.output_dir / OUTPUT_FILES["run"]
+    fresh = json.loads(path.read_text(encoding="utf-8"))
+    run_pipeline(config, resume=True)
+    resumed = json.loads(path.read_text(encoding="utf-8"))
+    for record in (fresh, resumed):
+        for entry in record["stages"]:
+            del entry["seconds"], entry["how"], entry["reason"]
+    assert resumed == fresh
+
+
+# --- the counts of the run record --------------------------------------------
+
+
+# Lines appended to the golden entries for a lenient run, and the kind under
+# which the run record counts each skip.
+BAD_ENTRY_LINES = {
+    "{broken\n": "bad JSON",
+    '{"term": 5, "meanings": ["m"], "examples": ["x"]}\n': "'term' must be a string",
+    '{"term": "x", "meanings": [], "examples": ["x"]}\n': "entry must have at least one meaning",
+    "[1, 2]\n": "record is not an object",
+    '{"term": "x", "meanings": ["m"]\n': "bad JSON",
+}
+
+
+def _brute_counts():
+    """The counts of a run on the golden fixture (`max_docs` 150: no term is
+    sampled), computed from the fixture's data alone."""
+    vocabulary = brute_vocabulary((e["term"], e["related_terms"]) for e in GOLDEN_ENTRIES)
+    seed = brute_seed_merge((source_id, values, factor, offset)
+                            for source_id, values, (factor, offset) in GOLDEN_SEEDS)
+    retrieved = {term: sum(1 for text in GOLDEN_CORPUS
+                           if brute_spans(text.split(), term.split(" ")))
+                 for term in sorted(vocabulary) if term not in seed}
+    edges = {tuple(sorted((term, other))) for term, related in vocabulary.items()
+             for other in related if other in vocabulary}
+    labeled = {term for term in vocabulary if term in seed or retrieved.get(term)}
+    rounds = []
+    while len(labeled) < len(vocabulary):
+        fresh = {term for term in vocabulary if term not in labeled
+                 and any(term in edge and set(edge) & labeled for edge in edges)}
+        rounds.append(len(fresh))
+        if not fresh:
+            break
+        labeled |= fresh
+    skipped = {}
+    for kind in BAD_ENTRY_LINES.values():
+        skipped[kind] = skipped.get(kind, 0) + 1
+    return {
+        "vocabulary": {"records": len(GOLDEN_ENTRIES), "skipped": skipped,
+                       "terms": len(vocabulary)},
+        "seed": {"terms": len(seed)},
+        "estimates": {
+            "estimated": sum(1 for count in retrieved.values() if count),
+            "unlabelable": sum(1 for count in retrieved.values() if not count),
+            "terms": sum(1 for count in retrieved.values() if count),
+            "documents_per_term": {"min": min(retrieved.values()),
+                                   "median": statistics.median(retrieved.values()),
+                                   "max": max(retrieved.values())},
+        },
+        "propagated": {"labels_per_round": rounds, "edges": len(edges),
+                       "unreached": len(vocabulary) - len(labeled), "terms": sum(rounds)},
+    }
+
+
+def test_run_record_counts_equal_brute_counts(tmp_path):
+    config_path = write_golden_fixture(tmp_path)
+    with open(tmp_path / "entries.jsonl", "a", encoding="utf-8") as handle:
+        handle.writelines(BAD_ENTRY_LINES)
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "strict": False}),
+                           encoding="utf-8")
+    result = run_pipeline(load_config(config_path))
+    record = json.loads(result.paths["run"].read_text(encoding="utf-8"))
+    assert [entry["stage"] for entry in record["stages"]] == STAGES
+    assert {entry["stage"]: entry["counts"] for entry in record["stages"]} == _brute_counts()
+    assert all(entry["how"] == "built" for entry in record["stages"])
 
 
 # --- the pipeline against the independent reference on drawn fixtures -------
@@ -459,3 +662,49 @@ def test_pipeline_metamorphic_relations(relation, inputs):
         for files in (outputs, changed_outputs))
     assert {term: -int(cls) for term, cls in classes.items()} == {
         term: int(cls) for term, cls in changed_classes.items()}
+
+
+# --- a resume after an edit --------------------------------------------------
+
+
+def _edited(inputs, edit):
+    """`inputs` after one edit: (what, value) appends the records `value` to
+    the first entry file, or else puts `value` in place of the sources, the
+    documents or `max_docs`."""
+    what, value = edit
+    if what == "entries":
+        return inputs._replace(entry_files=[inputs.entry_files[0] + value,
+                                            *inputs.entry_files[1:]])
+    return inputs._replace(**{what: value})
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("entries"), RECORDS),
+    st.tuples(st.just("sources"), seed_sources()),
+    st.tuples(st.just("documents"), DOCUMENTS),
+    st.tuples(st.just("max_docs"), st.sampled_from([1, 2, 150])),
+)
+EDITED_INPUTS = Inputs(
+    entry_files=[[_entry("lit", related=["yeet"]), _entry("sus", related=["mid"])],
+                 [_entry("fire"), _entry("mid", related=["cap"])]],
+    sources=[("s0", {"good": 1.0, "bad": -1.5, "sus": -0.5}, (1.0, 0.0))],
+    documents=["the day was lit good", "fire so bad", "so fire great the", "lit bad so",
+               "cap the good"],
+    max_docs=150)
+
+
+@settings(max_examples=20, deadline=None)
+@given(inputs=run_inputs(), edit=EDITS)
+@example(inputs=EDITED_INPUTS, edit=("entries", [_entry("cap", related=["fire"])]))
+@example(inputs=EDITED_INPUTS, edit=("sources", [("s0", {"good": 2.0, "bad": -1.5}, (1.0, 0.0))]))
+@example(inputs=EDITED_INPUTS, edit=("documents", ["lit bad", "fire good", "cap so bad"]))
+@example(inputs=EDITED_INPUTS, edit=("max_docs", 1))
+def test_resume_after_an_edit_writes_what_a_fresh_run_writes(inputs, edit):
+    edited = _edited(inputs, edit)
+    with tempfile.TemporaryDirectory() as root:
+        config_path = _write_fixture(Path(root) / "resumed", *inputs)
+        run_pipeline(load_config(config_path))
+        _write_fixture(Path(root) / "resumed", *edited)
+        resumed = run_pipeline(load_config(config_path), resume=True)
+        fresh = run_pipeline(load_config(_write_fixture(Path(root) / "fresh", *edited)))
+        assert read_exports(resumed.paths["run"].parent) == read_exports(fresh.paths["run"].parent)
