@@ -10,7 +10,7 @@ import argparse
 import logging
 import reprlib
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from pathlib import Path
 
 from .corpus import DEFAULT_MAX_DOCS, load_corpus
@@ -43,7 +43,7 @@ from .pipeline import (
     read_run_record,
     refuse_overwrite,
     run_pipeline,
-    stage_line,
+    stage_lines,
 )
 from .propagate import stage_report
 from .records import write_json, write_lines, write_text
@@ -293,7 +293,9 @@ def _cmd_report(args) -> None:
     if args.run:
         if args.json:
             raise ConfigError("--json goes with --lexicon, not with --run")
-        _write(*_run_lines(read_run_record(args.run)))
+        record = read_run_record(args.run)
+        _write(f"run of slangsent {record['version']}, fingerprint {record['fingerprint']}",
+               *(line for entry in record["stages"] for line in stage_lines(entry)))
         return
     report = stage_report(load_lexicon(args.lexicon))
     if args.json:
@@ -301,32 +303,9 @@ def _cmd_report(args) -> None:
     _write(*report.format_text().splitlines())
 
 
-def _run_lines(record: dict) -> Iterator[str]:
-    """The lines `report --run` prints: the run, then the line `-v` logs for
-    each stage, each followed by the stage's counts."""
-    yield f"run of slangsent {record['version']}, fingerprint {record['fingerprint']}"
-    for entry in record["stages"]:
-        yield stage_line(entry)
-        yield from _count_lines(entry.get("counts"), "  ")
-
-
-def _count_lines(counts: object, indent: str) -> Iterator[str]:
-    """One `name: value` line for each count of `counts`, an object's counts
-    on lines of their own one level deeper, a list's items joined by commas."""
-    if type(counts) is not dict:
-        return
-    for name, value in counts.items():
-        if type(value) is dict:
-            yield f"{indent}{name}:"
-            yield from _count_lines(value, indent + "  ")
-        else:
-            yield f"{indent}{name}: {', '.join(map(str, value)) if type(value) is list else value}"
-
-
 def _cmd_run(args) -> None:
     result = run_pipeline(load_config(args.config), resume=args.resume)
-    if ingest := result.built.get("vocabulary"):
-        _write(*(f"skipped: {error}" for error in ingest.skipped), stream=sys.stderr)
+    _write(*(f"skipped: {error}" for error in result.skipped), stream=sys.stderr)
     _write(*result.report.format_text().splitlines(),
            f"exports under {result.paths['slangsd'].parent}")
 

@@ -22,9 +22,9 @@ class DataError(SlangSentError):
 class ParseError(DataError):
     """A record of an input file is malformed; the file and line are in the
     message (`records.Lines` puts them there). `kind` names the fault
-    without its value: `kind`, if given, or else the message up to its first
-    `: ` or `, got `, as in `bad JSON` or `'term' must be a string`."""
+    without its value: the message up to its first `: ` or `, got `, as in
+    `bad JSON` or `'term' must be a string`."""
 
-    def __init__(self, message: str, kind: str | None = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.kind = kind or message.split(": ", 1)[0].split(", got ", 1)[0]
+        self.kind = message.split(": ", 1)[0].split(", got ", 1)[0]

@@ -52,8 +52,7 @@ def parse_entries(
             try:
                 entry = _parse_record(raw)
                 if not normalize_term(entry.term):
-                    raise ParseError(f"term {reprlib.repr(entry.term)} normalizes to nothing",
-                                     "term normalizes to nothing")
+                    raise ParseError(f"term normalizes to nothing: {reprlib.repr(entry.term)}")
                 entries.append(entry)
             except ParseError as exc:
                 if issues is None:
@@ -141,15 +140,14 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> str:
                               f'"term": {json_string(term)}}}\n' for term in sorted(vocabulary)))
 
 
-def load_vocabulary(path: str | Path, *, checked: bool = True,
-                    data: bytes | None = None) -> Vocabulary:
+def load_vocabulary(path: str | Path, *, data: bytes | None = None) -> Vocabulary:
     """The vocabulary `save_vocabulary` wrote, read back without building it
-    again, from `data` when given (the file's bytes, see `Lines`). A row holds
-    `term` and, optionally, `related_terms`; other keys are ignored, so rows
-    that also hold an entry's other fields load too. When `checked`, a
+    again. A row holds `term` and, optionally, `related_terms`; other keys
+    are ignored, so rows that also hold an entry's other fields load too. A
     ParseError names the line of a row that `build_vocabulary` would change,
-    by its term (unnormalized or repeated) or by `_related_terms`; a file
-    this version's `save_vocabulary` wrote, unchanged, needs no such check."""
+    by its term (unnormalized or repeated) or by `_related_terms`. Given
+    `data`, the bytes of a file this version's `save_vocabulary` wrote (see
+    `Lines`), it parses them and checks no row."""
     vocabulary: Vocabulary = {}
     normal = cache(normalize_term)
     with Lines(path, data) as lines:
@@ -157,7 +155,7 @@ def load_vocabulary(path: str | Path, *, checked: bool = True,
             record = parse_record(raw)
             term = value_of(record, "term", str)
             related = value_of(record, "related_terms", list, default=[])
-            if checked:
+            if data is None:
                 checked_term(term)
                 if term in vocabulary:
                     raise ParseError(f"duplicate term {reprlib.repr(term)}")

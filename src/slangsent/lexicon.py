@@ -284,11 +284,11 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> str:
     ))
 
 
-def load_lexicon(path: str | Path, *, checked: bool = True, data: bytes | None = None) -> Lexicon:
-    """The lexicon `save_lexicon` wrote, from `data` when given (the file's
-    bytes, see `Lines`). When `checked`, a record that breaks a LexiconEntry
-    or Lexicon invariant is a ParseError naming its line; a file this
-    version's `save_lexicon` wrote, unchanged, needs no such check."""
+def load_lexicon(path: str | Path, *, data: bytes | None = None) -> Lexicon:
+    """The lexicon `save_lexicon` wrote. A record that breaks a LexiconEntry
+    or Lexicon invariant is a ParseError naming its line. Given `data`, the
+    bytes of a file this version's `save_lexicon` wrote (see `Lines`), it
+    parses them and checks no record."""
     entries: dict[str, LexiconEntry] = {}
     with Lines(path, data) as lines:
         for record in map(parse_record, lines):
@@ -296,7 +296,7 @@ def load_lexicon(path: str | Path, *, checked: bool = True, data: bytes | None =
             strength = value_of(record, "strength", float)
             stage = value_of(record, "stage", Stage)
             sources = value_of(record, "sources", list, default=[])
-            if checked:
+            if data is None:
                 checked_term(term)
                 if not STRENGTH_MIN <= strength <= STRENGTH_MAX:
                     raise ParseError(f"strength out of range: {reprlib.repr(strength)}")

@@ -246,19 +246,15 @@ def ingest_entries(
     entries = []
     for entry_file in entry_files:
         entries.extend(parse_entries(entry_file, issues=skipped))
-    vocabulary = build_vocabulary(entries)
-    log.info("vocabulary: %d terms from %d entries", len(vocabulary), len(entries))
-    return vocabulary, IngestReport(len(entries), skipped or [])
+    return build_vocabulary(entries), IngestReport(len(entries), skipped or [])
 
 
 def merge_seeds(sources: Iterable[SeedSourceConfig]) -> Lexicon:
     """The full merged seed lexicon: labels for vocabulary terms and
     sentiment evidence for estimation."""
-    seed = merge_seed_lexicons(
+    return merge_seed_lexicons(
         SeedSource(s.source_id, load_seed_values(s.path), s.scale) for s in sources
     )
-    log.info("seed lexicon: %d terms", len(seed))
-    return seed
 
 
 def estimate_terms(
@@ -266,18 +262,13 @@ def estimate_terms(
 ) -> tuple[Lexicon, EstimationReport]:
     """Corpus estimates for the vocabulary terms the seeds do not cover."""
     provider = FileCorpusProvider(corpus_file, sample_seed=sample_seed)
-    estimates, report = estimate_all(vocabulary, provider, seed, max_docs=max_docs)
-    log.info("corpus estimates: %d labeled, %d unlabelable",
-             report.estimated, len(report.unlabelable))
-    return estimates, report
+    return estimate_all(vocabulary, provider, seed, max_docs=max_docs)
 
 
 def propagate_terms(vocabulary: Vocabulary,
                     stages: Sequence[Lexicon]) -> tuple[Lexicon, PropagationResult]:
     """Propagate the stages, assembled by precedence, over the related-word graph."""
     result = propagate(build_graph(vocabulary), assemble(vocabulary, *stages))
-    log.info("propagation: %d labeled in %d iterations, %d unreached",
-             len(result.labeled), result.iterations, len(result.unreached))
     return result.labeled, result
 
 
@@ -338,11 +329,26 @@ def read_run_record(path: str | Path) -> dict:
     return record
 
 
-def stage_line(entry: dict) -> str:
-    """How a stage was made, from its entry in a run record: the line `-v`
-    logs and `report --run` prints."""
-    return (f"{entry['stage']}: {entry['how']} because {entry['reason']} "
-            f"({entry['seconds']:.3f} s)")
+def stage_lines(entry: dict) -> Iterator[str]:
+    """How a stage was made, from its entry in a run record, then its counts:
+    the lines `-v` logs for the stage and `report --run` prints."""
+    yield (f"{entry['stage']}: {entry['how']} because {entry['reason']} "
+           f"({entry['seconds']:.3f} s)")
+    yield from _count_lines(entry.get("counts"), "  ")
+
+
+def _count_lines(counts: object, indent: str) -> Iterator[str]:
+    """One `name: value` line for each count of `counts`, by name as the run
+    record sorts them, an object's counts on lines of their own one level
+    deeper, a list's items joined by commas."""
+    if type(counts) is not dict:
+        return
+    for name, value in sorted(counts.items()):
+        if type(value) is dict:
+            yield f"{indent}{name}:"
+            yield from _count_lines(value, indent + "  ")
+        else:
+            yield f"{indent}{name}: {', '.join(map(str, value)) if type(value) is list else value}"
 
 
 def _recorded_stages(path: Path, fingerprint: str) -> tuple[dict, str | None]:
@@ -399,13 +405,13 @@ def _counts(value: Sized, report: object) -> dict:
 @dataclass
 class PipelineResult:
     """What `run_pipeline` made: the final lexicon, its stage report, each
-    output file's path by `OUTPUT_FILES` name, and the report of each stage
-    built (not loaded) in this run by name, ingest's `IngestReport` included."""
+    output file's path by `OUTPUT_FILES` name, and the error of each entry
+    record a lenient ingest skipped in this run."""
 
     final: Lexicon
     report: StageReport
     paths: dict[str, Path]
-    built: dict[str, object]
+    skipped: list[ParseError]
 
 
 def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineResult:
@@ -432,7 +438,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     recorded, why = (_recorded_stages(paths["run"], fingerprint) if resume
                      else ({}, "the run does not resume"))
     record = {"fingerprint": fingerprint, "version": __version__, "stages": []}
-    built: dict[str, object] = {}
+    built: dict[str, object] = {}  # the report of each stage built, by name
 
     def stage(name: str, load, save, build):
         """Load stage `name`'s file when the run record vouches for it, or
@@ -445,7 +451,7 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         if reason is None:
             reason, data = _stage_file(paths[name], recorded.get(name))
         if reason is None:
-            value = load(paths[name], checked=False, data=data)
+            value = load(paths[name], data=data)
             entry = {**recorded[name], "how": "loaded", "reason": "its file matches the run record"}
         else:
             value, built[name] = build()
@@ -454,7 +460,8 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
         entry["seconds"] = perf_counter() - start
         record["stages"].append(entry)
         write_json(paths["run"], record)
-        log.info("%s", stage_line(entry))
+        for line in stage_lines(entry):
+            log.info("%s", line)
         return value
 
     vocabulary = stage("vocabulary", load_vocabulary, save_vocabulary, lambda: ingest_entries(
@@ -475,4 +482,5 @@ def run_pipeline(config: PipelineConfig, *, resume: bool = False) -> PipelineRes
     write_text(paths["report_text"], report.format_text())
     write_json(paths["report_json"], report.to_dict())
     log.info("final lexicon: %d terms -> %s", len(final), paths["slangsd"])
-    return PipelineResult(final, report, paths, built)
+    ingest = built.get("vocabulary")
+    return PipelineResult(final, report, paths, ingest.skipped if ingest else [])

@@ -25,7 +25,7 @@ import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 from .errors import DataError, ParseError
@@ -50,12 +50,11 @@ class Lines:
             binary = gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
         else:
             binary = io.BytesIO(data)
-        self._handle = io.TextIOWrapper(binary, encoding="utf-8")
+        self._handle = io.TextIOWrapper(binary, encoding="utf-8-sig")
 
     def __iter__(self) -> Iterator[str]:
         try:
-            first = self._handle.readline().removeprefix("\ufeff")
-            for self.number, raw in enumerate(chain((first,), self._handle), start=1):
+            for self.number, raw in enumerate(self._handle, start=1):
                 if raw.strip():
                     yield raw
         except UnicodeDecodeError as exc:

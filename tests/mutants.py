@@ -168,6 +168,26 @@ MUTANTS = [
            "if not os.path.isfile(path)]",
            "if not Path(path).is_file()]",
            (f"{_BAD_INPUT}[corpus-path-too-long]", f"{_BAD_INPUT}[sources-path-too-long]")),
+    # `Lines` reads the file when it is given the file's bytes.
+    Mutant("records.py", "self.number: int | None = None\n        if data is None:",
+           "self.number: int | None = None\n        if True:",
+           ("tests/test_ingest.py::TestLoadVocabulary::test_given_data_parses_it_not_the_file",
+            "tests/test_lexicon.py::TestPersistence::test_load_given_data_parses_it_not_the_file")),
+    # The vocabulary loader checks no row of a file it reads from disk.
+    Mutant("ingest.py",
+           '"related_terms", list, default=[])\n            if data is None:',
+           '"related_terms", list, default=[])\n            if False:',
+           tuple(f"{_BAD_INPUT}[{command}-vocabulary-{case}]"
+                 for command in ("estimate", "assemble")
+                 for case in ("duplicate-term", "term-not-normalized", "related-unsorted",
+                              "related-is-the-term"))),
+    # The lexicon loader checks no record of a file it reads from disk.
+    Mutant("lexicon.py",
+           '"sources", list, default=[])\n            if data is None:',
+           '"sources", list, default=[])\n            if False:',
+           tuple(f"{_BAD_INPUT}[propagate-seeds-{case}]" for case in (
+               "term-not-normalized", "strength-out-of-range", "seed-stage-without-sources",
+               "sources-outside-the-seed-stage", "duplicate-term"))),
     # An `output_dir` holding a NUL raises ValueError out of the config check.
     Mutant("pipeline.py",
            "except (OSError, ValueError) as exc:  # a name too long to check, a NUL",

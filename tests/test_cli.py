@@ -544,7 +544,7 @@ BAD_INPUTS = LONG_VALUES + [
     ("entries-term-number", lambda g, t: _ingest_record(t, term=5), 2,
      "entries.jsonl: line 1: 'term' must be a string, got 5"),
     ("entries-term-blank", lambda g, t: _ingest_record(t, term=" \t"), 2,
-     "line 1: term ' \\t' normalizes to nothing"),
+     "line 1: term normalizes to nothing: ' \\t'"),
     ("entries-meanings-empty", lambda g, t: _ingest_record(t, meanings=[]), 2,
      "line 1: entry must have at least one meaning"),
     ("entries-related_terms-not-strings", lambda g, t: _ingest_record(t, related_terms=[1]), 2,
@@ -1294,18 +1294,24 @@ class TestReportCommand:
 
     def test_report_run_prints_the_lines_verbose_logs_and_each_stage_count(
             self, golden, capsys, caplog):
-        assert main(["run", "--config", str(golden)]) == 0
-        caplog.set_level(logging.INFO, logger="slangsent.pipeline")
-        assert main(["-v", "run", "--config", str(golden), "--resume"]) == 0
-        logged = [record.getMessage() for record in caplog.records
-                  if " because " in record.getMessage()]
-        capsys.readouterr()
-        assert main(["report", "--run", str(golden.parent / "out" / "run.json")]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(logged) == 4 and [line for line in lines if " because " in line] == logged
-        assert lines[0].startswith("run of slangsent 0.1.0, fingerprint ")
-        assert lines[lines.index(logged[-1]) + 1:] == [
-            "  edges: 7", "  labels_per_round: 4, 1, 0", "  terms: 5", "  unreached: 2"]
+        caplog.set_level(logging.INFO, logger="slangsent")
+        for how, flags in (("built", []), ("loaded", ["--resume"])):
+            caplog.clear()
+            assert main(["-v", "run", "--config", str(golden), *flags]) == 0
+            # Every line the package logged: each stage's lines, then the final one.
+            *logged, last = [record.getMessage() for record in caplog.records
+                             if record.name.startswith("slangsent")]
+            capsys.readouterr()
+            assert main(["report", "--run", str(golden.parent / "out" / "run.json")]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            assert header.startswith("run of slangsent 0.1.0, fingerprint ")
+            assert lines == logged and last.startswith("final lexicon: 13 terms -> ")
+            stage_lines = [line for line in lines if " because " in line]
+            assert [line.split(":")[0] for line in stage_lines] == [
+                "vocabulary", "seed", "estimates", "propagated"]
+            assert all(f": {how} because " in line for line in stage_lines)
+            assert lines[lines.index(stage_lines[-1]) + 1:] == [
+                "  edges: 7", "  labels_per_round: 4, 1, 0", "  terms: 5", "  unreached: 2"]
 
 
 @pytest.mark.parametrize("first, second", [([], ["-v"]), (["-v"], [])],

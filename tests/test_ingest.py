@@ -288,6 +288,17 @@ class TestLoadVocabulary:
         path = vocabulary_file(tmp_path, row("a"), row("b", ["a"]))
         assert load_vocabulary(path) == {"a": (), "b": ("a",)}
 
+    def test_given_data_parses_it_not_the_file(self, tmp_path):
+        path = vocabulary_file(tmp_path, row("a", ["b"]), row("b", []))
+        data = "".join(r + "\n" for r in (row("c", ["d"]), row("d"))).encode()
+        assert load_vocabulary(path, data=data) == {"c": ("d",), "d": ()}
+
+    def test_given_data_checks_no_row(self, tmp_path):
+        # The bytes of a file the run record vouches for: this version wrote them.
+        path = vocabulary_file(tmp_path, row("a"))
+        data = (row("Foo", ["b", "a"]) + "\n").encode()
+        assert load_vocabulary(path, data=data) == {"Foo": ("b", "a")}
+
 
 # Vocabulary records as a file may hold them: normalized terms or raw ones,
 # and related lists that are merged (normalized, unique, sorted) or raw, with

@@ -404,6 +404,20 @@ class TestPersistence:
             load_lexicon(path)
         assert str(exc.value).startswith(f"{path}: line 1: ")
 
+    def test_load_given_data_parses_it_not_the_file(self, tmp_path):
+        path, other = tmp_path / "lex.jsonl", tmp_path / "other.jsonl"
+        save_lexicon(Lexicon([entry("lol", 1.0)]), path)
+        lexicon = Lexicon([entry("meh", -0.5, Stage.PROPAGATION), entry("w", 2.0)])
+        save_lexicon(lexicon, other)
+        assert load_lexicon(path, data=other.read_bytes()) == lexicon
+
+    def test_load_given_data_checks_no_record(self, tmp_path):
+        # The bytes of a file the run record vouches for: this version wrote them.
+        path = tmp_path / "lex.jsonl"
+        save_lexicon(Lexicon([entry("lol", 1.0)]), path)
+        data = b'{"sources": [], "stage": "seed_lexicon", "strength": 3.0, "term": "LOL"}\n'
+        assert load_lexicon(path, data=data) == Lexicon([entry("LOL", 3.0, Stage.SEED_LEXICON)])
+
     def test_load_rejects_bad_stage(self, tmp_path):
         path = tmp_path / "lex.jsonl"
         path.write_text('{"term": "lol", "strength": 1.0, "stage": "nope", "sources": []}\n')

@@ -21,6 +21,7 @@ import slangsent.lexicon
 import slangsent.records
 from slangsent.cli import main
 from slangsent.errors import ConfigError
+from slangsent.ingest import load_vocabulary
 from slangsent.lexicon import LinearScale, Stage, load_lexicon
 from slangsent.pipeline import OUTPUT_FILES, load_config, run_pipeline
 
@@ -50,6 +51,12 @@ def read_exports(out_dir):
 
 
 STAGE_LINE = re.compile(rf"({'|'.join(STAGES)}): (built|loaded) because .* \(\d+\.\d{{3}} s\)")
+
+
+def built_stages(result):
+    """The stages that the run record of `result`'s run says it built."""
+    record = json.loads(result.paths["run"].read_text(encoding="utf-8"))
+    return [entry["stage"] for entry in record["stages"] if entry["how"] == "built"]
 
 
 def walk_messages(caplog):
@@ -130,8 +137,10 @@ class TestRunPipeline:
 
     def test_unreached_terms_excluded(self, tmp_path):
         result = run_pipeline(load_config(write_golden_fixture(tmp_path)))
-        assert result.built["propagated"].unreached == frozenset({"ghosted", "ratio"})
-        assert "ghosted" not in result.final and "ratio" not in result.final
+        vocabulary = load_vocabulary(result.paths["vocabulary"])
+        assert set(vocabulary) - set(result.final) == {"ghosted", "ratio"}
+        record = json.loads(result.paths["run"].read_text(encoding="utf-8"))
+        assert record["stages"][-1]["counts"]["unreached"] == 2
 
     def test_all_outputs_written(self, tmp_path):
         result = run_pipeline(load_config(write_golden_fixture(tmp_path)))
@@ -190,7 +199,7 @@ class TestRunPipeline:
         caplog.clear()
         result = run_pipeline(config, resume=True)
         # no stage was built: each was loaded
-        assert result.built == {}
+        assert built_stages(result) == []
         assert walk_messages(caplog) == [
             f"{name}: loaded because its file matches the run record" for name in STAGES]
         assert read_exports(config.output_dir) == baseline
@@ -206,7 +215,7 @@ class TestRunPipeline:
         caplog.clear()
         result = run_pipeline(config, resume=True)
         missing = STAGES.index(stage)
-        assert list(result.built) == STAGES[missing:]
+        assert built_stages(result) == STAGES[missing:]
         assert walk_messages(caplog) == [
             *(f"{name}: loaded because its file matches the run record"
               for name in STAGES[:missing]),
@@ -227,7 +236,7 @@ class TestRunPipeline:
         (config.output_dir / OUTPUT_FILES["estimates"]).unlink()
         result = run_pipeline(config, resume=True)
         # The edited config changes the fingerprint, so every stage is built.
-        assert list(result.built) == STAGES
+        assert built_stages(result) == STAGES
         fresh_path = write_fixture(tmp_path / "fresh")
         fresh_path.write_text(json.dumps({**raw, "max_docs": 1}), encoding="utf-8")
         fresh = load_config(fresh_path)
@@ -244,7 +253,7 @@ class TestRunPipeline:
         raw["strict"] = False
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         result = run_pipeline(load_config(config_path))
-        skipped = result.built["vocabulary"].skipped
+        skipped = result.skipped
         assert len(skipped) == 1
         assert str(skipped[0]).startswith(f"{entries_path}: line ")
         assert len(result.final) == 13
@@ -404,7 +413,7 @@ def test_resume_rebuilds_from_a_damaged_output(tmp_path, caplog, damage, first, 
     caplog.set_level(logging.INFO, logger="slangsent.pipeline")
     result = run_pipeline(config, resume=True)
     built = STAGES.index(first)
-    assert list(result.built) == STAGES[built:]
+    assert built_stages(result) == STAGES[built:]
     assert walk_messages(caplog)[built] == f"{first}: built because {reason}"
     assert read_exports(config.output_dir) == baseline
 
